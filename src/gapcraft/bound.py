@@ -80,8 +80,7 @@ class DiscreteInstance:
         if self.target_cond.shape[1] != self.p_target.shape[1]:
             raise ValueError("target conditional and prediction class counts differ")
         if k > 1:
-            d = self.points[:, None, :] - self.points[None, :, :]
-            dist = np.sqrt((d * d).sum(axis=2))
+            dist = transport.cost_matrix(self.points, self.points)
             np.fill_diagonal(dist, np.inf)
             if dist.min() <= 1e-9:
                 raise ValueError("feature points must be distinct")
@@ -163,8 +162,7 @@ def lipschitz_constant(inst: DiscreteInstance) -> float:
     if k < 2:
         return 0.0
     losses = source_loss_values(inst)
-    diff = inst.points[:, None, :] - inst.points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = transport.cost_matrix(inst.points, inst.points)
     np.fill_diagonal(dist, np.inf)
     ratios = np.abs(losses[:, None] - losses[None, :]) / dist
     return float(ratios.max())

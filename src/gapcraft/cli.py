@@ -18,8 +18,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import bound, lipschitz, models, pipeline, synthtasks
 from .lipschitz import LipschitzConfig
 from .pipeline import PipelineConfig, RunLog
@@ -183,13 +181,10 @@ def cmd_stage1(args) -> int:
     theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
     head, _ = models.load_params(_require(mdir / "source_head.json", "head checkpoint"))
     cfg = _pipeline_config(args)
-    kt = int(bundle.meta.get("n_target_classes", int(bundle.target.y.max()) + 1))
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 4]))
-    phi = models.init_mlp(
-        [bundle.target.x.shape[1], 16, theta.output_dim], "tanh", rng
-    )
+    phi = pipeline.init_target_embedder(bundle, theta, cfg.seed)
     phi, log1 = pipeline.stage1(
-        phi, theta, head, bundle.proxy, bundle.target, cfg, bundle.target_test, kt
+        phi, theta, head, bundle.proxy, bundle.target, cfg, bundle.target_test,
+        pipeline.target_class_count(bundle),
     )
     models.save_params(phi, out / "phi.json", role="target_embedder")
     log1.to_jsonl(out / "runlog.jsonl")
@@ -204,8 +199,9 @@ def cmd_stage2(args) -> int:
     head, _ = models.load_params(_require(mdir / "source_head.json", "head checkpoint"))
     phi, _ = models.load_params(_require(args.phi, "phi checkpoint"))
     cfg = _pipeline_config(args)
-    kt = int(bundle.meta.get("n_target_classes", int(bundle.target.y.max()) + 1))
-    kernel = models.init_transport_head(phi.output_dim, head.output_dim, kt)
+    kernel = models.init_transport_head(
+        phi.output_dim, head.output_dim, pipeline.target_class_count(bundle)
+    )
     kernel, log2 = pipeline.stage2(
         phi, head, kernel, bundle.target, cfg, bundle.target_test
     )

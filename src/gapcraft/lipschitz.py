@@ -15,7 +15,7 @@ directly instead of differentiating through a gradient.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,12 +257,11 @@ def recalibrate_head(
         if cfg.grad_clip > 0.0 and gnorm > cfg.grad_clip:
             gw = gw * (cfg.grad_clip / gnorm)
             gb = gb * (cfg.grad_clip / gnorm)
-        new_w = current.layers[-1].w - cfg.lr * gw
-        new_b = current.layers[-1].b - cfg.lr * gb
-        current = models.MlpParams(
-            current.layers[:-1]
-            + (models.Layer(np.ascontiguousarray(new_w), np.ascontiguousarray(new_b), current.layers[-1].act),)
+        last = current.layers[-1]
+        new_last = models.Layer(
+            ng.freeze(last.w - cfg.lr * gw), ng.freeze(last.b - cfg.lr * gb), last.act
         )
+        current = models.MlpParams(current.layers[:-1] + (new_last,))
         history.append(penalty_value(current, u, d, cfg.omega))
     return RecalibrationResult(current, initial, history[-1], tuple(history))
 
@@ -293,8 +292,7 @@ def sweep_omega(
     hold, train = order[:n_hold], order[n_hold:]
     rows = []
     for omega in candidates:
-        run_cfg = LipschitzConfig(omega, cfg.penalty_weight, cfg.epochs, cfg.lr)
-        result = recalibrate_head(head, theta, x[train], y[train], run_cfg)
+        result = recalibrate_head(head, theta, x[train], y[train], replace(cfg, omega=omega))
         u_hold = models.embed(theta, x[hold])
         pred = np.argmax(models.predict_source(result.head, u_hold), axis=1)
         rows.append(

@@ -7,6 +7,11 @@ space), and the transport-head target predictor, which composes the frozen
 source head with a learnable label-transport kernel conditioned on the
 feature vector.
 
+The kernel is one linear layer on [u, one-hot z]; its weight splits into
+a feature block w_u and a label block w_z, so the logits for every source
+class come from one broadcast, u @ w_u + w_z[z] + b.  Prediction
+(:func:`kernel_matrices`) and stage-2 training share that forward.
+
 Parameters are immutable snapshots; training steps return new snapshots.
 """
 
@@ -20,15 +25,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import numgrad as ng
-from .numgrad import DimensionError, Matrix, Tape, Tensor
+from .numgrad import DimensionError, Matrix, Tape, Tensor, freeze
+from .probs import softmax
 
 __all__ = [
     "Layer",
     "MlpParams",
     "TransportHeadParams",
     "init_mlp",
-    "default_embedder",
-    "default_head",
     "init_transport_head",
     "embed",
     "predict_source",
@@ -44,10 +48,6 @@ __all__ = [
 ]
 
 _ACTS = ("tanh", "relu", "linear")
-
-# Default toy sizes: feature dim 8, two hidden layers of width 32.
-FEATURE_DIM = 8
-HIDDEN_WIDTHS = (32, 32)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,11 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class TransportHeadParams:
-    """Kernel mapping (feature u, one-hot source label z) -> logits over z'."""
+    """Kernel mapping (feature u, one-hot source label z) -> logits over z'.
+
+    ``mlp`` must be a single linear layer: the broadcast forward in
+    :func:`kernel_matrices` relies on it.
+    """
 
     mlp: MlpParams
     n_source_classes: int
@@ -94,6 +98,8 @@ class TransportHeadParams:
         return self.mlp.input_dim - self.n_source_classes
 
     def __post_init__(self):
+        if len(self.mlp.layers) != 1 or self.mlp.layers[0].act != "linear":
+            raise ValueError("transport head must be exactly one linear layer")
         if self.mlp.output_dim != self.n_target_classes:
             raise DimensionError(
                 f"kernel outputs {self.mlp.output_dim} logits, "
@@ -102,12 +108,6 @@ class TransportHeadParams:
         # feature_dim == 0 is allowed: a pure label-transport kernel
         if self.mlp.input_dim < self.n_source_classes:
             raise DimensionError("kernel input must cover the one-hot label block")
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 def init_mlp(
@@ -126,16 +126,8 @@ def init_mlp(
         act = activation
         if final_linear and i == len(dims) - 2:
             act = "linear"
-        layers.append(Layer(_frozen(w), _frozen(np.zeros((1, fan_out))), act))
+        layers.append(Layer(freeze(w), freeze(np.zeros((1, fan_out))), act))
     return MlpParams(tuple(layers))
-
-
-def default_embedder(input_dim: int, rng: np.random.Generator) -> MlpParams:
-    return init_mlp([input_dim, *HIDDEN_WIDTHS, FEATURE_DIM], "tanh", rng)
-
-
-def default_head(n_classes: int, rng: np.random.Generator, feature_dim: int = FEATURE_DIM) -> MlpParams:
-    return init_mlp([feature_dim, n_classes], "tanh", rng)
 
 
 def init_transport_head(
@@ -161,7 +153,7 @@ def init_transport_head(
     if n_source_classes == n_target_classes:
         w[feature_dim:] = identity_boost * np.eye(n_source_classes)
     mlp = MlpParams(
-        (Layer(_frozen(w), _frozen(np.zeros((1, n_target_classes))), "linear"),)
+        (Layer(freeze(w), freeze(np.zeros((1, n_target_classes))), "linear"),)
     )
     return TransportHeadParams(mlp, n_source_classes, n_target_classes)
 
@@ -194,12 +186,6 @@ def embed(params: MlpParams, x) -> Matrix:
     return out
 
 
-def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def predict_source(head: MlpParams, u) -> Matrix:
     """Per-row distribution over source classes at features u."""
     u = ng.as_matrix(u, "feature batch")
@@ -207,7 +193,7 @@ def predict_source(head: MlpParams, u) -> Matrix:
         raise DimensionError(
             f"predict_source: features have {u.shape[1]} columns, head expects {head.input_dim}"
         )
-    return _stable_softmax(_mlp_forward(head, u))
+    return softmax(_mlp_forward(head, u))
 
 
 def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
@@ -218,20 +204,16 @@ def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
     label z at feature u_i.
     """
     u = ng.as_matrix(u, "feature batch")
-    ks, kt = kernel.n_source_classes, kernel.n_target_classes
+    fd = kernel.feature_dim
     # label-only kernels (feature_dim 0) ignore the features entirely
-    if kernel.feature_dim and u.shape[1] != kernel.feature_dim:
+    if fd and u.shape[1] != fd:
         raise DimensionError(
             f"kernel_matrices: features have {u.shape[1]} columns, "
-            f"kernel expects {kernel.feature_dim}"
+            f"kernel expects {fd}"
         )
-    n = u.shape[0]
-    out = np.empty((n, ks, kt))
-    eye = np.eye(ks)
-    for z in range(ks):
-        x = np.hstack([u[:, : kernel.feature_dim], np.tile(eye[z], (n, 1))])
-        out[:, z, :] = _stable_softmax(_mlp_forward(kernel.mlp, x))
-    return out
+    layer = kernel.mlp.layers[0]
+    w_u, w_z = layer.w[:fd], layer.w[fd:]
+    return softmax((u[:, :fd] @ w_u)[:, None, :] + w_z[None] + layer.b[None])
 
 
 def predict_target(source_head: MlpParams, kernel: TransportHeadParams, u) -> Matrix:
@@ -289,7 +271,7 @@ def sgd_update(
     layers = []
     for layer, (gw, gb) in zip(params.layers, grads):
         layers.append(
-            Layer(_frozen(layer.w - lr * gw), _frozen(layer.b - lr * gb), layer.act)
+            Layer(freeze(layer.w - lr * gw), freeze(layer.b - lr * gb), layer.act)
         )
     return MlpParams(tuple(layers))
 
@@ -309,7 +291,7 @@ def params_with_vector(params: MlpParams, vec: np.ndarray) -> MlpParams:
         at += l.w.size
         b = vec[at : at + l.b.size].reshape(l.b.shape)
         at += l.b.size
-        layers.append(Layer(_frozen(w), _frozen(b), l.act))
+        layers.append(Layer(freeze(w), freeze(b), l.act))
     return MlpParams(tuple(layers))
 
 
@@ -334,8 +316,8 @@ def load_params(path) -> tuple[MlpParams, str]:
     payload = json.loads(Path(path).read_text())
     layers = tuple(
         Layer(
-            _frozen(np.array(l["w"], dtype=np.float64)),
-            _frozen(np.array(l["b"], dtype=np.float64).reshape(1, -1)),
+            freeze(np.array(l["w"], dtype=np.float64)),
+            freeze(np.array(l["b"], dtype=np.float64).reshape(1, -1)),
             l["act"],
         )
         for l in payload["layers"]

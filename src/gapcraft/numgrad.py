@@ -3,15 +3,18 @@
 Every value is a 2-D float64 numpy array ("matrix"); scalars live as 1x1
 matrices.  Operations append nodes to a :class:`Tape` (a Wengert list); a
 node records its primitive name, parent indices, and the computed value.
-``backward`` walks the list once in reverse and accumulates vector-Jacobian
-products.
+``Tape.backward`` walks the list once in reverse and accumulates
+vector-Jacobian products.
 
-The primitive set is the closure needed by the training losses downstream:
-matmul, add, mul (elementwise, both with numpy broadcasting over singleton
-axes), transpose, tanh, relu (a.k.a. hinge), exp, log, softmax,
-log_softmax, square, sum, mean, euclidean_norm.  Values are frozen
-(read-only) once emitted, so sharing a tape's values across readers is
-safe; tapes themselves are single-owner.
+The primitive set is the closure needed by the losses that train on the
+tape: source pretraining (``pipeline``), the alignment backprop
+(``transport``), the distortion surrogate (``distortion``) and head
+recalibration (``lipschitz``).  Stage 2 has a closed-form gradient and
+does not use the tape.  Primitives: matmul, add, mul (elementwise, both
+with numpy broadcasting over singleton axes), transpose, tanh, relu
+(a.k.a. hinge), exp, log, softmax, log_softmax, square, sum, mean,
+euclidean_norm.  Values are frozen (read-only) once emitted, so sharing a
+tape's values across readers is safe; tapes themselves are single-owner.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .probs import softmax as _softmax
 
 __all__ = [
     "Matrix",
@@ -28,8 +33,8 @@ __all__ = [
     "DimensionError",
     "ContractError",
     "as_matrix",
+    "freeze",
     "forward",
-    "backward",
     "matmul",
     "add",
     "mul",
@@ -72,7 +77,8 @@ def as_matrix(data, name: str = "matrix") -> Matrix:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as contiguous float64, marked read-only (copied only if needed)."""
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     arr.flags.writeable = False
     return arr
@@ -89,12 +95,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -227,7 +227,7 @@ class Tape:
             raise FloatingPointError(f"{op} produced non-finite values at node {index}")
         self.ops.append(op)
         self.parents.append(parents)
-        self.values.append(_freeze(value))
+        self.values.append(freeze(value))
         return Tensor(self, index)
 
     def apply(self, op: str, *args: Tensor) -> Tensor:
@@ -376,19 +376,9 @@ def euclidean_norm(a: Tensor) -> Tensor:
     return a.tape.apply("euclidean_norm", a)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar (sugar for mul with a 1x1 constant)."""
-    return mul(a, a.tape.constant(np.array([[float(c)]])))
-
-
 def forward(graph: Callable[..., Tensor], inputs: Sequence) -> tuple[Matrix, Tape]:
     """Evaluate ``graph`` over fresh leaf tensors; return (value, tape)."""
     tape = Tape()
     leaves = [tape.input(m) for m in inputs]
     out = graph(*leaves)
     return out.value, tape
-
-
-def backward(tape: Tape, output: Tensor) -> Gradients:
-    """Module-level alias of :meth:`Tape.backward`."""
-    return tape.backward(output)

@@ -9,6 +9,11 @@ structural reductions of the same code path: ``nft`` skips stage 1
 entirely, ``fa_only`` drops the distortion epochs, so bit-identical
 reproductions under shared seeds come for free.
 
+Pretraining and stage 1 train on the tape (``numgrad``).  Stage 2 does
+not: the kernel is one linear layer, so the likelihood gradient has a
+closed form on top of :func:`models.kernel_matrices`, the same forward
+that prediction uses.
+
 During stage 1 there is no trained target predictor yet; checkpoint
 held-out errors use the predictor induced by the pseudo-label statistics
 (the row-normalized joint), which is cheap, deterministic, and tracks how
@@ -39,6 +44,8 @@ __all__ = [
     "PipelineResult",
     "UndefinedCorrelationError",
     "pretrain_source",
+    "target_class_count",
+    "init_target_embedder",
     "stage1",
     "stage2",
     "run_pipeline",
@@ -145,16 +152,24 @@ class RunLog:
         return [r.comparable() for r in self.records]
 
     def to_jsonl(self, path) -> None:
+        """Strict JSON lines: NaN placeholders are written as null."""
         with Path(path).open("w") as fh:
             for r in self.records:
-                fh.write(json.dumps(r.__dict__) + "\n")
+                row = {
+                    k: None if isinstance(v, float) and np.isnan(v) else v
+                    for k, v in r.__dict__.items()
+                }
+                fh.write(json.dumps(row, allow_nan=False) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "RunLog":
         log = cls()
         with Path(path).open() as fh:
             for line in fh:
-                log.records.append(RunRecord(**json.loads(line)))
+                row = json.loads(line)
+                log.records.append(
+                    RunRecord(**{k: float("nan") if v is None else v for k, v in row.items()})
+                )
         return log
 
     def merged(self, other: "RunLog") -> "RunLog":
@@ -181,6 +196,30 @@ def _labels_as_classes(ds: Dataset, n_bins: int = 10) -> tuple[np.ndarray, Discr
         return ds.y.astype(np.int64), None
     disc = Discretizer.fit(ds.y, n_bins)
     return discretize(ds.y, disc), disc
+
+
+def _labels_binned_as(ds: Dataset, disc: Discretizer | None) -> np.ndarray:
+    """Class labels of ``ds`` under a training set's binning, if it has one."""
+    return discretize(ds.y, disc) if disc is not None else ds.y.astype(np.int64)
+
+
+def target_class_count(bundle: TaskBundle) -> int:
+    """Classes the target predictor is trained on.
+
+    Float labels are binned (the bin count); integer labels use the
+    bundle's declared count, else the largest label plus one.
+    """
+    labels, disc = _labels_as_classes(bundle.target)
+    if disc is not None:
+        return disc.n_bins
+    return int(bundle.meta.get("n_target_classes", 0)) or int(labels.max() + 1)
+
+
+def init_target_embedder(bundle: TaskBundle, theta: MlpParams, seed: int) -> MlpParams:
+    """Seeded initial phi: target inputs into the source feature space."""
+    return models.init_mlp(
+        [bundle.target.x.shape[1], 16, theta.output_dim], "tanh", _rng_for(seed, 4)
+    )
 
 
 def nrmse(predicted, actual) -> float:
@@ -259,10 +298,7 @@ def induced_predictor_error(
     )
     p_eval = models.predict_source(source_head, models.embed(phi, target_eval.x)) @ lam
     pred = np.argmax(p_eval, axis=1)
-    eval_labels = (
-        discretize(target_eval.y, disc) if disc is not None else target_eval.y.astype(np.int64)
-    )
-    return float(np.mean(pred != eval_labels))
+    return float(np.mean(pred != _labels_binned_as(target_eval, disc)))
 
 
 def _minibatches(
@@ -362,28 +398,33 @@ def stage1(
     return phi, log
 
 
-def _stage2_loss(
-    kernel_mlp: MlpParams,
+def _stage2_loss_and_grad(
+    kernel: TransportHeadParams,
     u: np.ndarray,
     p_source: np.ndarray,
-    onehot: np.ndarray,
-):
-    """Tape for -mean log p_target(label | u) through the kernel only."""
-    n, kz = p_source.shape
-    tape = ng.Tape()
-    leaves = models.mlp_leaves(tape, kernel_mlp)
-    eye = np.eye(kz)
-    feature_cols = kernel_mlp.input_dim - kz
-    p_tau = None
-    for z in range(kz):
-        xz = tape.constant(np.hstack([u[:, :feature_cols], np.tile(eye[z], (n, 1))]))
-        lam_z = ng.softmax(models.mlp_apply(kernel_mlp, leaves, xz))
-        weighted = ng.mul(lam_z, tape.constant(p_source[:, z : z + 1]))
-        p_tau = weighted if p_tau is None else ng.add(p_tau, weighted)
-    picked = ng.mul(ng.log(p_tau), tape.constant(onehot))
-    neg_inv = tape.constant(np.array([[-1.0 / n]]))
-    loss = ng.mul(ng.sum(picked), neg_inv)
-    return tape, leaves, loss
+    labels: np.ndarray,
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """-mean log p_target(label | u) and its gradient in the kernel's (w, b).
+
+    With lam = kernel_matrices(kernel, u), the cotangent on the logits of
+    source class z at row i is post[i, z] (lam[i, z] - e_y) / n, where
+    post[i, z] = p_s[i, z] lam[i, z, y_i] / p_tau[i, y_i] is the posterior
+    of z given the label y_i.  The logits are u @ w_u + w_z[z] + b, so the
+    weight gradient stacks u^T g.sum(1) over g.sum(0).
+    """
+    n = u.shape[0]
+    rows = np.arange(n)
+    lam = models.kernel_matrices(kernel, u)
+    p_tau = (p_source[:, :, None] * lam).sum(axis=1)[rows, labels]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss = float(-np.log(p_tau).mean())
+    if not np.isfinite(loss):
+        raise FloatingPointError("stage-2 negative log-likelihood is not finite")
+    post = p_source * lam[rows, :, labels] / p_tau[:, None]
+    onehot = np.eye(kernel.n_target_classes)[labels]
+    g = post[:, :, None] * (lam - onehot[:, None, :]) / n
+    gw = np.vstack([u[:, : kernel.feature_dim].T @ g.sum(axis=1), g.sum(axis=0)])
+    return loss, [(gw, g.sum(axis=(0, 1))[None, :])]
 
 
 def stage2(
@@ -403,7 +444,9 @@ def stage2(
     target_labels, disc = _labels_as_classes(target)
     u = models.embed(phi, target.x)
     p_source = models.predict_source(source_head, u)
-    onehot = np.eye(kernel.n_target_classes)[target_labels]
+    if target_eval is not None:  # the embedder is frozen: embed and bin once
+        u_eval = models.embed(phi, target_eval.x)
+        eval_labels = _labels_binned_as(target_eval, disc)
     _, _, n0 = cfg.effective_epochs()
     rng = _rng_for(cfg.seed, 3)
     log = RunLog()
@@ -412,30 +455,17 @@ def stage2(
     for epoch in range(1, n0 + 1):
         nlls = []
         for idx in _minibatches(len(target), cfg.batch_size, rng):
-            tape, leaves, loss = _stage2_loss(
-                kernel.mlp, u[idx], p_source[idx], onehot[idx]
+            loss, grads = _stage2_loss_and_grad(
+                kernel, u[idx], p_source[idx], target_labels[idx]
             )
-            grads = tape.backward(loss)
             kernel = TransportHeadParams(
-                models.sgd_update(
-                    kernel.mlp, models.grads_for_leaves(grads, leaves), cfg.lr_predictor
-                ),
+                models.sgd_update(kernel.mlp, grads, cfg.lr_predictor),
                 kernel.n_source_classes,
                 kernel.n_target_classes,
             )
-            nlls.append(float(loss.value[0, 0]))
+            nlls.append(loss)
         if target_eval is not None:
-            eval_labels = (
-                discretize(target_eval.y, disc)
-                if disc is not None
-                else target_eval.y.astype(np.int64)
-            )
-            pred = np.argmax(
-                models.predict_target(
-                    source_head, kernel, models.embed(phi, target_eval.x)
-                ),
-                axis=1,
-            )
+            pred = np.argmax(models.predict_target(source_head, kernel, u_eval), axis=1)
             err = float(np.mean(pred != eval_labels))
         else:
             err = float("nan")
@@ -475,15 +505,9 @@ def run_pipeline(
             pretrained = (theta, result.head, proxy_error)
     theta, head, proxy_error = pretrained
 
-    target_labels, target_disc = _labels_as_classes(bundle.target)
-    if target_disc is not None:
-        kt = target_disc.n_bins
-    else:
-        kt = int(bundle.meta.get("n_target_classes", 0)) or int(target_labels.max() + 1)
-    phi_rng = _rng_for(cfg.seed, 4)
-    phi = models.init_mlp(
-        [bundle.target.x.shape[1], 16, theta.output_dim], "tanh", phi_rng
-    )
+    target_labels, train_disc = _labels_as_classes(bundle.target)
+    kt = target_class_count(bundle)
+    phi = init_target_embedder(bundle, theta, cfg.seed)
     phi, log1 = stage1(
         phi, theta, head, bundle.proxy, bundle.target, cfg, bundle.target_test, kt
     )
@@ -497,13 +521,10 @@ def run_pipeline(
     kernel, log2 = stage2(
         phi, head, kernel, bundle.target, cfg, bundle.target_test, (frozen_fa, frozen_fld)
     )
-    phi_after = phi  # stage 2 never touches the embedder
-
     # classification scores 0-1 error; regression-labeled tasks train on
     # discretized labels and score normalized RMSE through the bin centers
-    train_disc = _labels_as_classes(bundle.target)[1]
     pred = np.argmax(
-        models.predict_target(head, kernel, models.embed(phi_after, bundle.target_test.x)),
+        models.predict_target(head, kernel, models.embed(phi, bundle.target_test.x)),
         axis=1,
     )
     if train_disc is None:
@@ -511,7 +532,7 @@ def run_pipeline(
         holdout = float(np.mean(pred != eval_labels))
     else:
         holdout = nrmse(train_disc.centers()[pred], bundle.target_test.y)
-    return PipelineResult(theta, head, phi_after, kernel, log1.merged(log2), holdout, proxy_error)
+    return PipelineResult(theta, head, phi, kernel, log1.merged(log2), holdout, proxy_error)
 
 
 def run_baseline(

@@ -1,4 +1,4 @@
-"""Validation helpers for probability vectors plus entropy/KL in nats.
+"""Validation helpers for probability vectors, softmax, and entropy/KL in nats.
 
 Conventions used throughout the package: natural logarithms everywhere,
 ``0 * log 0 = 0``, and ``kl(p, q) = +inf`` as soon as p puts mass where q
@@ -16,6 +16,7 @@ __all__ = [
     "kl_divergence",
     "cross_entropy",
     "xlogx",
+    "softmax",
 ]
 
 
@@ -49,6 +50,13 @@ def as_conditional(m, name: str = "conditional", atol: float = 1e-8) -> np.ndarr
         i = int(np.argmax(bad))
         raise ValueError(f"{name} row {i} sums to {rows[i]:.12f}, expected 1")
     return np.clip(arr, 0.0, None)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the row maximum."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .bound import DiscreteInstance
+from .probs import softmax
+from .transport import cost_matrix
 
 __all__ = [
     "TaskSpec",
@@ -276,10 +278,7 @@ def exact_source_conditional(meta: dict, x) -> np.ndarray:
     k = means.shape[0]
     noise = float(meta["label_noise"])
     d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    logp = -d2 / (2.0 * NOISE_SCALE**2)
-    logp -= logp.max(axis=1, keepdims=True)
-    post = np.exp(logp)
-    post /= post.sum(axis=1, keepdims=True)
+    post = softmax(-d2 / (2.0 * NOISE_SCALE**2))
     flip = np.full((k, k), noise / (k - 1))
     np.fill_diagonal(flip, 1.0 - noise)
     return post @ flip
@@ -375,8 +374,7 @@ def random_discrete_instance(
         points = rng.normal(size=(k, d))
         if k == 1:
             break
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = cost_matrix(points, points)
         np.fill_diagonal(dist, np.inf)
         if dist.min() > 1e-6:
             break

@@ -210,17 +210,17 @@ def test_criterion_06_gradient_integrity():
         head = models.init_mlp([3, kz], "tanh", rng)
         kernel = models.init_transport_head(3, kz, kt, rng, feature_scale=0.4)
         p_s = models.predict_source(head, u)
-        onehot = np.eye(kt)[rng.integers(0, kt, size=8)]
-        tape, leaves, loss = pipeline._stage2_loss(kernel.mlp, u, p_s, onehot)
-        grads = tape.backward(loss)
-        analytic = np.concatenate(
-            [np.concatenate([grads.wrt(w).ravel(), grads.wrt(b).ravel()]) for w, b in leaves]
-        )
+        labels = rng.integers(0, kt, size=8)
+        _, grads = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels)
+        analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
 
-        def nll_objective(vec):
-            mlp = models.params_with_vector(kernel.mlp, vec)
-            _, _, l = pipeline._stage2_loss(mlp, u, p_s, onehot)
-            return float(l.value[0, 0])
+        def nll_objective(vec, kernel=kernel, u=u, p_s=p_s, labels=labels):
+            k = models.TransportHeadParams(
+                models.params_with_vector(kernel.mlp, vec),
+                kernel.n_source_classes,
+                kernel.n_target_classes,
+            )
+            return pipeline._stage2_loss_and_grad(k, u, p_s, labels)[0]
 
         fd = finite_difference(nll_objective, models.params_vector(kernel.mlp))
         worst["nll"] = max(worst["nll"], relative_gradient_error(analytic, fd))

@@ -132,6 +132,45 @@ def test_stage1_cli_matches_library(cli_workspace, tmp_path):
     assert cli_log.comparable() == lib_log.comparable()
 
 
+def test_stage1_stage2_cli_on_float_labels(cli_workspace, tmp_path):
+    """Float target labels train on 10 label bins, as in run_pipeline, even
+    though the bundle metadata declares 3 target classes."""
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    for name in ("source", "proxy", "target", "target_test"):
+        ds, meta = synthtasks.load_dataset(cli_workspace / "data" / f"{name}.csv")
+        if name.startswith("target"):
+            ds = synthtasks.Dataset(ds.x, ds.y + rng.uniform(0.0, 0.5, size=len(ds)))
+        synthtasks.save_dataset(ds, data / f"{name}.csv", meta)
+    common = ["--data", str(data), "--models", str(cli_workspace / "m2"),
+              "--seed", "3", "--scale", "0.2"]
+    s1 = tmp_path / "s1"
+    assert main(["stage1", *common, "--out", str(s1)]) == 0
+    cli_phi, _ = models.load_params(s1 / "phi.json")
+
+    bundle = cli._load_bundle(data)
+    assert bundle.meta["n_target_classes"] == 3
+    theta, _ = models.load_params(cli_workspace / "m2" / "theta.json")
+    head, _ = models.load_params(cli_workspace / "m2" / "source_head.json")
+    rng = np.random.default_rng(np.random.SeedSequence([3, 4]))
+    phi = models.init_mlp([12, 16, theta.output_dim], "tanh", rng)
+    lib_phi, lib_log = pipeline.stage1(
+        phi, theta, head, bundle.proxy, bundle.target, PipelineConfig(seed=3, scale=0.2),
+        bundle.target_test, 10,
+    )
+    assert all(
+        np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+        for a, b in zip(cli_phi.layers, lib_phi.layers)
+    )
+    assert RunLog.from_jsonl(s1 / "runlog.jsonl").comparable() == lib_log.comparable()
+
+    s2 = tmp_path / "s2"
+    assert main(["stage2", *common, "--phi", str(s1 / "phi.json"), "--out", str(s2)]) == 0
+    kernel, _ = models.load_params(s2 / "kernel.json")
+    assert kernel.output_dim == 10
+
+
 def test_resolved_config_replay_bitwise(cli_workspace, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

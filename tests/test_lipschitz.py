@@ -1,5 +1,7 @@
 """Pointwise source loss, feature gradients, recalibration, omega sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,8 @@ def test_recalibrate_reduces_penalty_and_touches_only_last_layer():
     result = lipschitz.recalibrate_head(sharp, theta, x, y, cfg)
     assert result.initial_penalty > 0.0
     assert result.final_penalty < result.initial_penalty
+    last = result.head.layers[-1]
+    assert not last.w.flags.writeable and not last.b.flags.writeable
 
 
 def test_recalibrate_multilayer_freezes_lower_stack():
@@ -195,6 +199,24 @@ def test_sweep_single_candidate():
     )
     assert len(rows) == 1
     assert set(rows[0]) == {"omega", "proxy_error", "penalty_residual"}
+
+
+def test_sweep_keeps_every_config_field_but_omega():
+    """A sweep row is recalibrate_head on the train split with only omega
+    replaced, so the enforcement margin and gradient clip carry through."""
+    x, y, theta, head = _blob_task(seed=9)
+    sharp = models.MlpParams(
+        (models.Layer(head.layers[0].w * 40.0, head.layers[0].b, "linear"),)
+    )
+    cfg = LipschitzConfig(epochs=30, lr=0.2, grad_clip=2.0, enforcement_margin=0.5)
+    (row,) = lipschitz.sweep_omega([0.4], theta, sharp, x, y, cfg, seed=3)
+    order = np.random.default_rng(3).permutation(len(y))
+    train = order[round(0.25 * len(y)):]
+    expected = lipschitz.recalibrate_head(
+        sharp, theta, x[train], y[train], replace(cfg, omega=0.4)
+    )
+    assert row["penalty_residual"] == expected.final_penalty
+    assert expected.final_penalty > 0.0
 
 
 def test_sweep_rejects_unsorted_candidates():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gapcraft import models
+from gapcraft import models, pipeline
 from gapcraft import numgrad as ng
 
 from oracles import finite_difference, relative_gradient_error, softmax_mp, straightline_mlp
@@ -159,44 +159,76 @@ def test_params_vector_roundtrip():
         models.params_with_vector(p, vec[:-1])
 
 
-def test_stage2_style_nll_gradient_matches_fd():
-    """Gradient of -E[log sum_z p(z|u) kernel(z'|z,u)] with respect to the kernel."""
-    rng = np.random.default_rng(10)
-    n, d, kz, kt = 8, 3, 3, 2
+def _stage2_gradient_error(rng, kernel_feature_dim, kz, kt, n=8, d=3):
+    """Relative error of the closed-form stage-2 gradient against central
+    finite differences of the stage-2 loss, over every kernel parameter."""
     u = rng.normal(size=(n, d))
     labels = rng.integers(0, kt, size=n)
     head = models.init_mlp([d, kz], "tanh", rng)
-    kernel = models.init_transport_head(d, kz, kt, rng, feature_scale=0.4)
+    kernel = models.init_transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.4)
     p_s = models.predict_source(head, u)
-    onehot = np.eye(kt)[labels]
-
-    def build(tape, kmlp):
-        leaves = models.mlp_leaves(tape, kmlp)
-        p_tau = None
-        eye = np.eye(kz)
-        for z in range(kz):
-            xz = tape.constant(np.hstack([u, np.tile(eye[z], (n, 1))]))
-            lam_z = ng.softmax(models.mlp_apply(kmlp, leaves, xz))
-            weighted = ng.mul(lam_z, tape.constant(p_s[:, z : z + 1]))
-            p_tau = weighted if p_tau is None else ng.add(p_tau, weighted)
-        picked = ng.mul(ng.log(p_tau), tape.constant(onehot))
-        neg_inv = tape.constant(np.array([[-1.0 / n]]))
-        return leaves, ng.mul(ng.sum(picked), neg_inv)
-
-    tape = ng.Tape()
-    leaves, loss = build(tape, kernel.mlp)
-    grads = tape.backward(loss)
-    analytic = np.concatenate(
-        [np.concatenate([grads.wrt(w).ravel(), grads.wrt(b).ravel()]) for w, b in leaves]
-    )
+    _, grads = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels)
+    analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
 
     def f(vec):
-        kmlp = models.params_with_vector(kernel.mlp, vec)
-        tape2 = ng.Tape()
-        _, loss2 = build(tape2, kmlp)
-        return float(loss2.value[0, 0])
+        k = models.TransportHeadParams(
+            models.params_with_vector(kernel.mlp, vec), kz, kt
+        )
+        return pipeline._stage2_loss_and_grad(k, u, p_s, labels)[0]
 
-    x0 = models.params_vector(kernel.mlp)
-    assert loss.value[0, 0] == pytest.approx(f(x0), abs=1e-12)
-    fd = finite_difference(f, x0)
-    assert relative_gradient_error(analytic, fd) < 1e-4
+    fd = finite_difference(f, models.params_vector(kernel.mlp))
+    return relative_gradient_error(analytic, fd)
+
+
+def test_stage2_style_nll_gradient_matches_fd():
+    """Gradient of -E[log sum_z p(z|u) kernel(z'|z,u)] with respect to the kernel."""
+    assert _stage2_gradient_error(np.random.default_rng(10), 3, 3, 2) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "kernel_feature_dim, kz, kt", [(0, 3, 2), (3, 5, 4), (0, 5, 4)]
+)
+def test_stage2_gradient_label_only_and_wide_kernels(kernel_feature_dim, kz, kt):
+    rng = np.random.default_rng(11 + kz + kt + kernel_feature_dim)
+    assert _stage2_gradient_error(rng, kernel_feature_dim, kz, kt) < 1e-4
+
+
+def test_stage2_loss_matches_composed_prediction():
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=(6, 3))
+    labels = rng.integers(0, 4, size=6)
+    head = models.init_mlp([3, 5], "tanh", rng)
+    kernel = models.init_transport_head(3, 5, 4, rng, feature_scale=0.4)
+    loss, _ = pipeline._stage2_loss_and_grad(
+        kernel, u, models.predict_source(head, u), labels
+    )
+    p_tau = models.predict_target(head, kernel, u)
+    assert loss == pytest.approx(-np.mean(np.log(p_tau[np.arange(6), labels])), abs=1e-14)
+
+
+def test_stage2_loss_rejects_non_finite():
+    kernel = models.init_transport_head(0, 2, 2, identity_boost=2000.0)
+    p_s = np.array([[1.0, 0.0]])
+    with pytest.raises(FloatingPointError):
+        pipeline._stage2_loss_and_grad(kernel, np.zeros((1, 2)), p_s, np.array([1]))
+
+
+def test_transport_head_rejects_multilayer_kernel():
+    mlp = models.init_mlp([5, 4, 3], "tanh")
+    with pytest.raises(ValueError, match="one linear layer"):
+        models.TransportHeadParams(mlp, 3, 3)
+    tanh_layer = models.MlpParams((models.Layer(np.zeros((5, 3)), np.zeros((1, 3)), "tanh"),))
+    with pytest.raises(ValueError, match="one linear layer"):
+        models.TransportHeadParams(tanh_layer, 3, 3)
+
+
+def test_kernel_matrices_match_per_class_forward():
+    """The broadcast forward equals the per-class [u, one-hot z] layer."""
+    rng = np.random.default_rng(13)
+    kernel = models.init_transport_head(3, 4, 2, rng, feature_scale=0.7)
+    u = rng.normal(size=(7, 3))
+    lam = models.kernel_matrices(kernel, u)
+    layer = kernel.mlp.layers[0]
+    for z in range(4):
+        x = np.hstack([u, np.tile(np.eye(4)[z], (7, 1))])
+        assert np.allclose(lam[:, z], softmax_mp(x @ layer.w + layer.b), atol=1e-14)

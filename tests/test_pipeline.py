@@ -1,5 +1,7 @@
 """Two-stage pipeline: contracts, reductions, determinism, baselines."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,25 @@ def test_runlog_jsonl_roundtrip(tmp_path, rotated_bundle):
     result.log.to_jsonl(path)
     loaded = RunLog.from_jsonl(path)
     assert loaded.comparable() == result.log.comparable()
+
+
+def test_runlog_jsonl_is_strict_json(tmp_path):
+    """NaN placeholders (stage-1 train_nll, a stage-2 run without a frozen
+    gap) are written as null and read back as NaN."""
+    log = RunLog()
+    log.append(RunRecord(1, "fa", 0.5, 0.25, 0.75, 0.1, float("nan"), 0.0))
+    log.append(RunRecord(1, "predictor", float("nan"), float("nan"), float("nan"), 0.2, 0.9, 0.1))
+    path = tmp_path / "runlog.jsonl"
+    log.to_jsonl(path)
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    rows = [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
+    assert rows[0]["train_nll"] is None and rows[1]["l_fa"] is None
+    loaded = RunLog.from_jsonl(path)
+    assert loaded.comparable() == log.comparable()
+    assert np.isnan(loaded.records[1].semantic_gap)
 
 
 def test_runlog_rejects_out_of_order_records():
