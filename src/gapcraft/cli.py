@@ -166,6 +166,7 @@ def cmd_recalibrate(args) -> int:
             {
                 "initial_penalty": result.initial_penalty,
                 "final_penalty": result.final_penalty,
+                "penalty_history": list(result.penalty_history),
             },
             indent=2,
         )
@@ -196,6 +197,7 @@ def cmd_stage2(args) -> int:
     out = _out_dir(args)
     bundle = _load_bundle(_require(args.data, "data directory"))
     mdir = _require(args.models, "models directory")
+    theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
     head, _ = models.load_params(_require(mdir / "source_head.json", "head checkpoint"))
     phi, _ = models.load_params(_require(args.phi, "phi checkpoint"))
     cfg = _pipeline_config(args)
@@ -203,7 +205,8 @@ def cmd_stage2(args) -> int:
         phi.output_dim, head.output_dim, pipeline.target_class_count(bundle)
     )
     kernel, log2 = pipeline.stage2(
-        phi, head, kernel, bundle.target, cfg, bundle.target_test
+        phi, head, kernel, bundle.target, cfg, bundle.target_test,
+        pipeline.frozen_gap(phi, theta, head, bundle, cfg),
     )
     models.save_params(kernel.mlp, out / "kernel.json", role="transport_head")
     log2.to_jsonl(out / "runlog.jsonl")
@@ -495,7 +498,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (
+        ValueError, OSError, FloatingPointError, lipschitz.DivergenceError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import as_distribution, entropy
+from .probs import as_distribution, entropy, softmax
 from .transport import CapabilityError
 
 __all__ = [
@@ -361,7 +361,8 @@ def pseudo_label_stats(
         rng = np.random.default_rng(seed)
         cum = np.cumsum(p, axis=1)
         draws = rng.random(kappa)
-        z = (draws[:, None] > cum).sum(axis=1)
+        # the last class takes whatever a rounded-down cumsum leaves above it
+        z = (draws[:, None] > cum[:, :-1]).sum(axis=1)
         np.add.at(joint, (z, labels), 1.0)
     joint /= kappa
     return JointLabelStats(joint, kappa)
@@ -386,7 +387,11 @@ def fld_loss_and_grad(
     Soft counts only: the sampled (hard) counts are piecewise constant in
     the embedder, so their gradient is zero almost everywhere.  Target
     classes absent from the batch contribute nothing to either entropy and
-    are dropped before the tape is built.
+    are dropped.  With J = p^T onehot / n and r its row marginal, the loss
+    sum r log r - sum J log J has the cotangent
+    dL/dp[i, z] = (log r_z - log J[z, y_i]) / n, taken through the softmax
+    and pulled back through embedder and head together; only the
+    embedder's gradient is returned.
     """
     x = ng.as_matrix(target_x, "target batch")
     labels = np.asarray(target_labels, dtype=np.int64).ravel()
@@ -394,24 +399,21 @@ def fld_loss_and_grad(
         raise ValueError("fld_loss_and_grad: empty target dataset")
     if labels.min() < 0 or labels.max() >= n_target_classes:
         raise ValueError("fld_loss_and_grad: label index out of range")
-    observed = np.unique(labels)
+    observed, column = np.unique(labels, return_inverse=True)
     onehot = (labels[:, None] == observed[None, :]).astype(np.float64)
+    n = x.shape[0]
 
-    tape = ng.Tape()
-    leaves = models.mlp_leaves(tape, phi)
-    head_leaves = [(tape.constant(l.w), tape.constant(l.b)) for l in source_head.layers]
-    u = models.mlp_apply(phi, leaves, tape.constant(x))
-    p = ng.softmax(models.mlp_apply(source_head, head_leaves, u))
-    scale = tape.constant(np.array([[1.0 / x.shape[0]]]))
-    joint = ng.mul(ng.matmul(ng.transpose(p), tape.constant(onehot)), scale)
-    row_marginal = ng.matmul(joint, tape.constant(np.ones((observed.size, 1))))
-    h_joint = ng.sum(ng.mul(joint, ng.log(joint)))
-    h_rows = ng.sum(ng.mul(row_marginal, ng.log(row_marginal)))
-    # loss = (-h_joint) - (-h_rows) = h_rows - h_joint
-    neg = tape.constant(np.array([[-1.0]]))
-    loss = ng.add(h_rows, ng.mul(h_joint, neg))
-    grads = tape.backward(loss)
-    return float(loss.value[0, 0]), models.grads_for_leaves(grads, leaves)
+    logits, pullback = models.mlp_vjp(MlpParams(phi.layers + source_head.layers), x)
+    p = softmax(logits)
+    joint = p.T @ onehot / n
+    rows = joint.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_joint, log_rows = np.log(joint), np.log(rows)
+        loss = float((rows * log_rows).sum() - (joint * log_joint).sum())
+        g_p = (log_rows[None, :] - log_joint[:, column].T) / n
+        g_logits = p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
+    grads = pullback(g_logits)  # raises FloatingPointError if a count is zero
+    return loss, grads[: len(phi.layers)]
 
 
 def stats_to_csv(stats: JointLabelStats, path) -> None:

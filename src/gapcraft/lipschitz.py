@@ -8,8 +8,8 @@ keeps predictive performance from collapsing.
 
 Only first-order machinery is needed: with the lower head layers frozen,
 the feature gradient is jac_lower(u)^T W (p - d), an explicit expression
-in the trainable last layer (W, b), so the penalty goes on the tape
-directly instead of differentiating through a gradient.
+in the trainable last layer (W, b), so the penalty and its gradient in
+(W, b) have a closed form instead of differentiating through a gradient.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.special import log_softmax
 
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import as_conditional
+from .probs import as_conditional, softmax
 
 __all__ = [
     "LipschitzConfig",
@@ -136,68 +137,54 @@ def feature_gradients(head: MlpParams, u, conditional) -> np.ndarray:
     return np.einsum("nh,nhu->nu", grad_h, jac)
 
 
+def _hinge_penalty(norms: np.ndarray, threshold: float) -> float:
+    return float(np.mean(np.maximum(norms - threshold, 0.0) ** 2))
+
+
 def penalty_value(head: MlpParams, u, conditional, omega: float) -> float:
     """Mean squared hinge of the feature-gradient norms above omega."""
     norms = np.linalg.norm(feature_gradients(head, u, conditional), axis=1)
-    return float(np.mean(np.maximum(norms - omega, 0.0) ** 2))
+    return _hinge_penalty(norms, omega)
 
 
-def _recalibration_loss(
-    head: MlpParams,
-    h_const: np.ndarray,
-    jac_const: np.ndarray,
-    d_const: np.ndarray,
+def _recalibration_loss_and_grad(
+    last: models.Layer,
+    h: np.ndarray,
+    jac: np.ndarray,
+    d: np.ndarray,
     cfg: LipschitzConfig,
-):
-    """Build the tape for penalty_weight * penalty + proxy cross-entropy.
+) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """penalty_weight * penalty + proxy cross-entropy in the last layer.
 
-    Per-sample feature gradients assemble column by column against the
-    frozen lower-stack Jacobians, so the node count stays independent of
-    the batch size.  Row norms go through exp(0.5 log(s)); the hinge zeroes
-    the gradient path wherever s <= omega^2, which keeps the composition
-    away from log's pole.
+    ``h`` and ``jac`` are the frozen lower stack's activations and
+    Jacobians (:func:`_lower_stack`).  Returns the objective, the per-row
+    feature-gradient norms at this layer and the (W, b) gradient.  With
+    r = p - d and g_u = jac^T W r, the penalty's cotangent on g_u is
+    2 hinge g_u / (n |g_u|); it reaches W once through W r and once
+    through the softmax, where the cross-entropy adds r / n (rows of d
+    sum to one).
     """
-    n, _, u_dim = jac_const.shape
-    last = head.layers[-1]
-    tape = ng.Tape()
-    w_t = tape.input(last.w)
-    b_t = tape.input(last.b)
-    hc = tape.constant(h_const)
-    dc = tape.constant(d_const)
-    neg = tape.constant(np.array([[-1.0]]))
-    neg_omega = tape.constant(np.array([[-cfg.omega * cfg.enforcement_margin]]))
-
-    logits = ng.add(ng.matmul(hc, w_t), b_t)
-    p = ng.softmax(logits)
-    residual = ng.add(p, ng.mul(dc, neg))  # p - d
-    grad_h = ng.matmul(residual, ng.transpose(w_t))  # (n, h_dim)
-
-    identity_jac = h_const.shape[1] == u_dim and np.array_equal(
-        jac_const, np.broadcast_to(np.eye(u_dim), (n, u_dim, u_dim))
+    n = h.shape[0]
+    threshold = cfg.omega * cfg.enforcement_margin
+    logits = h @ last.w + last.b
+    p = softmax(logits)
+    r = p - d
+    g_u = np.einsum("nh,nhu->nu", r @ last.w.T, jac)
+    norms = np.linalg.norm(g_u, axis=1)
+    hinge = np.maximum(norms - threshold, 0.0)
+    objective = cfg.penalty_weight * float(np.mean(hinge**2)) - float(
+        (d * log_softmax(logits, axis=1)).sum() / n
     )
-    if identity_jac:
-        g_u = grad_h
-    else:
-        g_u = None
-        basis = np.eye(u_dim)
-        ones_h = tape.constant(np.ones((jac_const.shape[1], 1)))
-        for k in range(u_dim):
-            col = ng.matmul(ng.mul(grad_h, tape.constant(jac_const[:, :, k])), ones_h)
-            part = ng.matmul(col, tape.constant(basis[k : k + 1]))
-            g_u = part if g_u is None else ng.add(g_u, part)
-
-    sq_norms = ng.matmul(ng.square(g_u), tape.constant(np.ones((u_dim, 1))))
-    half = tape.constant(np.array([[0.5]]))
-    floor = tape.constant(np.full((n, 1), 1e-30))
-    norms = ng.exp(ng.mul(ng.log(ng.add(sq_norms, floor)), half))
-    hinge_sq = ng.square(ng.hinge(ng.add(norms, neg_omega)))
-    inv_n = tape.constant(np.array([[1.0 / n]]))
-    penalty = ng.mul(ng.sum(hinge_sq), inv_n)
-
-    ce = ng.mul(ng.sum(ng.mul(ng.log_softmax(logits), dc)), ng.mul(inv_n, neg))
-    weight = tape.constant(np.array([[cfg.penalty_weight]]))
-    loss = ng.add(ng.mul(penalty, weight), ce)
-    return tape, w_t, b_t, penalty, loss
+    # hinge > 0 only where norms > threshold > 0, so the division is safe
+    coef = (2.0 * cfg.penalty_weight / n) * hinge / np.maximum(norms, threshold)
+    g_h = np.einsum("nhu,nu->nh", jac, coef[:, None] * g_u)
+    g_r = g_h @ last.w
+    g_logits = p * (g_r - (g_r * p).sum(axis=1, keepdims=True)) + r / n
+    gw = h.T @ g_logits + g_h.T @ r
+    gb = g_logits.sum(axis=0, keepdims=True)
+    if not (np.isfinite(objective) and np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+        raise FloatingPointError("recalibration objective or gradient is not finite")
+    return objective, norms, (gw, gb)
 
 
 def recalibrate_head(
@@ -228,19 +215,18 @@ def recalibrate_head(
     if initial == 0.0:
         return RecalibrationResult(head, 0.0, 0.0, (0.0,))
 
-    h_const, jac_const = _lower_stack(head, u)
+    h, jac = _lower_stack(head, u)
     current = head
-    history = [initial]
+    history: list[float] = []  # penalty at each epoch's head, then the final
     objective_history: list[float] = []
     rising = 0
     for epoch in range(cfg.epochs):
-        tape, w_t, b_t, _, loss = _recalibration_loss(
-            current, h_const, jac_const, d, cfg
-        )
+        last = current.layers[-1]
+        objective, norms, (gw, gb) = _recalibration_loss_and_grad(last, h, jac, d, cfg)
+        history.append(_hinge_penalty(norms, cfg.omega))
         # Divergence is judged on the optimized joint objective; the penalty
         # component alone may rise for a while as the cross-entropy term
         # trades against it.
-        objective = float(loss.value[0, 0])
         if objective_history and objective > objective_history[-1]:
             rising += 1
             if rising >= 5:
@@ -251,18 +237,15 @@ def recalibrate_head(
         else:
             rising = 0
         objective_history.append(objective)
-        grads = tape.backward(loss)
-        gw, gb = grads.wrt(w_t), grads.wrt(b_t)
         gnorm = float(np.sqrt((gw * gw).sum() + (gb * gb).sum()))
         if cfg.grad_clip > 0.0 and gnorm > cfg.grad_clip:
             gw = gw * (cfg.grad_clip / gnorm)
             gb = gb * (cfg.grad_clip / gnorm)
-        last = current.layers[-1]
         new_last = models.Layer(
             ng.freeze(last.w - cfg.lr * gw), ng.freeze(last.b - cfg.lr * gb), last.act
         )
         current = models.MlpParams(current.layers[:-1] + (new_last,))
-        history.append(penalty_value(current, u, d, cfg.omega))
+    history.append(penalty_value(current, u, d, cfg.omega))
     return RecalibrationResult(current, initial, history[-1], tuple(history))
 
 

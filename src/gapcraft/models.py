@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,8 +38,8 @@ __all__ = [
     "predict_source",
     "kernel_matrices",
     "predict_target",
-    "mlp_leaves",
     "mlp_apply",
+    "mlp_vjp",
     "sgd_update",
     "params_vector",
     "params_with_vector",
@@ -233,13 +233,8 @@ def predict_target(source_head: MlpParams, kernel: TransportHeadParams, u) -> Ma
 
 
 # ---------------------------------------------------------------------------
-# Tape plumbing: parameters as leaves, forward passes as graph builders.
+# Reverse mode: one MLP pullback; every trained loss supplies its cotangent.
 # ---------------------------------------------------------------------------
-
-
-def mlp_leaves(tape: Tape, params: MlpParams) -> list[tuple[Tensor, Tensor]]:
-    """Register every layer's (w, b) as differentiable tape leaves."""
-    return [(tape.input(l.w), tape.input(l.b)) for l in params.layers]
 
 
 def mlp_apply(
@@ -257,10 +252,27 @@ def mlp_apply(
     return h
 
 
-def grads_for_leaves(
-    grads: ng.Gradients, leaves: list[tuple[Tensor, Tensor]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(grads.wrt(w), grads.wrt(b)) for w, b in leaves]
+def mlp_vjp(
+    params: MlpParams, x
+) -> tuple[Matrix, Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]]:
+    """The MLP's output at ``x`` and its pullback.
+
+    ``pullback(g)`` returns every layer's (dw, db) of sum(out * g), so a
+    loss whose cotangent on the output is ``g`` gets its parameter
+    gradient.  Non-finite forward values or cotangents raise
+    FloatingPointError.
+    """
+    tape = Tape()
+    leaves = [(tape.input(l.w), tape.input(l.b)) for l in params.layers]
+    out = mlp_apply(params, leaves, tape.constant(x))
+
+    def pullback(g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError("output cotangent has non-finite entries")
+        grads = tape.backward(ng.sum(ng.mul(out, tape.constant(g))))
+        return [(grads.wrt(w), grads.wrt(b)) for w, b in leaves]
+
+    return out.value, pullback
 
 
 def sgd_update(

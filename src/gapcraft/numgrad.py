@@ -6,15 +6,13 @@ node records its primitive name, parent indices, and the computed value.
 ``Tape.backward`` walks the list once in reverse and accumulates
 vector-Jacobian products.
 
-The primitive set is the closure needed by the losses that train on the
-tape: source pretraining (``pipeline``), the alignment backprop
-(``transport``), the distortion surrogate (``distortion``) and head
-recalibration (``lipschitz``).  Stage 2 has a closed-form gradient and
-does not use the tape.  Primitives: matmul, add, mul (elementwise, both
-with numpy broadcasting over singleton axes), transpose, tanh, relu
-(a.k.a. hinge), exp, log, softmax, log_softmax, square, sum, mean,
-euclidean_norm.  Values are frozen (read-only) once emitted, so sharing a
-tape's values across readers is safe; tapes themselves are single-owner.
+The primitive set is what :func:`models.mlp_vjp` needs: an MLP forward
+(matmul, add, tanh, relu) and the scalar ``sum(out * g)`` whose backward
+sweep pulls an output cotangent ``g`` back to the layer parameters.  Every
+trained loss supplies that cotangent in closed form.  add and mul
+broadcast over singleton axes.  Values are frozen (read-only) once
+emitted, so sharing a tape's values across readers is safe; tapes
+themselves are single-owner.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .probs import softmax as _softmax
 
 __all__ = [
     "Matrix",
@@ -38,18 +34,9 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "transpose",
     "tanh",
     "relu",
-    "hinge",
-    "exp",
-    "log",
-    "softmax",
-    "log_softmax",
-    "square",
     "sum",
-    "mean",
-    "euclidean_norm",
 ]
 
 Matrix = np.ndarray
@@ -97,27 +84,14 @@ def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 # op -> forward kernel over parent values
 _KERNELS: dict[str, Callable[..., np.ndarray]] = {
     "matmul": lambda a, b: a @ b,
     "add": lambda a, b: a + b,
     "mul": lambda a, b: a * b,
-    "transpose": lambda a: a.T,
     "tanh": np.tanh,
     "relu": lambda a: np.maximum(a, 0.0),
-    "exp": np.exp,
-    "log": np.log,
-    "softmax": _softmax,
-    "log_softmax": _log_softmax,
-    "square": lambda a: a * a,
     "sum": lambda a: np.array([[a.sum()]]),
-    "mean": lambda a: np.array([[a.mean()]]),
-    "euclidean_norm": lambda a: np.array([[np.sqrt((a * a).sum())]]),
 }
 
 
@@ -133,39 +107,14 @@ def _bwd_mul(g, out, a, b):
     return [_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)]
 
 
-def _bwd_softmax(g, out, a):
-    inner = (g * out).sum(axis=1, keepdims=True)
-    return [out * (g - inner)]
-
-
-def _bwd_log_softmax(g, out, a):
-    p = _softmax(a)
-    return [g - p * g.sum(axis=1, keepdims=True)]
-
-
-def _bwd_norm(g, out, a):
-    n = out[0, 0]
-    if n == 0.0:
-        return [np.zeros_like(a)]
-    return [(g[0, 0] / n) * a]
-
-
 # op -> vjp; takes (grad_out, node_value, *parent_values)
 _BACKWARD: dict[str, Callable[..., list[np.ndarray]]] = {
     "matmul": _bwd_matmul,
     "add": _bwd_add,
     "mul": _bwd_mul,
-    "transpose": lambda g, out, a: [g.T],
     "tanh": lambda g, out, a: [g * (1.0 - out * out)],
     "relu": lambda g, out, a: [g * (a > 0.0)],
-    "exp": lambda g, out, a: [g * out],
-    "log": lambda g, out, a: [g / a],
-    "softmax": _bwd_softmax,
-    "log_softmax": _bwd_log_softmax,
-    "square": lambda g, out, a: [2.0 * a * g],
     "sum": lambda g, out, a: [np.full_like(a, g[0, 0])],
-    "mean": lambda g, out, a: [np.full_like(a, g[0, 0] / a.size)],
-    "euclidean_norm": _bwd_norm,
 }
 
 
@@ -194,10 +143,6 @@ class Tensor:
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(node={self.index}, shape={self.shape})"
@@ -328,10 +273,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return a.tape.apply("mul", a, b)
 
 
-def transpose(a: Tensor) -> Tensor:
-    return a.tape.apply("transpose", a)
-
-
 def tanh(a: Tensor) -> Tensor:
     return a.tape.apply("tanh", a)
 
@@ -340,40 +281,8 @@ def relu(a: Tensor) -> Tensor:
     return a.tape.apply("relu", a)
 
 
-# max(0, x): same kernel as relu, kept under the penalty's name.
-hinge = relu
-
-
-def exp(a: Tensor) -> Tensor:
-    return a.tape.apply("exp", a)
-
-
-def log(a: Tensor) -> Tensor:
-    return a.tape.apply("log", a)
-
-
-def softmax(a: Tensor) -> Tensor:
-    return a.tape.apply("softmax", a)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    return a.tape.apply("log_softmax", a)
-
-
-def square(a: Tensor) -> Tensor:
-    return a.tape.apply("square", a)
-
-
 def sum(a: Tensor) -> Tensor:  # noqa: A001 - mirrors numpy naming
     return a.tape.apply("sum", a)
-
-
-def mean(a: Tensor) -> Tensor:
-    return a.tape.apply("mean", a)
-
-
-def euclidean_norm(a: Tensor) -> Tensor:
-    return a.tape.apply("euclidean_norm", a)
 
 
 def forward(graph: Callable[..., Tensor], inputs: Sequence) -> tuple[Matrix, Tape]:

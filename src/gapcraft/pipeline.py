@@ -9,9 +9,10 @@ structural reductions of the same code path: ``nft`` skips stage 1
 entirely, ``fa_only`` drops the distortion epochs, so bit-identical
 reproductions under shared seeds come for free.
 
-Pretraining and stage 1 train on the tape (``numgrad``).  Stage 2 does
-not: the kernel is one linear layer, so the likelihood gradient has a
-closed form on top of :func:`models.kernel_matrices`, the same forward
+Every loss has a closed-form cotangent.  Pretraining and stage 1 pull
+theirs back through the MLP with :func:`models.mlp_vjp`.  Stage 2 needs
+no pullback: the kernel is one linear layer, so the likelihood gradient
+sits directly on top of :func:`models.kernel_matrices`, the same forward
 that prediction uses.
 
 During stage 1 there is no trained target predictor yet; checkpoint
@@ -31,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from . import distortion, lipschitz, models, transport
-from . import numgrad as ng
 from .lipschitz import LipschitzConfig
 from .models import MlpParams, TransportHeadParams
+from .probs import softmax
 from .synthtasks import Dataset, Discretizer, TaskBundle, discretize
 from .transport import SinkhornConfig
 
@@ -48,6 +49,7 @@ __all__ = [
     "init_target_embedder",
     "stage1",
     "stage2",
+    "frozen_gap",
     "run_pipeline",
     "run_baseline",
     "correlate_gap_error",
@@ -230,12 +232,6 @@ def nrmse(predicted, actual) -> float:
     return float(np.sqrt(np.mean((predicted - actual) ** 2)) / max(scale, 1e-12))
 
 
-def _cross_entropy_tape(tape, logits, onehot: np.ndarray):
-    neg_inv = tape.constant(np.array([[-1.0 / onehot.shape[0]]]))
-    picked = ng.mul(ng.log_softmax(logits), tape.constant(onehot))
-    return ng.mul(ng.sum(picked), neg_inv)
-
-
 def pretrain_source(
     bundle: TaskBundle,
     cfg: PipelineConfig,
@@ -254,21 +250,17 @@ def pretrain_source(
     theta = models.init_mlp([x.shape[1], *hidden, feature_dim], "tanh", rng)
     head = models.init_mlp([feature_dim, k], "tanh", rng)
     onehot = np.eye(k)[y]
+    # cross-entropy cotangent on the logits, written term for term as the
+    # log-softmax VJP: (softmax - onehot)/n rounds differently, and 300
+    # epochs at lr 0.5 amplify that into visibly different parameters
+    c = -1.0 / x.shape[0]
+    n_theta = len(theta.layers)
     epochs = int(round(cfg.pretrain_epochs * cfg.scale))
     for _ in range(epochs):
-        tape = ng.Tape()
-        theta_leaves = models.mlp_leaves(tape, theta)
-        head_leaves = models.mlp_leaves(tape, head)
-        u = models.mlp_apply(theta, theta_leaves, tape.constant(x))
-        logits = models.mlp_apply(head, head_leaves, u)
-        loss = _cross_entropy_tape(tape, logits, onehot)
-        grads = tape.backward(loss)
-        theta = models.sgd_update(
-            theta, models.grads_for_leaves(grads, theta_leaves), cfg.lr_pretrain
-        )
-        head = models.sgd_update(
-            head, models.grads_for_leaves(grads, head_leaves), cfg.lr_pretrain
-        )
+        logits, pullback = models.mlp_vjp(MlpParams(theta.layers + head.layers), x)
+        grads = pullback(c * onehot - softmax(logits) * c)
+        theta = models.sgd_update(theta, grads[:n_theta], cfg.lr_pretrain)
+        head = models.sgd_update(head, grads[n_theta:], cfg.lr_pretrain)
     proxy_pred = np.argmax(
         models.predict_source(head, models.embed(theta, bundle.proxy.x)), axis=1
     )
@@ -484,6 +476,24 @@ def stage2(
     return kernel, log
 
 
+def frozen_gap(
+    phi: MlpParams,
+    theta: MlpParams,
+    source_head: MlpParams,
+    bundle: TaskBundle,
+    cfg: PipelineConfig,
+) -> tuple[float, float]:
+    """(FA, FLD) of the embedder stage 2 freezes, for its run-log records."""
+    labels, _ = _labels_as_classes(bundle.target)
+    l_fa = _fa_loss_value(
+        phi, models.embed(theta, bundle.proxy.x), bundle.target.x, cfg.omega, cfg.sinkhorn
+    )
+    stats = distortion.pseudo_label_stats(
+        phi, source_head, bundle.target.x, labels, target_class_count(bundle), "soft"
+    )
+    return l_fa, distortion.fld_surrogate(stats)
+
+
 def run_pipeline(
     bundle: TaskBundle,
     cfg: PipelineConfig,
@@ -505,21 +515,16 @@ def run_pipeline(
             pretrained = (theta, result.head, proxy_error)
     theta, head, proxy_error = pretrained
 
-    target_labels, train_disc = _labels_as_classes(bundle.target)
+    _, train_disc = _labels_as_classes(bundle.target)
     kt = target_class_count(bundle)
     phi = init_target_embedder(bundle, theta, cfg.seed)
     phi, log1 = stage1(
         phi, theta, head, bundle.proxy, bundle.target, cfg, bundle.target_test, kt
     )
-    frozen_fa = _fa_loss_value(
-        phi, models.embed(theta, bundle.proxy.x), bundle.target.x, cfg.omega, cfg.sinkhorn
-    )
-    frozen_fld = distortion.fld_surrogate(
-        distortion.pseudo_label_stats(phi, head, bundle.target.x, target_labels, kt, "soft")
-    )
     kernel = models.init_transport_head(theta.output_dim, head.output_dim, kt)
     kernel, log2 = stage2(
-        phi, head, kernel, bundle.target, cfg, bundle.target_test, (frozen_fa, frozen_fld)
+        phi, head, kernel, bundle.target, cfg, bundle.target_test,
+        frozen_gap(phi, theta, head, bundle, cfg),
     )
     # classification scores 0-1 error; regression-labeled tasks train on
     # discretized labels and score normalized RMSE through the bin centers

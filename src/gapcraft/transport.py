@@ -217,7 +217,7 @@ def fa_loss_and_grad(
     if omega == 0.0:
         return 0.0, zero, None
 
-    u = models.embed(phi, target_batch)
+    u, pullback = models.mlp_vjp(phi, target_batch)
     v = models.embed(theta, source_batch)
     n, m = u.shape[0], v.shape[0]
     c = cost_matrix(u, v)
@@ -230,13 +230,7 @@ def fa_loss_and_grad(
     diff = u[:, None, :] - v[None, :, :]
     safe = np.where(c > 0.0, c, 1.0)
     g_u = omega * np.einsum("ij,ijd->id", pi / safe * (c > 0.0), diff)
-
-    tape = ng.Tape()
-    leaves = models.mlp_leaves(tape, phi)
-    u_t = models.mlp_apply(phi, leaves, tape.constant(target_batch))
-    surrogate = ng.sum(ng.mul(u_t, tape.constant(g_u)))
-    grads = tape.backward(surrogate)
-    return loss, models.grads_for_leaves(grads, leaves), result
+    return loss, pullback(g_u), result
 
 
 def coupling_to_csv(coupling: Coupling, path) -> None:

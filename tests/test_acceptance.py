@@ -175,7 +175,8 @@ def test_criterion_06_gradient_integrity():
 
     count = 0
     while count < 50:
-        # hinge-squared gradient-norm penalty with respect to the last layer
+        # recalibration objective (hinge-squared gradient-norm penalty plus
+        # proxy cross-entropy) with respect to the last layer
         head = models.init_mlp([4, rng.integers(2, 5)], "tanh", rng)
         u = rng.normal(size=(12, 4))
         d = np.eye(head.output_dim)[rng.integers(0, head.output_dim, size=12)]
@@ -186,10 +187,9 @@ def test_criterion_06_gradient_integrity():
         count += 1
         h, jac = lipschitz._lower_stack(head, u)
         cfg = LipschitzConfig(omega=omega, penalty_weight=1.0, enforcement_margin=1.0)
-        tape, w_t, b_t, penalty, _ = lipschitz._recalibration_loss(head, h, jac, d, cfg)
-        grads = tape.backward(penalty)
-        analytic = np.concatenate([grads.wrt(w_t).ravel(), grads.wrt(b_t).ravel()])
         last = head.layers[-1]
+        _, _, (gw, gb) = lipschitz._recalibration_loss_and_grad(last, h, jac, d, cfg)
+        analytic = np.concatenate([gw.ravel(), gb.ravel()])
 
         def penalty_objective(vec, head=head, u=u, d=d, omega=omega, last=last):
             w = vec[: last.w.size].reshape(last.w.shape)
@@ -197,7 +197,10 @@ def test_criterion_06_gradient_integrity():
             patched = models.MlpParams(
                 head.layers[:-1] + (models.Layer(w, b, last.act),)
             )
-            return lipschitz.penalty_value(patched, u, d, omega)
+            return (
+                lipschitz.penalty_value(patched, u, d, omega)
+                + lipschitz.pointwise_losses(patched, u, d)[0].mean()
+            )
 
         x0 = np.concatenate([last.w.ravel(), last.b.ravel()])
         fd = finite_difference(penalty_objective, x0)

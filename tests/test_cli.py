@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gapcraft import cli, models, pipeline, synthtasks
+from gapcraft import cli, lipschitz, models, pipeline, synthtasks
 from gapcraft.cli import main
 from gapcraft.pipeline import PipelineConfig, RunLog
 
@@ -104,6 +104,31 @@ def cli_workspace(tmp_path_factory):
 def test_recalibrate_outputs(cli_workspace):
     summary = json.loads((cli_workspace / "m2" / "recalibrate_summary.json").read_text())
     assert summary["final_penalty"] <= summary["initial_penalty"]
+    history = summary["penalty_history"]
+    assert len(history) == 50 + 1
+    assert history[0] == summary["initial_penalty"]
+    assert history[-1] == summary["final_penalty"]
+
+
+@pytest.mark.parametrize(
+    "subcommand, owner, name, error",
+    [
+        ("pretrain", pipeline, "pretrain_source", FloatingPointError("logits overflowed")),
+        ("recalibrate", lipschitz, "recalibrate_head", lipschitz.DivergenceError("rose")),
+    ],
+)
+def test_numeric_failures_exit_1(
+    cli_workspace, tmp_path, monkeypatch, capsys, subcommand, owner, name, error
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, name, fail)
+    argv = [subcommand, "--data", str(cli_workspace / "data"), "--out", str(tmp_path)]
+    if subcommand == "recalibrate":
+        argv += ["--models", str(cli_workspace / "m1")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_stage1_cli_matches_library(cli_workspace, tmp_path):
@@ -201,6 +226,20 @@ def test_stage2_and_correlate_cli(cli_workspace, tmp_path):
                  "--scale", "0.2"]) == 0
     summary = json.loads((s2 / "stage2_summary.json").read_text())
     assert 0.0 <= summary["holdout_error"] <= 1.0
+    # golden run: the CLI records the frozen gap, as run_pipeline does
+    bundle = cli._load_bundle(cli_workspace / "data")
+    theta, _ = models.load_params(cli_workspace / "m2" / "theta.json")
+    head, _ = models.load_params(cli_workspace / "m2" / "source_head.json")
+    phi, _ = models.load_params(s1 / "phi.json")
+    cfg = PipelineConfig(seed=3, scale=0.2)
+    gap = pipeline.frozen_gap(phi, theta, head, bundle, cfg)
+    _, lib_log = pipeline.stage2(
+        phi, head, models.init_transport_head(theta.output_dim, head.output_dim, 3),
+        bundle.target, cfg, bundle.target_test, gap,
+    )
+    cli_log = RunLog.from_jsonl(s2 / "runlog.jsonl")
+    assert cli_log.comparable() == lib_log.comparable()
+    assert all(r.semantic_gap == gap[0] + gap[1] for r in cli_log.records)
     assert main(["correlate", "--runlog", str(s1 / "runlog.jsonl"), "--out", str(corr)]) == 0
     r = json.loads((corr / "correlation.json").read_text())["pearson_r"]
     assert -1.0 <= r <= 1.0

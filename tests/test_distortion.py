@@ -225,6 +225,21 @@ def test_stats_hard_concentrates_to_soft():
     assert np.max(np.abs(acc / n_rounds - soft.joint)) < 0.02
 
 
+def test_stats_hard_last_class_takes_cumsum_shortfall(monkeypatch):
+    """A draw above a row's rounded-down cumsum lands in the last class,
+    not one past it."""
+    n = 40
+    p = np.full((n, 2), 0.25)  # rows sum to 0.5, far below any draw near 1
+    monkeypatch.setattr(models, "predict_source", lambda head, u: p)
+    y = np.zeros(n, dtype=np.int64)
+    phi = _identity_embedder(2)
+    stats = distortion.pseudo_label_stats(phi, phi, np.zeros((n, 2)), y, 2, "hard", seed=0)
+    draws = np.random.default_rng(0).random(n)  # the draws hard mode makes
+    assert np.any(draws > 0.5)
+    above = draws > 0.25
+    assert np.array_equal(stats.joint, [[np.mean(~above), 0.0], [np.mean(above), 0.0]])
+
+
 def test_stats_rejects_empty_and_out_of_range():
     phi = _identity_embedder(2)
     head = models.init_mlp([2, 2], "tanh")

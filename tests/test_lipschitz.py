@@ -7,6 +7,7 @@ import pytest
 
 from gapcraft import lipschitz, models
 from gapcraft.lipschitz import LipschitzConfig
+from gapcraft.probs import softmax
 
 from oracles import finite_difference, relative_gradient_error
 
@@ -94,6 +95,41 @@ def test_penalty_matches_linear_head_closed_form():
     assert lipschitz.penalty_value(head, u, d, omega) == pytest.approx(expected, abs=1e-12)
 
 
+def test_recalibration_gradient_matches_fd_through_lower_stack():
+    """Closed-form (W, b) gradient of penalty_weight * penalty + proxy
+    cross-entropy for a two-layer head (non-identity lower Jacobians) at an
+    inner enforcement margin, against central differences."""
+    rng = np.random.default_rng(14)
+    head = models.init_mlp([4, 5, 3], "tanh", rng)
+    last = models.Layer(head.layers[-1].w * 8.0, rng.normal(size=(1, 3)), "linear")
+    head = models.MlpParams(head.layers[:-1] + (last,))
+    u = rng.normal(size=(12, 4))
+    d = np.eye(3)[rng.integers(0, 3, size=12)]
+    norms = np.sort(np.linalg.norm(lipschitz.feature_gradients(head, u, d), axis=1))
+    threshold = 0.5 * (norms[5] + norms[6])  # half the rows above, clear of kinks
+    cfg = LipschitzConfig(omega=threshold / 0.8, penalty_weight=10.0, enforcement_margin=0.8)
+    h, jac = lipschitz._lower_stack(head, u)
+    objective, row_norms, (gw, gb) = lipschitz._recalibration_loss_and_grad(
+        last, h, jac, d, cfg
+    )
+
+    def f(vec):
+        patched = models.MlpParams(
+            head.layers[:-1]
+            + (models.Layer(vec[: last.w.size].reshape(last.w.shape),
+                            vec[last.w.size :].reshape(1, -1), "linear"),)
+        )
+        return 10.0 * lipschitz.penalty_value(patched, u, d, threshold) + float(
+            lipschitz.pointwise_losses(patched, u, d)[0].mean()
+        )
+
+    x0 = np.concatenate([last.w.ravel(), last.b.ravel()])
+    assert np.sort(row_norms) == pytest.approx(norms, abs=1e-14)
+    assert objective == pytest.approx(f(x0), abs=1e-12)
+    fd = finite_difference(f, x0)
+    assert relative_gradient_error(np.concatenate([gw.ravel(), gb.ravel()]), fd) < 1e-4
+
+
 def test_penalty_zero_when_norms_below_omega():
     rng = np.random.default_rng(4)
     head = models.init_mlp([4, 3], "tanh", rng)
@@ -141,10 +177,28 @@ def test_recalibrate_multilayer_freezes_lower_stack():
     assert not np.array_equal(result.head.layers[-1].w, sharp.layers[-1].w)
 
 
+def test_recalibrate_history_is_penalty_after_each_epoch():
+    """history[t] of an E-epoch run is the final penalty of the t-epoch run."""
+    x, y, theta, _ = _blob_task(seed=6)
+    head = models.init_mlp([4, 6, 3], "tanh", np.random.default_rng(6))
+    sharp = models.MlpParams(
+        head.layers[:-1]
+        + (models.Layer(head.layers[-1].w * 60.0, head.layers[-1].b, "linear"),)
+    )
+    cfg = LipschitzConfig(omega=0.3, epochs=6, lr=0.2)
+    result = lipschitz.recalibrate_head(sharp, theta, x, y, cfg)
+    assert len(result.penalty_history) == cfg.epochs + 1
+    for t in range(cfg.epochs + 1):
+        shorter = lipschitz.recalibrate_head(sharp, theta, x, y, replace(cfg, epochs=t))
+        assert result.penalty_history[t] == shorter.final_penalty
+    u = models.embed(theta, x)
+    assert result.final_penalty == lipschitz.penalty_value(
+        result.head, u, np.eye(3)[y], cfg.omega
+    )
+
+
 def _pretrained_blob_head(seed=7, n=240):
     """Separated blobs, identity embedder, cross-entropy-trained linear head."""
-    from gapcraft import numgrad as ng
-
     means = np.zeros((3, 4))
     means[[0, 1, 2], [0, 1, 2]] = 3.0
     rng = np.random.default_rng(seed)
@@ -153,16 +207,11 @@ def _pretrained_blob_head(seed=7, n=240):
     theta = models.MlpParams((models.Layer(np.eye(4), np.zeros((1, 4)), "linear"),))
     head = models.init_mlp([4, 3], "tanh", np.random.default_rng(seed + 7))
     onehot = np.eye(3)[y]
+    c = -1.0 / n
     for _ in range(300):
-        tape = ng.Tape()
-        leaves = models.mlp_leaves(tape, head)
-        logits = models.mlp_apply(head, leaves, tape.constant(x))
-        neg_inv = tape.constant(np.array([[-1.0 / n]]))
-        loss = ng.mul(
-            ng.sum(ng.mul(ng.log_softmax(logits), tape.constant(onehot))), neg_inv
-        )
-        grads = tape.backward(loss)
-        head = models.sgd_update(head, models.grads_for_leaves(grads, leaves), 0.5)
+        logits, pullback = models.mlp_vjp(head, x)
+        grads = pullback(c * onehot - softmax(logits) * c)
+        head = models.sgd_update(head, grads, 0.5)
     return means, x, y, theta, head
 
 

@@ -159,6 +159,35 @@ def test_params_vector_roundtrip():
         models.params_with_vector(p, vec[:-1])
 
 
+def test_mlp_vjp_matches_fd_three_layers():
+    """pullback(g) is the gradient of sum(out * g) in every layer's (w, b)."""
+    rng = np.random.default_rng(13)
+    shape = models.MlpParams(
+        tuple(
+            models.Layer(l.w, l.b, act)
+            for l, act in zip(
+                models.init_mlp([3, 5, 4, 2], "tanh", rng).layers, ("tanh", "relu", "linear")
+            )
+        )
+    )
+    params = models.params_with_vector(shape, rng.normal(size=shape.n_parameters()))
+    x = rng.normal(size=(6, 3))
+    g = rng.normal(size=(6, 2))
+    out, pullback = models.mlp_vjp(params, x)
+    assert np.array_equal(
+        out, straightline_mlp([(l.w, l.b, l.act) for l in params.layers], x)
+    )
+    analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in pullback(g)])
+
+    def f(vec):
+        return float((models.embed(models.params_with_vector(params, vec), x) * g).sum())
+
+    fd = finite_difference(f, models.params_vector(params))
+    assert relative_gradient_error(analytic, fd) < 1e-4
+    with pytest.raises(FloatingPointError):
+        pullback(np.full((6, 2), np.inf))
+
+
 def _stage2_gradient_error(rng, kernel_feature_dim, kz, kt, n=8, d=3):
     """Relative error of the closed-form stage-2 gradient against central
     finite differences of the stage-2 loss, over every kernel parameter."""

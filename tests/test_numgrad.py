@@ -45,7 +45,7 @@ def test_forward_deterministic_bitwise():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 4))
     x = rng.normal(size=(6, 4))
-    graph = lambda tw, tx: ng.softmax(ng.matmul(tx, tw))
+    graph = lambda tw, tx: ng.tanh(ng.matmul(tx, tw))
     v1, _ = ng.forward(graph, [w, x])
     v2, _ = ng.forward(graph, [w, x])
     assert np.array_equal(v1, v2)
@@ -69,7 +69,7 @@ def test_backward_sum_is_ones():
 def test_backward_square_scalar():
     tape = ng.Tape()
     x = tape.input(np.array([[3.0]]))
-    grads = tape.backward(ng.sum(ng.square(x)))
+    grads = tape.backward(ng.sum(ng.mul(x, x)))
     assert np.allclose(grads.wrt(x), [[6.0]])
 
 
@@ -102,7 +102,7 @@ def test_backward_three_layer_mlp_matches_fd():
                 h = ng.tanh(h)
         neg = tape.constant(np.array([[-1.0]]))
         diff = ng.add(h, ng.mul(tt, neg))
-        return ts, ng.mean(ng.square(diff))
+        return ts, ng.sum(ng.mul(diff, diff))
 
     tape = ng.Tape()
     ts, loss = build(tape, mats)
@@ -125,6 +125,10 @@ def test_backward_three_layer_mlp_matches_fd():
     assert relative_gradient_error(analytic, fd) < 1e-4
 
 
+def _square(t):
+    return ng.mul(t, t)
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_primitive_gradients_match_fd(seed):
     """Every differentiable primitive against central differences."""
@@ -136,18 +140,11 @@ def test_primitive_gradients_match_fd(seed):
 
     cases = {
         "matmul": (lambda t, c: ng.sum(ng.matmul(t, c(w))), x),
-        "add_broadcast": (lambda t, c: ng.sum(ng.square(ng.add(t, c(row)))), x),
+        "add_broadcast": (lambda t, c: ng.sum(_square(ng.add(t, c(row)))), x),
         "mul": (lambda t, c: ng.sum(ng.mul(t, c(other))), x),
-        "transpose": (lambda t, c: ng.sum(ng.matmul(ng.transpose(t), c(x))), x),
+        "mul_self": (lambda t, c: ng.sum(_square(t)), x),
         "tanh": (lambda t, c: ng.sum(ng.tanh(t)), x),
         "relu": (lambda t, c: ng.sum(ng.relu(t)), x + 0.3),
-        "exp": (lambda t, c: ng.sum(ng.exp(t)), x),
-        "log": (lambda t, c: ng.sum(ng.log(t)), np.abs(x) + 0.5),
-        "softmax": (lambda t, c: ng.sum(ng.square(ng.softmax(t))), x),
-        "log_softmax": (lambda t, c: ng.sum(ng.square(ng.log_softmax(t))), x),
-        "square": (lambda t, c: ng.sum(ng.square(t)), x),
-        "mean": (lambda t, c: ng.mean(ng.tanh(t)), x),
-        "euclidean_norm": (lambda t, c: ng.euclidean_norm(t), x + 2.0),
     }
     name = list(cases)[seed % len(cases)]
     graph, x0 = cases[name]
@@ -166,24 +163,11 @@ def test_primitive_gradients_match_fd(seed):
     assert relative_gradient_error(analytic.ravel(), fd) < 1e-4, name
 
 
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(11)
-    logits = rng.normal(scale=50.0, size=(8, 5))
-    value, _ = ng.forward(lambda t: ng.softmax(t), [logits])
-    assert np.max(np.abs(value.sum(axis=1) - 1.0)) < 1e-12
-
-
-def test_log_softmax_finite_on_extreme_inputs():
-    logits = np.array([[1e4, -1e4, 0.0], [700.0, -700.0, 0.0]])
-    value, _ = ng.forward(lambda t: ng.log_softmax(t), [logits])
-    assert np.all(np.isfinite(value))
-
-
 def test_non_finite_results_are_rejected():
     tape = ng.Tape()
-    x = tape.input(np.array([[1000.0]]))
-    with pytest.raises(FloatingPointError, match="exp"):
-        ng.exp(x)  # overflows to inf
+    x = tape.input(np.array([[1e200]]))
+    with pytest.raises(FloatingPointError, match="mul"):
+        ng.mul(x, x)  # overflows to inf
     with pytest.raises(ValueError):
         tape.input(np.array([[np.nan]]))
 
@@ -200,5 +184,5 @@ def test_replay_bit_identical():
     tape = ng.Tape()
     a = tape.input(rng.normal(size=(4, 4)))
     b = tape.input(rng.normal(size=(4, 4)))
-    out = ng.sum(ng.softmax(ng.matmul(ng.tanh(a), b)))
+    out = ng.sum(ng.relu(ng.matmul(ng.tanh(a), b)))
     assert np.array_equal(tape.replay(), out.value)

@@ -9,7 +9,10 @@ from dataclasses import replace
 
 from gapcraft import models, pipeline, synthtasks
 from gapcraft.pipeline import PipelineConfig, RunLog, RunRecord, UndefinedCorrelationError
+from gapcraft.probs import softmax
 from gapcraft.synthtasks import Dataset, TaskSpec
+
+from oracles import finite_difference, relative_gradient_error
 
 
 SMALL = PipelineConfig(n0=20, n1=10, n2=2, pretrain_epochs=100, recalibrate=False)
@@ -40,6 +43,25 @@ def test_pretrain_zero_epochs_is_noop(rotated_bundle):
     assert all(
         np.array_equal(a.w, b.w) for a, b in zip(theta.layers, init_theta.layers)
     )
+
+
+def test_pretrain_step_is_cross_entropy_gradient(rotated_bundle):
+    """One pretraining epoch moves embedder and head by lr times the
+    gradient of the mean cross-entropy, checked by finite differences."""
+    cfg = replace(SMALL, pretrain_epochs=1, seed=4)
+    theta0, head0, _ = pipeline.pretrain_source(rotated_bundle, replace(cfg, pretrain_epochs=0))
+    theta1, head1, _ = pipeline.pretrain_source(rotated_bundle, cfg)
+    before = models.MlpParams(theta0.layers + head0.layers)
+    after = models.MlpParams(theta1.layers + head1.layers)
+    step = (models.params_vector(before) - models.params_vector(after)) / cfg.lr_pretrain
+    x, y = rotated_bundle.source.x, rotated_bundle.source.y
+
+    def cross_entropy(vec):
+        p = softmax(models.embed(models.params_with_vector(before, vec), x))
+        return float(-np.log(p[np.arange(len(y)), y]).mean())
+
+    fd = finite_difference(cross_entropy, models.params_vector(before))
+    assert relative_gradient_error(step, fd) < 1e-4
 
 
 def test_pretrain_reproducible_bitwise(rotated_bundle):
