@@ -23,7 +23,7 @@ import numpy as np
 
 from . import transport
 from .distortion import TransportKernel, fld_exact
-from .probs import as_conditional, as_distribution, entropy, kl_divergence
+from .probs import LOG_FLOOR, as_conditional, as_distribution, entropy, kl_divergence
 
 __all__ = [
     "DiscreteInstance",
@@ -41,8 +41,6 @@ __all__ = [
     "verify_proof_terms",
     "reports_to_bars_csv",
 ]
-
-LOG_FLOOR = 1e-12
 
 
 class InfeasibilityError(ValueError):

@@ -470,7 +470,13 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser):
     """Parse argv, letting a --config JSON provide defaults for its subcommand."""
     args = parser.parse_args(argv)
     if args.config:
-        stored = json.loads(_require(args.config, "config file").read_text())
+        path = _require(args.config, "config file")
+        try:
+            stored = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"config file {path} is not readable JSON: {exc}") from exc
+        if not isinstance(stored, dict):
+            raise DomainError(f"config file {path} must hold a JSON object")
         stored.pop("subcommand", None)
         explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
         for key, value in stored.items():

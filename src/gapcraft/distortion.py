@@ -247,12 +247,12 @@ def fld_exact(w, q) -> FldExact:
     return FldExact(fld, TransportKernel(lam), pi)
 
 
-def enumerate_polytope_vertices(w, q, dedup_decimals: int = 12) -> list[np.ndarray]:
+def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
     """All vertices (basic feasible solutions) of the coupling polytope.
 
     Every returned matrix has marginals (w, q) and at most
     ``len(w) + len(q) - 1`` nonzeros; degenerate vertices reachable from
-    several spanning trees appear once.
+    several spanning trees (equal to 12 decimals) appear once.
     """
     w = as_distribution(w, "row marginal")
     q = as_distribution(q, "col marginal")
@@ -276,7 +276,7 @@ def enumerate_polytope_vertices(w, q, dedup_decimals: int = 12) -> list[np.ndarr
             pi_a = np.zeros((n, m))
             tree = trees[t_idx]
             pi_a[tree // m, tree % m] = vals
-            key = tuple(np.round(pi_a, dedup_decimals).ravel())
+            key = tuple(np.round(pi_a, 12).ravel())
             if key not in seen:
                 full = np.zeros((w.size, q.size))
                 full[np.ix_(ri, ci)] = pi_a

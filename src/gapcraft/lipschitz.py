@@ -24,7 +24,7 @@ from scipy.special import log_softmax
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import as_conditional, softmax
+from .probs import LOG_FLOOR, as_conditional, softmax
 
 __all__ = [
     "LipschitzConfig",
@@ -38,8 +38,6 @@ __all__ = [
     "sweep_omega",
     "sweep_to_csv",
 ]
-
-LOG_FLOOR = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -256,13 +254,13 @@ def sweep_omega(
     proxy_x,
     proxy_y,
     cfg: LipschitzConfig = LipschitzConfig(),
-    holdout_fraction: float = 0.25,
     seed: int = 0,
 ) -> list[dict]:
     """Recalibrate at each omega; report held-out proxy error and residual.
 
     Candidates must be positive and sorted ascending.  The proxy set is
-    split once (seeded) so every omega sees the same train/holdout halves.
+    split once (seeded), a quarter held out, so every omega sees the same
+    train/holdout split.
     """
     candidates = [float(w) for w in candidates]
     if any(w <= 0 for w in candidates) or candidates != sorted(candidates):
@@ -271,7 +269,7 @@ def sweep_omega(
     y = np.asarray(proxy_y, dtype=np.int64).ravel()
     rng = np.random.default_rng(seed)
     order = rng.permutation(x.shape[0])
-    n_hold = max(1, int(round(holdout_fraction * x.shape[0])))
+    n_hold = max(1, int(round(0.25 * x.shape[0])))
     hold, train = order[:n_hold], order[n_hold:]
     rows = []
     for omega in candidates:

@@ -12,6 +12,9 @@ a feature block w_u and a label block w_z, so the logits for every source
 class come from one broadcast, u @ w_u + w_z[z] + b.  Prediction
 (:func:`kernel_matrices`) and stage-2 training share that forward.
 
+Reverse mode is :func:`mlp_vjp`: :func:`mlp_apply` records each layer on
+a :class:`numgrad.Tape`, whose backward sweep is the pullback.
+
 Parameters are immutable snapshots; training steps return new snapshots.
 """
 
@@ -20,12 +23,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numgrad as ng
-from .numgrad import DimensionError, Matrix, Tape, Tensor, freeze
+from .numgrad import DimensionError, Matrix, Tape, freeze
 from .probs import softmax
 
 __all__ = [
@@ -114,18 +117,15 @@ def init_mlp(
     dims: Sequence[int],
     activation: str = "tanh",
     rng: np.random.Generator | None = None,
-    final_linear: bool = True,
 ) -> MlpParams:
-    """Gaussian init with 1/sqrt(fan_in) scale; zero biases."""
+    """Gaussian init with 1/sqrt(fan_in) scale, zero biases, linear last layer."""
     if rng is None:
         rng = np.random.default_rng(0)
     layers = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
         w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-        act = activation
-        if final_linear and i == len(dims) - 2:
-            act = "linear"
+        act = "linear" if i == len(dims) - 2 else activation
         layers.append(Layer(freeze(w), freeze(np.zeros((1, fan_out))), act))
     return MlpParams(tuple(layers))
 
@@ -237,18 +237,19 @@ def predict_target(source_head: MlpParams, kernel: TransportHeadParams, u) -> Ma
 # ---------------------------------------------------------------------------
 
 
-def mlp_apply(
-    params: MlpParams,
-    leaves: Iterable[tuple[Tensor, Tensor]],
-    x: Tensor,
-) -> Tensor:
+def mlp_apply(params: MlpParams, x: Matrix, tape: Tape) -> Matrix:
+    """The MLP's output at ``x``, recording every layer on ``tape``.
+
+    A non-finite pre-activation raises FloatingPointError naming its layer.
+    """
     h = x
-    for layer, (w, b) in zip(params.layers, leaves):
-        h = ng.add(ng.matmul(h, w), b)
-        if layer.act == "tanh":
-            h = ng.tanh(h)
-        elif layer.act == "relu":
-            h = ng.relu(h)
+    # Tape.record raises on overflow; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in params.layers:
+            pre = h @ layer.w + layer.b
+            out = freeze(_activate(pre, layer.act))
+            tape.record(layer.w, layer.act, h, pre, out)
+            h = out
     return h
 
 
@@ -259,20 +260,18 @@ def mlp_vjp(
 
     ``pullback(g)`` returns every layer's (dw, db) of sum(out * g), so a
     loss whose cotangent on the output is ``g`` gets its parameter
-    gradient.  Non-finite forward values or cotangents raise
+    gradient.  Non-finite pre-activations or cotangents raise
     FloatingPointError.
     """
     tape = Tape()
-    leaves = [(tape.input(l.w), tape.input(l.b)) for l in params.layers]
-    out = mlp_apply(params, leaves, tape.constant(x))
+    out = mlp_apply(params, ng.as_matrix(x, "input batch"), tape)
 
     def pullback(g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("output cotangent has non-finite entries")
-        grads = tape.backward(ng.sum(ng.mul(out, tape.constant(g))))
-        return [(grads.wrt(w), grads.wrt(b)) for w, b in leaves]
+        return tape.backward(g)
 
-    return out.value, pullback
+    return out, pullback
 
 
 def sgd_update(
@@ -325,13 +324,20 @@ def save_params(params: MlpParams, path, role: str = "") -> None:
 
 
 def load_params(path) -> tuple[MlpParams, str]:
-    payload = json.loads(Path(path).read_text())
-    layers = tuple(
-        Layer(
-            freeze(np.array(l["w"], dtype=np.float64)),
-            freeze(np.array(l["b"], dtype=np.float64).reshape(1, -1)),
-            l["act"],
+    """Read a :func:`save_params` checkpoint; ValueError names a malformed file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        layers = tuple(
+            Layer(
+                freeze(np.array(l["w"], dtype=np.float64)),
+                freeze(np.array(l["b"], dtype=np.float64).reshape(1, -1)),
+                l["act"],
+            )
+            for l in payload["layers"]
         )
-        for l in payload["layers"]
-    )
-    return MlpParams(layers), payload.get("meta", {}).get("role", "")
+        if not layers:
+            raise ValueError('empty "layers" list')
+        role = payload.get("meta", {}).get("role", "")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path} is not a parameter checkpoint: {exc!r}") from exc
+    return MlpParams(layers), role

@@ -233,12 +233,10 @@ def nrmse(predicted, actual) -> float:
 
 
 def pretrain_source(
-    bundle: TaskBundle,
-    cfg: PipelineConfig,
-    hidden: Sequence[int] = (16,),
-    feature_dim: int = 8,
+    bundle: TaskBundle, cfg: PipelineConfig
 ) -> tuple[MlpParams, MlpParams, float]:
-    """Train the source embedder and head jointly by cross-entropy.
+    """Train the source embedder (tanh, widths 16 and 8) and head jointly
+    by cross-entropy.
 
     Returns (embedder, head, proxy error); the proxy set acts as the
     held-out split since it is an independent draw of the same
@@ -247,8 +245,8 @@ def pretrain_source(
     x, y = bundle.source.x, bundle.source.y.astype(np.int64)
     k = int(bundle.meta.get("n_classes", y.max() + 1))
     rng = _rng_for(cfg.seed, 1)
-    theta = models.init_mlp([x.shape[1], *hidden, feature_dim], "tanh", rng)
-    head = models.init_mlp([feature_dim, k], "tanh", rng)
+    theta = models.init_mlp([x.shape[1], 16, 8], "tanh", rng)
+    head = models.init_mlp([theta.output_dim, k], "tanh", rng)
     onehot = np.eye(k)[y]
     # cross-entropy cotangent on the logits, written term for term as the
     # log-softmax VJP: (softmax - onehot)/n rounds differently, and 300

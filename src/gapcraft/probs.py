@@ -17,7 +17,12 @@ __all__ = [
     "cross_entropy",
     "xlogx",
     "softmax",
+    "LOG_FLOOR",
 ]
+
+# probabilities are clamped to this floor before a log wherever a predicted
+# distribution may underflow to zero
+LOG_FLOOR = 1e-12
 
 
 def as_distribution(p, name: str = "distribution", atol: float = 1e-8) -> np.ndarray:

@@ -131,6 +131,33 @@ def test_numeric_failures_exit_1(
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+MALFORMED_INPUT_MESSAGES = {
+    "config_not_json": "not readable JSON",
+    "config_json_list": "must hold a JSON object",
+    "checkpoint_without_layers": "not a parameter checkpoint: KeyError('layers')",
+    "checkpoint_layer_without_w": "not a parameter checkpoint: KeyError('w')",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUT_MESSAGES))
+def test_malformed_input_files_exit_1(cli_workspace, tmp_path, capsys, case):
+    if case.startswith("checkpoint"):
+        mdir = tmp_path / "d"
+        mdir.mkdir()
+        theta = '{"meta": {}}' if case == "checkpoint_without_layers" else '{"layers": [{}]}'
+        (mdir / "theta.json").write_text(theta)
+        (mdir / "source_head.json").write_text(theta)
+        argv = ["recalibrate", "--data", str(cli_workspace / "data"), "--models", str(mdir)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text("{not json" if case == "config_not_json" else "[1, 2]")
+        argv = ["verify-theorem", "--config", str(config)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and MALFORMED_INPUT_MESSAGES[case] in err
+    assert "Traceback" not in err
+
+
 def test_stage1_cli_matches_library(cli_workspace, tmp_path):
     """Golden-run comparison: the subcommand is a thin wrapper."""
     out = tmp_path / "s1"

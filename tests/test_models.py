@@ -159,15 +159,19 @@ def test_params_vector_roundtrip():
         models.params_with_vector(p, vec[:-1])
 
 
-def test_mlp_vjp_matches_fd_three_layers():
+@pytest.mark.parametrize(
+    "acts",
+    [("tanh", "relu", "linear"), ("linear",), ("relu", "tanh", "tanh", "linear")],
+    ids="-".join,
+)
+def test_mlp_vjp_matches_fd_three_layers(acts):
     """pullback(g) is the gradient of sum(out * g) in every layer's (w, b)."""
     rng = np.random.default_rng(13)
+    dims = [3, *(5, 4, 4)[: len(acts) - 1], 2]
     shape = models.MlpParams(
         tuple(
             models.Layer(l.w, l.b, act)
-            for l, act in zip(
-                models.init_mlp([3, 5, 4, 2], "tanh", rng).layers, ("tanh", "relu", "linear")
-            )
+            for l, act in zip(models.init_mlp(dims, "tanh", rng).layers, acts)
         )
     )
     params = models.params_with_vector(shape, rng.normal(size=shape.n_parameters()))
