@@ -5,7 +5,8 @@ and predictors, every term of the bound
 
     target_error <= source_error + alignment + E[distortion + fitting]
 
-is computable exactly: the alignment term by an exact transportation LP
+is computable exactly: the alignment term by the transportation simplex
+(:func:`transport.exact_w1`, certified optimal by its dual potentials)
 weighted with the support-restricted Lipschitz constant of the source
 loss, the distortion term by the minimum-entropy coupling oracle, and the
 fitting term by its closed form, cross-checkable against a
@@ -266,7 +267,7 @@ def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float
             options={"ftol": 1e-14, "maxiter": 500},
         )
         if not res.success and abs(float(res.fun)) > 1e6:
-            raise RuntimeError(f"convex oracle failed on column {j}: {res.message}")
+            raise transport.SolverError(f"convex oracle failed on column {j}: {res.message}")
         total += float(res.fun)
     return total
 

@@ -22,7 +22,7 @@ from . import bound, lipschitz, models, pipeline, synthtasks
 from .lipschitz import LipschitzConfig
 from .pipeline import PipelineConfig, RunLog
 from .synthtasks import TaskSpec
-from .transport import SinkhornConfig
+from .transport import SinkhornConfig, SolverError
 
 log = logging.getLogger("gapcraft")
 
@@ -505,7 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (
-        ValueError, OSError, FloatingPointError, lipschitz.DivergenceError
+        ValueError, OSError, FloatingPointError, lipschitz.DivergenceError,
+        SolverError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

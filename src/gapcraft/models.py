@@ -12,8 +12,10 @@ a feature block w_u and a label block w_z, so the logits for every source
 class come from one broadcast, u @ w_u + w_z[z] + b.  Prediction
 (:func:`kernel_matrices`) and stage-2 training share that forward.
 
-Reverse mode is :func:`mlp_vjp`: :func:`mlp_apply` records each layer on
-a :class:`numgrad.Tape`, whose backward sweep is the pullback.
+Every MLP forward is :func:`mlp_apply`, which rejects non-finite
+pre-activations.  Reverse mode is :func:`mlp_vjp`: :func:`mlp_apply`
+records each layer on a :class:`numgrad.Tape`, whose backward sweep is the
+pullback.
 
 Parameters are immutable snapshots; training steps return new snapshots.
 """
@@ -166,13 +168,6 @@ def _activate(x: np.ndarray, act: str) -> np.ndarray:
     return x
 
 
-def _mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    h = x
-    for layer in params.layers:
-        h = _activate(h @ layer.w + layer.b, layer.act)
-    return h
-
-
 def embed(params: MlpParams, x) -> Matrix:
     """Map a batch of raw inputs (rows) to feature rows."""
     x = ng.as_matrix(x, "input batch")
@@ -180,10 +175,7 @@ def embed(params: MlpParams, x) -> Matrix:
         raise DimensionError(
             f"embed: batch has {x.shape[1]} columns, embedder expects {params.input_dim}"
         )
-    out = _mlp_forward(params, x)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("embed produced non-finite features")
-    return out
+    return mlp_apply(params, x)
 
 
 def predict_source(head: MlpParams, u) -> Matrix:
@@ -193,7 +185,7 @@ def predict_source(head: MlpParams, u) -> Matrix:
         raise DimensionError(
             f"predict_source: features have {u.shape[1]} columns, head expects {head.input_dim}"
         )
-    return softmax(_mlp_forward(head, u))
+    return softmax(mlp_apply(head, u))
 
 
 def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
@@ -237,18 +229,24 @@ def predict_target(source_head: MlpParams, kernel: TransportHeadParams, u) -> Ma
 # ---------------------------------------------------------------------------
 
 
-def mlp_apply(params: MlpParams, x: Matrix, tape: Tape) -> Matrix:
-    """The MLP's output at ``x``, recording every layer on ``tape``.
+def mlp_apply(params: MlpParams, x: Matrix, tape: Tape | None = None) -> Matrix:
+    """The MLP's output at ``x``, recording every layer on ``tape`` if given.
 
     A non-finite pre-activation raises FloatingPointError naming its layer.
+    The check is on the pre-activation, not the output: tanh maps an
+    overflowed pre-activation to a finite +-1.
     """
     h = x
-    # Tape.record raises on overflow; numpy's warnings would only repeat it
+    # the check below raises on overflow; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in params.layers:
+        for i, layer in enumerate(params.layers):
             pre = h @ layer.w + layer.b
-            out = freeze(_activate(pre, layer.act))
-            tape.record(layer.w, layer.act, h, pre, out)
+            if not np.isfinite(pre).all():
+                raise FloatingPointError(f"layer {i} pre-activation has non-finite values")
+            out = _activate(pre, layer.act)
+            if tape is not None:
+                out = freeze(out)
+                tape.record(layer.w, layer.act, h, out)
             h = out
     return h
 

@@ -53,16 +53,8 @@ class Tape:
     def __init__(self):
         self.layers: list[tuple[Matrix, str, Matrix, Matrix]] = []
 
-    def record(self, w: Matrix, act: str, h_in: Matrix, pre: Matrix, out: Matrix) -> None:
-        """Append one layer, out = act(h_in @ w + b) with pre-activation ``pre``.
-
-        The check is on ``pre``, not ``out``: tanh maps an overflowed
-        pre-activation to a finite +-1.
-        """
-        if not np.all(np.isfinite(pre)):
-            raise FloatingPointError(
-                f"layer {len(self.layers)} pre-activation has non-finite values"
-            )
+    def record(self, w: Matrix, act: str, h_in: Matrix, out: Matrix) -> None:
+        """Append one layer, out = act(h_in @ w + b)."""
         self.layers.append((w, act, h_in, out))
 
     def backward(self, g: Matrix) -> list[tuple[Matrix, Matrix]]:

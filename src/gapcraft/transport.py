@@ -1,20 +1,20 @@
-"""Wasserstein-1 machinery: costs, entropic Sinkhorn, exact LP, alignment loss.
+"""Wasserstein-1 machinery: costs, entropic Sinkhorn, exact W1, alignment loss.
 
 The entropic solver runs entirely in log-domain (max-subtracted
 log-sum-exp), which keeps regularization weights as small as a few 1e-3
-from underflowing.  The exact solver is a transportation LP handed to
-HiGHS; it doubles as the oracle for every Sinkhorn test and for the bound
-calculus.
+from underflowing.  The exact solver is the transportation (network)
+simplex on a spanning-tree basis, whose dual potentials certify the
+optimum it returns; it serves the bound calculus and the Sinkhorn tests.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import numgrad as ng
 from . import models
@@ -23,6 +23,7 @@ from .probs import as_distribution
 
 __all__ = [
     "CapabilityError",
+    "SolverError",
     "Coupling",
     "SinkhornConfig",
     "SinkhornResult",
@@ -35,10 +36,17 @@ __all__ = [
 ]
 
 EXACT_MAX_SIDE = 64
+# pivots per squared node count after which the simplex is deemed broken;
+# strongly feasible trees end long before (a defect guard, not a stopping rule)
+_PIVOT_GUARD = 8
 
 
 class CapabilityError(ValueError):
     """Instance exceeds the size this exact solver is rated for."""
+
+
+class SolverError(RuntimeError):
+    """An exact solver failed to certify its result."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,7 @@ def sinkhorn(cost, mu, nu, cfg: SinkhornConfig = SinkhornConfig()) -> SinkhornRe
 
     Returns the plan rebuilt from the dual potentials, its transport cost
     against ``cost`` (not including the entropy term), and a convergence
-    flag; after max_iter the best iterate comes back with converged=False.
+    flag; after max_iter the last iterate comes back with converged=False.
     """
     cost = ng.as_matrix(cost, "cost")
     mu = as_distribution(mu, "row marginal")
@@ -155,7 +163,15 @@ def sinkhorn(cost, mu, nu, cfg: SinkhornConfig = SinkhornConfig()) -> SinkhornRe
 
 
 def exact_w1(cost, mu, nu) -> tuple[Coupling, float]:
-    """Exact transportation LP; the optimum lands on a polytope vertex."""
+    """Exact W1 by the transportation simplex; the plan is a polytope vertex.
+
+    Zero-mass atoms are dropped and reinserted as empty rows/columns.  The
+    returned plan is certified optimal: the simplex stops only when the dual
+    potentials of its final spanning tree leave no reduced cost below
+    -1e-12 * max(1, max|cost|), and the tree's flows, peeled exactly from
+    the marginals, must be nonnegative and meet them up to the marginals'
+    own imbalance.  A failed certificate raises SolverError.
+    """
     cost = ng.as_matrix(cost, "cost")
     mu = as_distribution(mu, "row marginal")
     nu = as_distribution(nu, "col marginal")
@@ -166,18 +182,181 @@ def exact_w1(cost, mu, nu) -> tuple[Coupling, float]:
         )
     if mu.shape[0] != n or nu.shape[0] != m:
         raise ng.DimensionError("exact_w1: marginal sizes do not match cost")
-    a_eq = np.zeros((n + m - 1, n * m))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m - 1):  # last column constraint is redundant
-        a_eq[n + j, j::m] = 1.0
-    b_eq = np.concatenate([mu, nu[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    pi = np.clip(res.x.reshape(n, m), 0.0, None)
+    ri = np.flatnonzero(mu > 0.0)
+    ci = np.flatnonzero(nu > 0.0)
+    pi = np.zeros((n, m))
+    pi[np.ix_(ri, ci)] = _transport_simplex(cost[np.ix_(ri, ci)], mu[ri], nu[ci])
     coupling = Coupling(pi, mu, nu)
+    violation = coupling.marginal_violation()
+    if violation > 1e-12 + abs(float(mu.sum() - nu.sum())) or pi.min() < 0.0:
+        raise SolverError(
+            f"transportation simplex plan misses its marginals by {violation:.3e}"
+            f" or has negative mass (min {pi.min():.3e})"
+        )
     return coupling, float((pi * cost).sum())
+
+
+def _transport_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Optimal plan for positive marginals ``a`` (rows) and ``b`` (columns).
+
+    Network simplex on the bipartite graph: nodes 0..n-1 are rows, n..n+m-1
+    columns, and a basis is a spanning tree rooted at the heaviest column,
+    each non-root node holding the flow on the edge to its parent.  Dual
+    potentials satisfy u_i + v_j = c_ij on the tree; the most negative
+    reduced cost c_ij - u_i - v_j enters.  The tree is kept strongly
+    feasible (Cunningham 1976: every zero-flow edge points towards the
+    root), which rules out cycling, so the loop ends when the potentials
+    certify optimality.  Flows are exact integers in units of 2**-1074, so
+    the zero tests that strong feasibility rests on see no rounding.
+    """
+    n, m = c.shape
+    size = n + m
+    root = n + int(b.argmax())
+    tol = 1e-12 * max(1.0, float(np.abs(c).max()))
+    cl = c.tolist()
+    mass = [_exact(x) for x in a.tolist() + b.tolist()]
+    # the root absorbs the marginals' rounding imbalance, as an LP would
+    # by dropping its redundant constraint
+    mass[root] += sum(mass[:n]) - sum(mass[n:])
+    parent, children = _least_cost_tree(c, mass, root)
+    flow = _peel(_preorder(children, root), parent, mass)
+    depth = [0] * size
+    pivots = 0
+    while True:
+        order = _preorder(children, root)
+        pot = [0.0] * size
+        for x in order[1:]:
+            y = parent[x]
+            pot[x] = (cl[x][y - n] if x < n else cl[y][x - n]) - pot[y]
+            depth[x] = depth[y] + 1
+        p = np.array(pot)
+        r = c - p[:n, None] - p[None, n:]
+        cell = int(r.argmin())
+        if r.flat[cell] >= -tol:
+            break
+        pivots += 1
+        if pivots > _PIVOT_GUARD * size * size:
+            raise SolverError(f"transportation simplex made {pivots} pivots on {n}x{m}")
+        k, l = divmod(cell, m)
+        l += n
+
+        # The cycle closed by edge (k, l): both tree paths up to the apex.
+        up_k, up_l = [], []
+        x, y = k, l
+        while depth[x] > depth[y]:
+            up_k.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            up_l.append(y)
+            y = parent[y]
+        while x != y:
+            up_k.append(x)
+            x = parent[x]
+            up_l.append(y)
+            y = parent[y]
+
+        # Flow goes k -> l, up to the apex, then down to k: an edge loses
+        # flow where its row end sends less.  Cunningham's rule: of the
+        # blocking edges, leave by the last one met walking from the apex.
+        theta, leave = math.inf, -1
+        for x in reversed(up_k):
+            if x < n and flow[x] <= theta:
+                theta, leave = flow[x], x
+        for y in up_l:
+            if y >= n and flow[y] <= theta:
+                theta, leave = flow[y], y
+        for x in up_k:
+            flow[x] += -theta if x < n else theta
+        for y in up_l:
+            flow[y] += -theta if y >= n else theta
+
+        # Re-hang the subtree cut off by the leaving edge under the entering
+        # edge, reversing the parent pointers from its endpoint to ``leave``.
+        path, top = (up_k, l) if leave in up_k else (up_l, k)
+        carried = theta
+        for x in path[: path.index(leave) + 1]:
+            children[parent[x]].remove(x)
+            children[top].append(x)
+            parent[x], flow[x], carried = top, carried, flow[x]
+            top = x
+
+    pi = np.zeros((n, m))
+    for x in order[1:]:
+        i, j = (x, parent[x]) if x < n else (parent[x], x)
+        pi[i, j - n] = flow[x] / _EXACT_ONE
+    return pi
+
+
+# every float in [0, 1] is an integer multiple of 2**-1074
+_EXACT_ONE = 1 << 1074
+
+
+def _exact(x: float) -> int:
+    """``x`` in units of 2**-1074, exactly."""
+    p, q = x.as_integer_ratio()
+    return p << (1075 - q.bit_length())
+
+
+def _preorder(children: list[list[int]], root: int) -> list[int]:
+    order = [root]
+    for x in order:
+        order.extend(children[x])
+    return order
+
+
+def _peel(order: list[int], parent: list[int], mass: list[int]) -> list[int]:
+    """Tree flows from node masses, leaves first: the edge above each node
+    carries whatever of the node's own mass its children left over."""
+    mass = list(mass)
+    flow = [0] * len(mass)
+    for x in reversed(order[1:]):
+        flow[x] = mass[x]
+        mass[parent[x]] -= mass[x]
+    return flow
+
+
+def _least_cost_tree(
+    c: np.ndarray, mass: list[int], root: int
+) -> tuple[list[int], list[list[int]]]:
+    """Greedy least-cost basis as a tree hung from ``root``: (parent, children).
+
+    Cells are taken cheapest first; each closes the row or the column whose
+    remaining mass runs out first.  Ties go by Orden's perturbation (every
+    supply + eps, the root column's demand + n*eps), which makes the tree
+    strongly feasible.
+    """
+    n, m = c.shape
+    size = n + m
+    rest: list[int | None] = list(mass)
+    eps = [1] * n + [0] * m
+    eps[root] = n
+    adjacent: list[list[int]] = [[] for _ in range(size)]
+    edges = 0
+    for cell in np.argsort(c, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, m)
+        j += n
+        if rest[i] is None or rest[j] is None:
+            continue
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+        edges += 1
+        if edges == size - 1:
+            break
+        gone, kept = (i, j) if (rest[i], eps[i]) < (rest[j], eps[j]) else (j, i)
+        rest[kept] -= rest[gone]
+        eps[kept] -= eps[gone]
+        rest[gone] = None
+
+    parent = [-1] * size
+    children: list[list[int]] = [[] for _ in range(size)]
+    order = [root]
+    for x in order:
+        for y in adjacent[x]:
+            if y != parent[x]:
+                parent[y] = x
+                children[x].append(y)
+                order.append(y)
+    return parent, children
 
 
 def dual_lower_bound(cost, mu, nu, g) -> float:

@@ -1,14 +1,16 @@
 """Independent oracles shared by the test suite.
 
 Everything here deliberately avoids the library's own computation paths:
-finite differences for gradients, mpmath for high-precision entropy, and
-straight-line numpy re-evaluations for forward passes.
+finite differences for gradients, mpmath for high-precision entropy,
+straight-line numpy re-evaluations for forward passes, and HiGHS for the
+transportation LP.
 """
 
 from __future__ import annotations
 
 import mpmath
 import numpy as np
+from scipy.optimize import linprog
 
 
 def finite_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -88,3 +90,26 @@ def random_lipschitz_function(
     r = rng.normal(size=points.shape[0])
     d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
     return np.min(r[None, :] + constant * d, axis=1)
+
+
+def highs_w1(cost, mu, nu) -> tuple[np.ndarray, float, np.ndarray]:
+    """Exact transportation LP solved by HiGHS: (plan, optimal cost, g).
+
+    One equality per row and per column but the last, which the others
+    imply; variables are the flattened plan, bounded below by zero.  ``g``
+    holds the optimal column potentials (the last column's is 0).
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    n, m = cost.shape
+    a_eq = np.zeros((n + m - 1, n * m))
+    for i in range(n):
+        a_eq[i, i * m : (i + 1) * m] = 1.0
+    for j in range(m - 1):
+        a_eq[n + j, j::m] = 1.0
+    b_eq = np.concatenate([mu, nu[:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"transportation LP failed: {res.message}")
+    pi = np.clip(res.x.reshape(n, m), 0.0, None)
+    g = np.append(res.eqlin.marginals[n:], 0.0)
+    return pi, float((pi * cost).sum()), g

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gapcraft import cli, lipschitz, models, pipeline, synthtasks
+from gapcraft import cli, lipschitz, models, pipeline, synthtasks, transport
 from gapcraft.cli import main
 from gapcraft.pipeline import PipelineConfig, RunLog
 
@@ -115,6 +115,7 @@ def test_recalibrate_outputs(cli_workspace):
     [
         ("pretrain", pipeline, "pretrain_source", FloatingPointError("logits overflowed")),
         ("recalibrate", lipschitz, "recalibrate_head", lipschitz.DivergenceError("rose")),
+        ("verify-theorem", transport, "exact_w1", transport.SolverError("no certificate")),
     ],
 )
 def test_numeric_failures_exit_1(
@@ -124,7 +125,11 @@ def test_numeric_failures_exit_1(
         raise error
 
     monkeypatch.setattr(owner, name, fail)
-    argv = [subcommand, "--data", str(cli_workspace / "data"), "--out", str(tmp_path)]
+    argv = [subcommand, "--out", str(tmp_path)]
+    if subcommand == "verify-theorem":
+        argv += ["--instances", "3"]
+    else:
+        argv += ["--data", str(cli_workspace / "data")]
     if subcommand == "recalibrate":
         argv += ["--models", str(cli_workspace / "m1")]
     assert main(argv) == 1

@@ -1,4 +1,4 @@
-"""The layer record: models.mlp_apply's forward, Tape.record's finite check,
+"""The layer record: models.mlp_apply's forward and finite check,
 Tape.backward's sweep against finite differences; as_matrix and freeze."""
 
 import numpy as np
@@ -142,18 +142,28 @@ def test_non_finite_results_are_rejected():
         ng.as_matrix(np.array([[np.nan]]))
 
 
+_OVERFLOWING_HIDDEN_LAYER = (
+    ([[1e200]], [0.0], "linear"),
+    ([[1e200]], [0.0], "tanh"),
+    ([[1.0]], [0.0], "linear"),
+)
+
+
 def test_mlp_vjp_rejects_overflowed_hidden_pre_activation():
     """Layer 1's pre-activation is 1e200 * 1e200 = inf; tanh saturates it to
     1 and the linear output stays finite, but the record still raises."""
-    params = _mlp(
-        ([[1e200]], [0.0], "linear"),
-        ([[1e200]], [0.0], "tanh"),
-        ([[1.0]], [0.0], "linear"),
-    )
+    params = _mlp(*_OVERFLOWING_HIDDEN_LAYER)
     with np.errstate(over="ignore"):
-        assert np.isfinite(models.embed(params, [[1.0]])).all()
+        assert np.isfinite(straightline_mlp(_OVERFLOWING_HIDDEN_LAYER, [[1.0]])).all()
     with pytest.raises(FloatingPointError, match="layer 1"):
         models.mlp_vjp(params, [[1.0]])
+
+
+@pytest.mark.parametrize("forward", [models.embed, models.predict_source])
+def test_untaped_forward_rejects_overflowed_hidden_pre_activation(forward):
+    """Without a tape, embed and predict_source make the same check."""
+    with pytest.raises(FloatingPointError, match="layer 1"):
+        forward(_mlp(*_OVERFLOWING_HIDDEN_LAYER), [[1.0]])
 
 
 def test_relu_at_zero_pre_activation_gets_zero_gradient():

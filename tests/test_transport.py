@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapcraft import models
 from gapcraft import numgrad as ng
 from gapcraft import transport
-from gapcraft.transport import CapabilityError, SinkhornConfig
+from gapcraft.transport import CapabilityError, SinkhornConfig, SolverError
 
-from oracles import finite_difference, random_lipschitz_function, relative_gradient_error
+from oracles import (
+    finite_difference,
+    highs_w1,
+    random_lipschitz_function,
+    relative_gradient_error,
+)
 
 
 def random_simplex(rng, k):
@@ -87,6 +94,129 @@ def test_exact_matches_vertex_enumeration_5x5():
 def test_exact_oversize_rejected():
     with pytest.raises(CapabilityError):
         transport.exact_w1(np.ones((65, 2)), np.full(65, 1 / 65), [0.5, 0.5])
+
+
+# Property tests against HiGHS: deterministic, so Tier-1 stays repeatable.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def assert_matches_highs(cost, mu, nu):
+    """Value within 1e-12 relative of the LP, a feasible vertex plan, and a
+    dual value from the LP's optimal potentials that stays below it."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n, m = cost.shape
+    coupling, w1 = transport.exact_w1(cost, mu, nu)
+    _, lp, g = highs_w1(cost, mu, nu)
+    assert abs(w1 - lp) <= 1e-12 * max(1.0, abs(lp))
+    coupling.validate(atol=1e-12)
+    assert int(np.count_nonzero(coupling.pi)) <= n + m - 1
+    assert transport.dual_lower_bound(cost, mu, nu, g) <= w1 + 1e-12 * max(1.0, abs(w1))
+
+
+@st.composite
+def marginal(draw, k):
+    """A distribution on k atoms; integer weights make ties and exact zeros."""
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), float)
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, k - 1))] = 1.0
+    if draw(st.booleans()):  # break the ties on the nonzero atoms
+        weights *= draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k))
+    return weights / weights.sum()
+
+
+@st.composite
+def transport_problem(draw, rows=st.integers(1, 64), cols=st.integers(1, 64)):
+    n, m = draw(rows), draw(cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["euclidean", "tied", "negative"]))
+    if kind == "euclidean":
+        cost = transport.cost_matrix(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)))
+    elif kind == "tied":
+        cost = rng.integers(0, 3, size=(n, m)).astype(float)
+    else:
+        cost = rng.normal(scale=10.0, size=(n, m))
+    return cost, draw(marginal(n)), draw(marginal(m))
+
+
+def _euclidean_problem(n, m, seed):
+    rng = np.random.default_rng(seed)
+    cost = transport.cost_matrix(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
+    return cost, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+
+
+@PROPERTY
+@given(transport_problem())
+@example(_euclidean_problem(64, 64, 0))
+@example(_euclidean_problem(64, 17, 1))
+@example((np.arange(64.0).reshape(8, 8), np.full(8, 1 / 8), np.full(8, 1 / 8)))
+def test_exact_w1_matches_highs(problem):
+    """n != m, sizes up to 64, zero masses, tied and negative costs."""
+    assert_matches_highs(*problem)
+
+
+@PROPERTY
+@given(st.one_of(
+    transport_problem(rows=st.just(1)), transport_problem(cols=st.just(1))
+))
+def test_exact_w1_single_row_or_column(problem):
+    assert_matches_highs(*problem)
+
+
+@PROPERTY
+@given(st.integers(1, 64).flatmap(lambda k: st.tuples(st.just(k), marginal(k))),
+       st.sampled_from(["discrete", "line"]))
+def test_exact_w1_equal_marginals_identity_like_cost(k_and_mu, metric):
+    """Every basis is degenerate here: the optimum is the diagonal at 0."""
+    k, mu = k_and_mu
+    idx = np.arange(k, dtype=float)
+    cost = 1.0 - np.eye(k) if metric == "discrete" else np.abs(idx[:, None] - idx[None, :])
+    coupling, w1 = transport.exact_w1(cost, mu, mu)
+    assert w1 == 0.0
+    assert np.array_equal(coupling.pi, np.diag(mu))
+    assert_matches_highs(cost, mu, mu)
+
+
+def test_greedy_basis_is_strongly_feasible():
+    """Unit masses on every row and column tie at every step; Orden's
+    tie-break must still leave every zero-flow edge pointing to the root (a
+    row under its column), the invariant that keeps the simplex from
+    cycling."""
+    rng = np.random.default_rng(0)
+    for k in (2, 3, 5, 8):
+        mass = [1] * (2 * k)
+        for _ in range(20):
+            cost = rng.integers(0, 3, size=(k, k)).astype(float)
+            parent, children = transport._least_cost_tree(cost, mass, k)
+            order = transport._preorder(children, k)
+            assert sorted(order) == list(range(2 * k))
+            flow = transport._peel(order, parent, mass)
+            assert all(x < k for x in order[1:] if flow[x] == 0)
+
+
+def test_exact_w1_absorbs_rounding_imbalance_in_heaviest_column():
+    """Marginals may sum to 1 within 1e-8.  The imbalance lands on the
+    heaviest column, so a column lighter than it keeps a nonnegative plan."""
+    mu = [0.5, 0.5 + 5e-9]
+    nu = [1.0 - 1e-12, 1e-12]
+    coupling, w1 = transport.exact_w1([[0.0, 1.0], [2.0, 0.0]], mu, nu)
+    assert coupling.pi.min() >= 0.0
+    assert np.allclose(coupling.pi.sum(axis=1), mu, rtol=0.0, atol=1e-15)
+    assert coupling.pi[:, 1].sum() == pytest.approx(1e-12, rel=1e-12)
+    assert w1 == pytest.approx(2.0 * (0.5 + 5e-9 - 1e-12), rel=1e-12)
+
+
+def test_exact_w1_uncertified_plan_raises(monkeypatch):
+    """A plan that misses its marginals is a solver failure, not a result."""
+    monkeypatch.setattr(transport, "_transport_simplex", lambda c, a, b: np.zeros_like(c))
+    with pytest.raises(SolverError, match="marginals"):
+        transport.exact_w1(np.ones((2, 2)), [0.5, 0.5], [0.5, 0.5])
+
+
+def test_exact_w1_pivot_guard_raises(monkeypatch):
+    """A simplex that keeps pivoting past its guard reports it, not a plan."""
+    monkeypatch.setattr(transport, "_PIVOT_GUARD", 0)
+    with pytest.raises(SolverError, match="pivots"):
+        transport.exact_w1(*_euclidean_problem(16, 16, 0))
 
 
 def test_metric_axioms_on_shared_support():
