@@ -192,24 +192,18 @@ def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> TfResul
     lam = plus_plan.matrix
     if lam.shape[1] != q.size or q.size != p.size:
         raise ValueError("plan, conditional, and prediction class counts differ")
-    dead = q <= 0.0
-    if np.any(dead):
-        col_mass = lam[:, dead].max(axis=0, initial=0.0)
-        if np.any(col_mass > 1e-9):
-            j = int(np.flatnonzero(dead)[np.argmax(col_mass)])
+    live = q > 0.0
+    if not live.all():
+        col_mass = lam[:, ~live].max(axis=0, initial=0.0)
+        if (col_mass > 1e-9).any():
+            j = int(np.flatnonzero(~live)[col_mass.argmax()])
             raise InfeasibilityError(
                 f"plan puts mass on target class {j} which the conditional never emits"
             )
     tf = kl_divergence(q, p)
-    realized = np.where(dead[None, :], p[None, :], lam * _safe_ratio(p, q)[None, :])
+    ratio = np.divide(p, q, out=np.zeros(p.shape), where=live)
+    realized = np.where(live, lam * ratio, p)
     return TfResult(tf, realized)
-
-
-def _safe_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    live = q > 0.0
-    out[live] = p[live] / q[live]
-    return out
 
 
 def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float:

@@ -4,10 +4,13 @@ The exact value at a feature point couples the source label conditional w
 with the target conditional q and minimizes the expected row entropy of the
 induced kernel, which equals H(pi) - H(w) over couplings pi with marginals
 (w, q).  Entropy is concave, so the minimum sits on a vertex of the
-transportation polytope; vertices are enumerated through spanning trees of
-the complete bipartite support graph, with each tree's basic solution
-precomputed as a linear map of the marginals so whole shapes evaluate in
-one tensor contraction.
+transportation polytope.  Its vertices are the feasible basic solutions
+of the spanning trees of the complete bipartite support graph, and each
+basic value is a cut form: the signed marginal mass on one side of a tree
+edge.  A table built once per label shape holds every tree's cells and the
+few distinct 0/+-1 forms they use, so one call evaluates the forms at the
+marginals with a single small product and gathers every tree's solution
+from it.
 
 The differentiable surrogate replaces the oracle with pseudo-label joint
 statistics: H[Z',Z] - H[Z] under soft counts, the expectation of the
@@ -25,7 +28,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import as_distribution, entropy, softmax
+from .probs import as_distribution, entropy, softmax, xlogx
 from .transport import CapabilityError
 
 __all__ = [
@@ -44,10 +47,8 @@ __all__ = [
 
 MAX_LABEL_CLASSES = 5
 
-# Full (edges, basis-map) tensors get cached per shape up to this many trees;
-# a 5x5 label space (390625 trees) is recomputed in chunks instead.
-_CACHE_TREE_LIMIT = 50_000
-_TREE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
+# (cells, index, forms) per label shape, built on first use; see _cut_table
+_CUT_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,9 @@ class TransportKernel:
         m = self.matrix
         if m.ndim != 2:
             raise ValueError(f"kernel must be 2-D, got shape {m.shape}")
-        if np.any(m < -1e-10):
+        if (m < -1e-10).any():
             raise ValueError(f"kernel has negative entries (min {m.min():.3e})")
-        rows = m.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-10:
+        if np.abs(m.sum(axis=1) - 1.0).max() > 1e-10:
             raise ValueError("kernel rows must sum to 1 within 1e-10")
 
     @property
@@ -103,83 +103,100 @@ class FldExact:
 def _enumerate_spanning_trees(n: int, m: int) -> np.ndarray:
     """All spanning trees of the complete bipartite graph K_{n,m}.
 
-    Returns an int array (n_trees, n+m-1) of flat cell indices i*m+j.
-    Backtracking over cells in index order with a union-find (no path
-    compression, so choices undo cleanly).
+    Returns an int8 array (n_trees, n+m-1) of flat cell indices i*m+j, each
+    row increasing and the rows in lexicographic order.  Every forest grows
+    by each later cell that joins two of its components (node labels track
+    the components) while enough cells remain to finish a tree.
     """
     nodes = n + m
     need = nodes - 1
     total = n * m
-    parent = list(range(nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(start: int) -> None:
-        if len(chosen) == need:
-            out.append(tuple(chosen))
-            return
-        if total - start < need - len(chosen):
-            return
-        for e in range(start, total):
-            ri = find(e // m)
-            rj = find(n + e % m)
-            if ri == rj:
-                continue
-            parent[ri] = rj
-            chosen.append(e)
-            rec(e + 1)
-            chosen.pop()
-            parent[ri] = ri
-
-    rec(0)
-    return np.array(out, dtype=np.int64)
+    cell = np.arange(total)
+    row_node, col_node = cell // m, n + cell % m
+    comp = np.arange(nodes, dtype=np.int8)[None, :]
+    chosen = np.zeros((1, 0), dtype=np.int8)
+    last = np.array([-1])
+    for size in range(need):
+        grow = (
+            (cell > last[:, None])
+            & (cell <= total - need + size)
+            & (comp[:, row_node] != comp[:, col_node])
+        )
+        forest, last = grow.nonzero()  # row-major: lexicographic order kept
+        chosen = np.concatenate([chosen[forest], last[:, None].astype(np.int8)], axis=1)
+        comp = comp[forest]
+        joined = np.take_along_axis(comp, col_node[last][:, None], axis=1)
+        into = np.take_along_axis(comp, row_node[last][:, None], axis=1)
+        comp = np.where(comp == joined, into, comp)
+    return chosen
 
 
-def _tree_basis_maps(trees: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Linear maps with basic values = T @ [w; q[:-1]] for a batch of trees.
+def _cut_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every spanning tree's basic solution as a gather from a few cut forms.
 
-    Each tree's basic matrix is its bipartite incidence with the redundant
-    last-column constraint dropped; that square 0/1 matrix is nonsingular
-    for any spanning tree, so one batched inverse yields every map.
+    A spanning tree of K_{n,m} is a basis of the coupling polytope with the
+    last column's (redundant) constraint dropped.  Removing tree edge (i, j)
+    splits the tree in two; flow conservation on the side S without the
+    last column gives x_ij = w(S) - q(S) when row i lies in S and
+    q(S) - w(S) when column j does.  So over d = [w; q[:-1]] each basic
+    value is a 0/+-1 form fixed by (S, side), and whole shapes share a few
+    of them: 204 for the 4096 trees of 4x4, 910 for the 390625 of 5x5.
+
+    Returns ``cells`` (n_trees, n+m-1) int8 flat cells i*m+j in enumeration
+    order, ``index`` (n_trees, n+m-1) int16 rows of ``forms``, and
+    ``forms`` (n_forms, n+m-1) float64, so the basic solutions at d are
+    ``(forms @ d)[index]``.  Built once per shape.
     """
-    b, k = trees.shape
-    rows = trees // m
-    cols = trees % m
-    a = np.zeros((b, k, k))
-    bb = np.broadcast_to(np.arange(b)[:, None], (b, k))
-    pos = np.broadcast_to(np.arange(k)[None, :], (b, k))
-    a[bb, rows, pos] = 1.0
-    keep = cols < m - 1
-    a[bb[keep], n + cols[keep], pos[keep]] = 1.0
-    return np.linalg.inv(a)
-
-
-def _tree_data(n: int, m: int):
-    """Yield (trees, basis_tensor) chunks for shape (n, m), caching small shapes."""
     key = (n, m)
-    if key in _TREE_CACHE:
-        trees, tensor = _TREE_CACHE[key]
-        if tensor is not None:
-            yield trees, tensor
-            return
-    else:
-        trees = _enumerate_spanning_trees(n, m)
-        if len(trees) <= _CACHE_TREE_LIMIT:
-            tensor = _tree_basis_maps(trees, n, m)
-            _TREE_CACHE[key] = (trees, tensor)
-            yield trees, tensor
-            return
-        _TREE_CACHE[key] = (trees, None)
-    chunk = 65_536
-    for at in range(0, len(trees), chunk):
-        block = trees[at : at + chunk]
-        yield block, _tree_basis_maps(block, n, m)
+    if key in _CUT_TABLES:
+        return _CUT_TABLES[key]
+    cells = _enumerate_spanning_trees(n, m)
+    b, k = cells.shape  # nodes: rows 0..n-1, columns n..n+m-1, root = last column
+    row_node, col_node = cells // m, n + cells % m
+    # orient every tree away from the root, one breadth-first layer at a
+    # time, recording each node's ancestors-or-self as a bitmask
+    anc = np.zeros((b, k + 1), dtype=np.int16)
+    anc[:, k] = 1 << k
+    lower = np.empty((b, k), dtype=np.int8)  # the endpoint away from the root
+    for _ in range(k):  # no tree is deeper than its k edges
+        row_in = np.take_along_axis(anc, row_node, axis=1) != 0
+        col_in = np.take_along_axis(anc, col_node, axis=1) != 0
+        t, e = np.nonzero(row_in != col_in)  # edges leaving the reached part
+        if t.size == 0:
+            break
+        down = np.where(row_in[t, e], col_node[t, e], row_node[t, e])
+        up = np.where(row_in[t, e], row_node[t, e], col_node[t, e])
+        lower[t, e] = down
+        anc[t, down] = anc[t, up] | (1 << down.astype(np.int16))
+    # S of edge e = the nodes with lower[e] among their ancestors; the key
+    # is S as a bitmask plus a sign bit for a column-side cut
+    keys = (lower >= n).astype(np.int16) << k
+    for v in range(k):
+        keys |= ((anc[:, v : v + 1] >> lower) & 1) << v
+    present = np.zeros(1 << (k + 1), dtype=bool)
+    present[keys] = True
+    codes = np.flatnonzero(present)
+    bits = (codes[:, None] >> np.arange(k)) & 1
+    # one-term forms go last: a gemv may sum its last few rows in another
+    # order than the rest, which a single term cannot feel, so every longer
+    # form is summed the same way as a row of a k x k basis solve
+    order = np.argsort(bits.sum(axis=1) == 1, kind="stable")
+    codes, bits = codes[order], bits[order]
+    slot = np.empty(present.size, dtype=np.int16)
+    slot[codes] = np.arange(codes.size)
+    index = slot[keys]
+    sign = np.where(codes >> k, -1.0, 1.0)[:, None]
+    forms = np.where(bits == 1, sign * np.where(np.arange(k) < n, 1.0, -1.0), 0.0)
+    _CUT_TABLES[key] = cells, index, forms
+    return _CUT_TABLES[key]
+
+
+def _basic_feasible_solutions(wa: np.ndarray, qa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells and clipped values of every feasible tree basis, in tree order."""
+    cells, index, forms = _cut_table(wa.size, qa.size)
+    values = forms @ np.concatenate([wa, qa[:-1]])
+    feasible = (values >= -1e-12)[index].all(axis=1)
+    return cells[feasible], np.maximum(values[index[feasible]], 0.0)
 
 
 def _check_label_sizes(n: int, m: int) -> None:
@@ -190,27 +207,24 @@ def _check_label_sizes(n: int, m: int) -> None:
         )
 
 
-def _vertex_entropies(values: np.ndarray) -> np.ndarray:
-    pos = values > 0.0
-    logs = np.zeros_like(values)
-    np.log(values, out=logs, where=pos)
-    return -(values * logs * pos).sum(axis=1)
-
-
 def fld_exact(w, q) -> FldExact:
     """Minimum expected kernel entropy carrying w onto q, in nats.
 
     Returns the optimum H(pi) - H(w) over couplings with marginals (w, q),
     attained at a transportation-polytope vertex, together with the
-    row-normalized kernel of the optimal coupling.  Rows of zero source
-    mass carry no entropy weight; they are reported as q itself so the
-    kernel still averages back to q.
+    row-normalized kernel of the optimal coupling.  The search is
+    exhaustive over the spanning trees of the active (nonzero) classes:
+    the cached cut-form table gives every tree's basic solution, the
+    feasible ones (no value below -1e-12) are scored by entropy, and ties
+    go to the first tree in enumeration order.  Rows of zero source mass
+    carry no entropy weight; they are reported as q itself so the kernel
+    still averages back to q.
     """
     w = as_distribution(w, "source conditional")
     q = as_distribution(q, "target conditional")
     _check_label_sizes(w.size, q.size)
-    ri = np.flatnonzero(w > 0.0)
-    ci = np.flatnonzero(q > 0.0)
+    ri = (w > 0.0).nonzero()[0]
+    ci = (q > 0.0).nonzero()[0]
     wa, qa = w[ri], q[ci]
     n, m = wa.size, qa.size
 
@@ -219,32 +233,25 @@ def fld_exact(w, q) -> FldExact:
     elif m == 1:
         pi_a = wa[:, None]
     else:
-        d = np.concatenate([wa, qa[:-1]])
-        best = np.inf
-        best_vals: np.ndarray | None = None
-        best_tree: np.ndarray | None = None
-        for trees, tensor in _tree_data(n, m):
-            sols = tensor @ d
-            feasible = np.all(sols >= -1e-12, axis=1)
-            if not np.any(feasible):
-                continue
-            ent = _vertex_entropies(np.clip(sols, 0.0, None))
-            ent[~feasible] = np.inf
-            i = int(np.argmin(ent))
-            if ent[i] < best:
-                best = float(ent[i])
-                best_vals = np.clip(sols[i], 0.0, None)
-                best_tree = trees[i]
-        assert best_vals is not None, "transportation polytope cannot be empty"
+        cells, sols = _basic_feasible_solutions(wa, qa)
+        assert len(cells), "transportation polytope cannot be empty"
+        t = int((-xlogx(sols).sum(axis=1)).argmin())  # first minimum in tree order
         pi_a = np.zeros((n, m))
-        pi_a[best_tree // m, best_tree % m] = best_vals
+        pi_a.flat[cells[t]] = sols[t]
 
     fld = max(0.0, entropy(pi_a) - entropy(wa))
-    pi = np.zeros((w.size, q.size))
-    pi[np.ix_(ri, ci)] = pi_a
-    lam = np.tile(q, (w.size, 1))
-    lam[ri] = pi[ri] / w[ri, None]
+    pi = _embed(pi_a, ri, ci, (w.size, q.size))
+    lam = np.empty_like(pi)
+    lam[:] = q
+    np.divide(pi, w[:, None], out=lam, where=w[:, None] > 0.0)
     return FldExact(fld, TransportKernel(lam), pi)
+
+
+def _embed(pi_a: np.ndarray, ri: np.ndarray, ci: np.ndarray, shape) -> np.ndarray:
+    """The coupling on the active rows ri and columns ci, zero elsewhere."""
+    full = np.zeros(shape)
+    full[ri[:, None], ci] = pi_a
+    return full
 
 
 def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
@@ -257,30 +264,19 @@ def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
     w = as_distribution(w, "row marginal")
     q = as_distribution(q, "col marginal")
     _check_label_sizes(w.size, q.size)
-    ri = np.flatnonzero(w > 0.0)
-    ci = np.flatnonzero(q > 0.0)
+    ri = (w > 0.0).nonzero()[0]
+    ci = (q > 0.0).nonzero()[0]
     wa, qa = w[ri], q[ci]
     n, m = wa.size, qa.size
-    d = np.concatenate([wa, qa[:-1]])
-    seen: dict[tuple, np.ndarray] = {}
     if n == 1 or m == 1:
-        inner = qa[None, :] if n == 1 else wa[:, None]
-        full = np.zeros((w.size, q.size))
-        full[np.ix_(ri, ci)] = inner
-        return [full]
-    for trees, tensor in _tree_data(n, m):
-        sols = tensor @ d
-        feasible = np.all(sols >= -1e-12, axis=1)
-        for t_idx in np.flatnonzero(feasible):
-            vals = np.clip(sols[t_idx], 0.0, None)
-            pi_a = np.zeros((n, m))
-            tree = trees[t_idx]
-            pi_a[tree // m, tree % m] = vals
-            key = tuple(np.round(pi_a, 12).ravel())
-            if key not in seen:
-                full = np.zeros((w.size, q.size))
-                full[np.ix_(ri, ci)] = pi_a
-                seen[key] = full
+        return [_embed(qa[None, :] if n == 1 else wa[:, None], ri, ci, (w.size, q.size))]
+    seen: dict[tuple, np.ndarray] = {}
+    for tree, vals in zip(*_basic_feasible_solutions(wa, qa)):
+        pi_a = np.zeros((n, m))
+        pi_a.flat[tree] = vals
+        key = tuple(np.round(pi_a, 12).ravel())
+        if key not in seen:
+            seen[key] = _embed(pi_a, ri, ci, (w.size, q.size))
     return list(seen.values())
 
 

@@ -19,12 +19,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import log_softmax
 
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import LOG_FLOOR, as_conditional, softmax
+from .probs import LOG_FLOOR, as_conditional, log_softmax, softmax
 
 __all__ = [
     "LipschitzConfig",
@@ -171,7 +170,7 @@ def _recalibration_loss_and_grad(
     norms = np.linalg.norm(g_u, axis=1)
     hinge = np.maximum(norms - threshold, 0.0)
     objective = cfg.penalty_weight * float(np.mean(hinge**2)) - float(
-        (d * log_softmax(logits, axis=1)).sum() / n
+        (d * log_softmax(logits)).sum() / n
     )
     # hinge > 0 only where norms > threshold > 0, so the division is safe
     coef = (2.0 * cfg.penalty_weight / n) * hinge / np.maximum(norms, threshold)

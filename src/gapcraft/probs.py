@@ -1,4 +1,4 @@
-"""Validation helpers for probability vectors, softmax, and entropy/KL in nats.
+"""Validation helpers for probability vectors, (log-)softmax, and entropy/KL in nats.
 
 Conventions used throughout the package: natural logarithms everywhere,
 ``0 * log 0 = 0``, and ``kl(p, q) = +inf`` as soon as p puts mass where q
@@ -17,6 +17,7 @@ __all__ = [
     "cross_entropy",
     "xlogx",
     "softmax",
+    "log_softmax",
     "LOG_FLOOR",
 ]
 
@@ -30,14 +31,16 @@ def as_distribution(p, name: str = "distribution", atol: float = 1e-8) -> np.nda
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(arr < -atol):
-        raise ValueError(f"{name} has negative entries (min {arr.min():.3e})")
     total = float(arr.sum())
-    if abs(total - 1.0) > atol:
+    # a finite sum rules out NaN and inf entries, so one test covers three
+    # checks on valid input; the ordered checks below name the first failure
+    if not (abs(total - 1.0) <= atol and arr.min(initial=0.0) >= -atol):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        if (arr < -atol).any():
+            raise ValueError(f"{name} has negative entries (min {arr.min():.3e})")
         raise ValueError(f"{name} sums to {total:.12f}, expected 1")
-    return np.clip(arr, 0.0, None)
+    return np.maximum(arr, 0.0)
 
 
 def as_conditional(m, name: str = "conditional", atol: float = 1e-8) -> np.ndarray:
@@ -45,16 +48,16 @@ def as_conditional(m, name: str = "conditional", atol: float = 1e-8) -> np.ndarr
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(arr < -atol):
-        raise ValueError(f"{name} has negative entries (min {arr.min():.3e})")
     rows = arr.sum(axis=1)
-    bad = np.abs(rows - 1.0) > atol
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    bad = ~(np.abs(rows - 1.0) <= atol)  # a NaN row sum is bad too
+    if bad.any() or arr.min(initial=0.0) < -atol:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        if (arr < -atol).any():
+            raise ValueError(f"{name} has negative entries (min {arr.min():.3e})")
+        i = int(bad.argmax())
         raise ValueError(f"{name} row {i} sums to {rows[i]:.12f}, expected 1")
-    return np.clip(arr, 0.0, None)
+    return np.maximum(arr, 0.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -64,13 +67,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, shifted by the row maximum.
+
+    A row whose maximum is not finite is shifted by 0 instead, as
+    ``scipy.special.log_softmax`` does; the arithmetic is the same, so the
+    results agree bit for bit.
+    """
+    top = logits.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    shifted = logits - top
+    with np.errstate(divide="ignore"):
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def xlogx(x: np.ndarray) -> np.ndarray:
     """Elementwise x*log(x) with the 0*log(0)=0 convention."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
     pos = x > 0.0
-    out[pos] = x[pos] * np.log(x[pos])
-    return out
+    out = np.zeros(x.shape)
+    np.log(x, out=out, where=pos)
+    return np.multiply(x, out, out=out, where=pos)
 
 
 def entropy(p) -> float:
@@ -83,9 +100,10 @@ def cross_entropy(p, q) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     support = p > 0.0
-    if np.any(q[support] <= 0.0):
+    qs = q[support]
+    if (qs <= 0.0).any():
         return float("inf")
-    return float(-(p[support] * np.log(q[support])).sum())
+    return float(-(p[support] * np.log(qs)).sum())
 
 
 def kl_divergence(p, q) -> float:

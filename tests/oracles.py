@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's own computation paths:
 finite differences for gradients, mpmath for high-precision entropy,
-straight-line numpy re-evaluations for forward passes, and HiGHS for the
-transportation LP.
+straight-line numpy re-evaluations for forward passes, HiGHS for the
+transportation LP, and integer leaf-peeling for spanning-tree bases.
 """
 
 from __future__ import annotations
@@ -113,3 +113,31 @@ def highs_w1(cost, mu, nu) -> tuple[np.ndarray, float, np.ndarray]:
     pi = np.clip(res.x.reshape(n, m), 0.0, None)
     g = np.append(res.eqlin.marginals[n:], 0.0)
     return pi, float((pi * cost).sum()), g
+
+
+def leaf_peel(cells, w, q) -> np.ndarray:
+    """Basic solution of one spanning tree by peeling leaves, in integers.
+
+    ``cells`` are the tree's flat cells i*m+j and ``w``, ``q`` integer
+    marginals with equal totals.  A leaf line's only cell must carry all
+    that is left of the line, so repeatedly fixing a leaf cell and
+    deducting it from the other end solves the tree with no arithmetic but
+    exact integer subtraction.  Values may come out negative (an
+    infeasible basis); cells off the tree stay 0.
+    """
+    n, m = len(w), len(q)
+    rest = [int(v) for v in w] + [int(v) for v in q]
+    edges = {(c // m, n + c % m) for c in (int(c) for c in cells)}
+    plan = np.zeros((n, m), dtype=np.int64)
+    while edges:
+        degree = [0] * (n + m)
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        a, b = next((a, b) for a, b in sorted(edges) if degree[a] == 1 or degree[b] == 1)
+        leaf, other = (a, b) if degree[a] == 1 else (b, a)
+        plan[a, b - n] = rest[leaf]
+        rest[other] -= rest[leaf]
+        rest[leaf] = 0
+        edges.remove((a, b))
+    return plan

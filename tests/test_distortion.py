@@ -1,14 +1,54 @@
 """Minimum-entropy coupling oracle, vertex enumeration, pseudo-label surrogate."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gapcraft import distortion, models, transport
 from gapcraft import numgrad as ng
-from gapcraft.distortion import JointLabelStats, fld_exact, fld_surrogate
+from gapcraft.distortion import JointLabelStats, TransportKernel, fld_exact, fld_surrogate
 from gapcraft.probs import entropy
 
-from oracles import entropy_mp, finite_difference, highs_w1, relative_gradient_error
+from oracles import (
+    entropy_mp,
+    finite_difference,
+    highs_w1,
+    leaf_peel,
+    relative_gradient_error,
+)
+
+
+# ---------------------------------------------------------------------------
+# TransportKernel validation
+# ---------------------------------------------------------------------------
+
+KERNEL_REJECTS = {
+    "pos_inf": ([[0.5, 0.5], [np.inf, 0.0]], "kernel rows must sum to 1 within 1e-10"),
+    "pos_and_neg_inf": ([[0.5, 0.5], [np.inf, -np.inf]], "kernel has negative entries (min -inf)"),
+    "sum_overflows": ([[0.5, 0.5], [1e308, 1e308]], "kernel rows must sum to 1 within 1e-10"),
+    "negative_entry": ([[0.5, 0.5], [1.1, -0.1]], "kernel has negative entries (min -1.000e-01)"),
+    "wrong_ndim": ([1.0], "kernel must be 2-D, got shape (1,)"),
+    "no_columns": (np.zeros((2, 0)), "kernel rows must sum to 1 within 1e-10"),
+    "bad_row": ([[0.5, 0.5], [0.3, 0.3]], "kernel rows must sum to 1 within 1e-10"),
+    # an empty kernel has no row deviation to take the maximum of
+    "empty": (np.zeros((0, 3)), "zero-size array to reduction operation maximum which has no identity"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", sorted(KERNEL_REJECTS))
+def test_kernel_rejects(case):
+    value, message = KERNEL_REJECTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TransportKernel(np.asarray(value, dtype=np.float64))
+
+
+def test_kernel_passes_nan_through():
+    # NaN compares false against both thresholds, so neither check fires;
+    # this pins the current behaviour, it is not a promise
+    kernel = TransportKernel(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+    assert np.isnan(kernel.matrix[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +148,61 @@ def test_fld_below_any_feasible_coupling_entropy():
         )
         for pi in candidates:
             assert best <= entropy(pi) - entropy(w) + 1e-9
+
+
+def test_fld_5x5_below_every_sampled_vertex():
+    rng = np.random.default_rng(15)
+    for i in range(20):
+        alpha = float(rng.choice([0.4, 1.0, 3.0]))
+        w, q = rng.dirichlet(np.full(5, alpha), size=2)
+        if i % 4 == 3:  # an exact zero on one side
+            side = w if i % 8 == 3 else q
+            side[rng.integers(5)] = 0.0
+            side /= side.sum()
+        res = fld_exact(w, q)
+        assert np.max(np.abs(res.coupling.sum(axis=1) - w)) < 1e-12
+        assert np.max(np.abs(res.coupling.sum(axis=0) - q)) < 1e-12
+        ents = distortion.random_vertex_entropies(w, q, 2000, rng)
+        assert res.fld <= float(ents.min()) - entropy(w) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# cut-form table
+# ---------------------------------------------------------------------------
+
+
+def _gathered_plans_match_peeling(n, m, trees, rng):
+    cells, index, forms = distortion._cut_table(n, m)
+    for _ in range(3):
+        w = rng.integers(1, 40, size=n)
+        q = rng.multinomial(int(w.sum()) - m, np.full(m, 1.0 / m)) + 1
+        sols = (forms @ np.concatenate([w, q[:-1]]).astype(np.float64))[index]
+        for t in trees:
+            plan = np.zeros(n * m)
+            plan[cells[t]] = sols[t]
+            plan = plan.reshape(n, m)
+            assert np.array_equal(plan, leaf_peel(cells[t], w, q)), (t, w, q)
+            assert np.array_equal(plan.sum(axis=1), w) and np.array_equal(plan.sum(axis=0), q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cut_table_matches_leaf_peeling_on_every_tree(n, m):
+    cells, index, forms = distortion._cut_table(n, m)
+    # Scoins' count n^(m-1) m^(n-1) for K_{n,m}; each tree once, cells increasing
+    assert len(cells) == n ** (m - 1) * m ** (n - 1)
+    assert len(np.unique(cells, axis=0)) == len(cells)
+    assert np.all(np.diff(cells, axis=1) > 0)
+    assert cells.dtype == np.int8 and index.dtype == np.int16
+    assert set(np.unique(forms)) <= {-1.0, 0.0, 1.0}
+    _gathered_plans_match_peeling(n, m, range(len(cells)), np.random.default_rng(16 + 5 * n + m))
+
+
+def test_cut_table_matches_leaf_peeling_on_sampled_5x5_trees():
+    cells, _, forms = distortion._cut_table(5, 5)
+    assert len(cells) == 5**4 * 5**4 and len(forms) == 910
+    rng = np.random.default_rng(17)
+    _gathered_plans_match_peeling(5, 5, rng.choice(len(cells), 300, replace=False), rng)
 
 
 # ---------------------------------------------------------------------------

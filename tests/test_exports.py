@@ -28,15 +28,16 @@ def test_all_names_exist(name):
     assert not missing, f"gapcraft.{name}.__all__ names missing attributes: {missing}"
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    """Only tf_convex_oracle needs scipy.optimize, and it imports it itself."""
+def test_import_leaves_scipy_unloaded():
+    """No scipy at import: only tf_convex_oracle needs scipy.optimize, and
+    it imports it itself."""
     src = str(Path(gapcraft.__file__).parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     code = (
         "import sys\n"
         "import gapcraft.cli, gapcraft.bound, gapcraft.pipeline\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
