@@ -63,7 +63,8 @@ class TransportKernel:
             raise ValueError(f"kernel must be 2-D, got shape {m.shape}")
         if (m < -1e-10).any():
             raise ValueError(f"kernel has negative entries (min {m.min():.3e})")
-        if np.abs(m.sum(axis=1) - 1.0).max() > 1e-10:
+        # written so that a NaN row sum (a NaN entry) fails it too
+        if not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-10:
             raise ValueError("kernel rows must sum to 1 within 1e-10")
 
     @property
@@ -285,36 +286,41 @@ def random_vertex_entropies(
 ) -> np.ndarray:
     """Coupling entropies H(pi) of random polytope vertices.
 
-    Vertices come from the randomized greedy fill (pick a live cell, route
-    min(remaining row, remaining col), retire one line); every basic
-    feasible solution is reachable this way.  Used as a stochastic search
-    oracle against the exhaustive enumeration.
+    Vertices come from the randomized greedy fill (pick the live cell of
+    highest priority, route min(remaining row, remaining col), retire one
+    line); every basic feasible solution is reachable this way.  A retired
+    line's cells are marked dead by writing -1 over their priorities, below
+    every live cell's.  Used as a stochastic search oracle against the
+    exhaustive enumeration.
     """
     w = as_distribution(w, "row marginal")
     q = as_distribution(q, "col marginal")
     n, m = w.size, q.size
     b = int(n_samples)
-    rows = np.tile(w, (b, 1))
-    cols = np.tile(q, (b, 1))
-    alive_r = np.ones((b, n), dtype=bool)
-    alive_c = np.ones((b, m), dtype=bool)
+    # remaining masses, flat: sample s's row i is rows[n * s + i]
+    rows = np.tile(w, b)
+    cols = np.tile(q, b)
     ent = np.zeros(b)
     bi = np.arange(b)
-    # one random priority per cell fixes a random greedy order per sample
+    # one random priority in [0, 1) per cell fixes a random greedy order per sample
     priority = rng.random((b, n, m))
+    # views of it: by_row[n * s + i] is sample s's row i, by_col[s, j] its column j
+    by_row = priority.reshape(b * n, m)
+    by_col = priority.transpose(0, 2, 1)
     for _ in range(n + m - 1):
-        live = alive_r[:, :, None] & alive_c[:, None, :]
-        scores = np.where(live, priority, -1.0)
-        flat = scores.reshape(b, -1).argmax(axis=1)
+        flat = priority.reshape(b, -1).argmax(axis=1)
         i, j = flat // m, flat % m
-        x = np.minimum(rows[bi, i], cols[bi, j])
+        ri, cj = n * bi + i, m * bi + j
+        r, c = rows[ri], cols[cj]
+        x = np.minimum(r, c)
         pos = x > 0.0
         ent[pos] -= x[pos] * np.log(x[pos])
-        rows[bi, i] -= x
-        cols[bi, j] -= x
-        kill_row = rows[bi, i] <= cols[bi, j]
-        alive_r[bi[kill_row], i[kill_row]] = False
-        alive_c[bi[~kill_row], j[~kill_row]] = False
+        r, c = r - x, c - x
+        rows[ri], cols[cj] = r, c
+        kill_row = r <= c
+        by_row[ri[kill_row]] = -1.0
+        dead = np.flatnonzero(~kill_row)
+        by_col[dead, j[dead]] = -1.0
     return ent
 
 

@@ -10,6 +10,8 @@ Only first-order machinery is needed: with the lower head layers frozen,
 the feature gradient is jac_lower(u)^T W (p - d), an explicit expression
 in the trainable last layer (W, b), so the penalty and its gradient in
 (W, b) have a closed form instead of differentiating through a gradient.
+The lower stack is evaluated once per recalibration.  A one-layer head has
+none: its Jacobian is the identity, so no Jacobian product is formed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import LOG_FLOOR, as_conditional, log_softmax, softmax
+from .probs import LOG_FLOOR, as_conditional
 
 __all__ = [
     "LipschitzConfig",
@@ -98,9 +100,16 @@ def source_pointwise_loss(head: MlpParams, u, conditional) -> float:
     return float(losses[0])
 
 
-def _lower_stack(head: MlpParams, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lower_stack(head: MlpParams, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Hidden activations and per-sample Jacobians d h / d u of all layers
-    below the trainable last layer."""
+    below the trainable last layer.
+
+    A one-layer head has an empty lower stack: h is u itself and the
+    Jacobian, the identity, comes back as None so that callers use the
+    last layer's feature gradient as it is instead of multiplying by it.
+    """
+    if len(head.layers) == 1:
+        return u, None
     n, d_in = u.shape
     h = u
     jac = np.broadcast_to(np.eye(d_in), (n, d_in, d_in)).copy()
@@ -127,11 +136,10 @@ def feature_gradients(head: MlpParams, u, conditional) -> np.ndarray:
     """
     u = ng.as_matrix(u, "feature batch")
     d = as_conditional(conditional, "task conditional")
-    h, jac = _lower_stack(head, u)
-    last = head.layers[-1]
+    _, jac = _lower_stack(head, u)
     p = models.predict_source(head, u)
-    grad_h = (p - d) @ last.w.T
-    return np.einsum("nh,nhu->nu", grad_h, jac)
+    grad_h = (p - d) @ head.layers[-1].w.T
+    return grad_h if jac is None else np.einsum("nh,nhu->nu", grad_h, jac)
 
 
 def _hinge_penalty(norms: np.ndarray, threshold: float) -> float:
@@ -145,41 +153,50 @@ def penalty_value(head: MlpParams, u, conditional, omega: float) -> float:
 
 
 def _recalibration_loss_and_grad(
-    last: models.Layer,
+    w: np.ndarray,
+    b: np.ndarray,
     h: np.ndarray,
-    jac: np.ndarray,
+    jac: np.ndarray | None,
     d: np.ndarray,
     cfg: LipschitzConfig,
 ) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """penalty_weight * penalty + proxy cross-entropy in the last layer.
+    """penalty_weight * penalty + proxy cross-entropy in the last layer (W, b).
 
     ``h`` and ``jac`` are the frozen lower stack's activations and
-    Jacobians (:func:`_lower_stack`).  Returns the objective, the per-row
-    feature-gradient norms at this layer and the (W, b) gradient.  With
-    r = p - d and g_u = jac^T W r, the penalty's cotangent on g_u is
-    2 hinge g_u / (n |g_u|); it reaches W once through W r and once
-    through the softmax, where the cross-entropy adds r / n (rows of d
-    sum to one).
+    Jacobians (:func:`_lower_stack`; ``jac`` is None for an empty stack).
+    Returns the objective, the per-row feature-gradient norms at this layer
+    and the (W, b) gradient.  With r = p - d and g_u = jac^T W r, the
+    penalty's cotangent on g_u is 2 hinge g_u / (n |g_u|); it reaches W
+    once through W r and once through the softmax, where the cross-entropy
+    adds r / n (rows of d sum to one).
     """
     n = h.shape[0]
     threshold = cfg.omega * cfg.enforcement_margin
-    logits = h @ last.w + last.b
-    p = softmax(logits)
+    logits = h @ w + b
+    # probs.softmax and probs.log_softmax, sharing one shift, exp and sum
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    p = e / total
     r = p - d
-    g_u = np.einsum("nh,nhu->nu", r @ last.w.T, jac)
-    norms = np.linalg.norm(g_u, axis=1)
+    g_u = r @ w.T
+    if jac is not None:
+        g_u = np.einsum("nh,nhu->nu", g_u, jac)
+    norms = np.sqrt((g_u * g_u).sum(axis=1))  # np.linalg.norm(g_u, axis=1)
     hinge = np.maximum(norms - threshold, 0.0)
     objective = cfg.penalty_weight * float(np.mean(hinge**2)) - float(
-        (d * log_softmax(logits)).sum() / n
+        (d * (shifted - np.log(total))).sum() / n
     )
     # hinge > 0 only where norms > threshold > 0, so the division is safe
     coef = (2.0 * cfg.penalty_weight / n) * hinge / np.maximum(norms, threshold)
-    g_h = np.einsum("nhu,nu->nh", jac, coef[:, None] * g_u)
-    g_r = g_h @ last.w
+    g_h = coef[:, None] * g_u
+    if jac is not None:
+        g_h = np.einsum("nhu,nu->nh", jac, g_h)
+    g_r = g_h @ w
     g_logits = p * (g_r - (g_r * p).sum(axis=1, keepdims=True)) + r / n
     gw = h.T @ g_logits + g_h.T @ r
     gb = g_logits.sum(axis=0, keepdims=True)
-    if not (np.isfinite(objective) and np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+    if not (np.isfinite(objective) and np.isfinite(gw).all() and np.isfinite(gb).all()):
         raise FloatingPointError("recalibration objective or gradient is not finite")
     return objective, norms, (gw, gb)
 
@@ -208,18 +225,23 @@ def recalibrate_head(
         if conditional is None
         else as_conditional(conditional, "proxy conditional")
     )
-    initial = penalty_value(head, u, d, cfg.omega)
+    # the lower stack is frozen: evaluate it once; the first step's norms
+    # are the initial penalty's
+    h, jac = _lower_stack(head, u)
+    last = head.layers[-1]
+    w, b = last.w, last.b
+    step = _recalibration_loss_and_grad(w, b, h, jac, d, cfg)
+    initial = _hinge_penalty(step[1], cfg.omega)
     if initial == 0.0:
         return RecalibrationResult(head, 0.0, 0.0, (0.0,))
 
-    h, jac = _lower_stack(head, u)
-    current = head
     history: list[float] = []  # penalty at each epoch's head, then the final
     objective_history: list[float] = []
     rising = 0
     for epoch in range(cfg.epochs):
-        last = current.layers[-1]
-        objective, norms, (gw, gb) = _recalibration_loss_and_grad(last, h, jac, d, cfg)
+        if epoch:
+            step = _recalibration_loss_and_grad(w, b, h, jac, d, cfg)
+        objective, norms, (gw, gb) = step
         history.append(_hinge_penalty(norms, cfg.omega))
         # Divergence is judged on the optimized joint objective; the penalty
         # component alone may rise for a while as the cross-entropy term
@@ -238,12 +260,13 @@ def recalibrate_head(
         if cfg.grad_clip > 0.0 and gnorm > cfg.grad_clip:
             gw = gw * (cfg.grad_clip / gnorm)
             gb = gb * (cfg.grad_clip / gnorm)
-        new_last = models.Layer(
-            ng.freeze(last.w - cfg.lr * gw), ng.freeze(last.b - cfg.lr * gb), last.act
-        )
-        current = models.MlpParams(current.layers[:-1] + (new_last,))
-    history.append(penalty_value(current, u, d, cfg.omega))
-    return RecalibrationResult(current, initial, history[-1], tuple(history))
+        w = w - cfg.lr * gw
+        b = b - cfg.lr * gb
+    if cfg.epochs:
+        last = models.Layer(ng.freeze(w), ng.freeze(b), last.act)
+        head = models.MlpParams(head.layers[:-1] + (last,))
+    history.append(penalty_value(head, u, d, cfg.omega))
+    return RecalibrationResult(head, initial, history[-1], tuple(history))
 
 
 def sweep_omega(

@@ -265,7 +265,7 @@ def mlp_vjp(
     out = mlp_apply(params, ng.as_matrix(x, "input batch"), tape)
 
     def pullback(g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError("output cotangent has non-finite entries")
         return tape.backward(g)
 

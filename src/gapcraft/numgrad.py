@@ -35,7 +35,7 @@ def as_matrix(data, name: str = "matrix") -> Matrix:
         arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
         raise DimensionError(f"{name} must be at most 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -34,6 +34,7 @@ import numpy as np
 from . import distortion, lipschitz, models, transport
 from .lipschitz import LipschitzConfig
 from .models import MlpParams, TransportHeadParams
+from .numgrad import DimensionError
 from .probs import softmax
 from .synthtasks import Dataset, Discretizer, TaskBundle, discretize
 from .transport import SinkhornConfig
@@ -247,18 +248,22 @@ def pretrain_source(
     rng = _rng_for(cfg.seed, 1)
     theta = models.init_mlp([x.shape[1], 16, 8], "tanh", rng)
     head = models.init_mlp([theta.output_dim, k], "tanh", rng)
-    onehot = np.eye(k)[y]
     # cross-entropy cotangent on the logits, written term for term as the
     # log-softmax VJP: (softmax - onehot)/n rounds differently, and 300
     # epochs at lr 0.5 amplify that into visibly different parameters
     c = -1.0 / x.shape[0]
+    c_onehot = c * np.eye(k)[y]
+    # embedder and head train as one MLP, split once at the end
     n_theta = len(theta.layers)
+    params = MlpParams(theta.layers + head.layers)
     epochs = int(round(cfg.pretrain_epochs * cfg.scale))
     for _ in range(epochs):
-        logits, pullback = models.mlp_vjp(MlpParams(theta.layers + head.layers), x)
-        grads = pullback(c * onehot - softmax(logits) * c)
-        theta = models.sgd_update(theta, grads[:n_theta], cfg.lr_pretrain)
-        head = models.sgd_update(head, grads[n_theta:], cfg.lr_pretrain)
+        logits, pullback = models.mlp_vjp(params, x)
+        params = models.sgd_update(
+            params, pullback(c_onehot - softmax(logits) * c), cfg.lr_pretrain
+        )
+    theta = MlpParams(params.layers[:n_theta])
+    head = MlpParams(params.layers[n_theta:])
     proxy_pred = np.argmax(
         models.predict_source(head, models.embed(theta, bundle.proxy.x)), axis=1
     )
@@ -393,10 +398,12 @@ def _stage2_loss_and_grad(
     u: np.ndarray,
     p_source: np.ndarray,
     labels: np.ndarray,
+    onehot: np.ndarray,
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """-mean log p_target(label | u) and its gradient in the kernel's (w, b).
 
-    With lam = kernel_matrices(kernel, u), the cotangent on the logits of
+    ``onehot`` is ``labels`` one-hot over the target classes.  With
+    lam = kernel_matrices(kernel, u), the cotangent on the logits of
     source class z at row i is post[i, z] (lam[i, z] - e_y) / n, where
     post[i, z] = p_s[i, z] lam[i, z, y_i] / p_tau[i, y_i] is the posterior
     of z given the label y_i.  The logits are u @ w_u + w_z[z] + b, so the
@@ -411,7 +418,6 @@ def _stage2_loss_and_grad(
     if not np.isfinite(loss):
         raise FloatingPointError("stage-2 negative log-likelihood is not finite")
     post = p_source * lam[rows, :, labels] / p_tau[:, None]
-    onehot = np.eye(kernel.n_target_classes)[labels]
     g = post[:, :, None] * (lam - onehot[:, None, :]) / n
     gw = np.vstack([u[:, : kernel.feature_dim].T @ g.sum(axis=1), g.sum(axis=0)])
     return loss, [(gw, g.sum(axis=(0, 1))[None, :])]
@@ -431,11 +437,20 @@ def stage2(
     Maximizes the likelihood of the target labels under the composed
     predictor; only the kernel parameters move.
     """
+    if source_head.output_dim != kernel.n_source_classes:
+        raise DimensionError(
+            f"stage2: head emits {source_head.output_dim} classes, "
+            f"kernel consumes {kernel.n_source_classes}"
+        )
+    # the embedder and source head are frozen: everything but the kernel's
+    # forward is computed once
     target_labels, disc = _labels_as_classes(target)
+    onehot = np.eye(kernel.n_target_classes)[target_labels]
     u = models.embed(phi, target.x)
     p_source = models.predict_source(source_head, u)
-    if target_eval is not None:  # the embedder is frozen: embed and bin once
+    if target_eval is not None:
         u_eval = models.embed(phi, target_eval.x)
+        p_eval = models.predict_source(source_head, u_eval)
         eval_labels = _labels_binned_as(target_eval, disc)
     _, _, n0 = cfg.effective_epochs()
     rng = _rng_for(cfg.seed, 3)
@@ -446,7 +461,7 @@ def stage2(
         nlls = []
         for idx in _minibatches(len(target), cfg.batch_size, rng):
             loss, grads = _stage2_loss_and_grad(
-                kernel, u[idx], p_source[idx], target_labels[idx]
+                kernel, u[idx], p_source[idx], target_labels[idx], onehot[idx]
             )
             kernel = TransportHeadParams(
                 models.sgd_update(kernel.mlp, grads, cfg.lr_predictor),
@@ -455,7 +470,9 @@ def stage2(
             )
             nlls.append(loss)
         if target_eval is not None:
-            pred = np.argmax(models.predict_target(source_head, kernel, u_eval), axis=1)
+            # models.predict_target with its source half precomputed
+            lam = models.kernel_matrices(kernel, u_eval)
+            pred = np.argmax(np.einsum("nz,nzt->nt", p_eval, lam), axis=1)
             err = float(np.mean(pred != eval_labels))
         else:
             err = float("nan")

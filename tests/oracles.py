@@ -4,6 +4,10 @@ Everything here deliberately avoids the library's own computation paths:
 finite differences for gradients, mpmath for high-precision entropy,
 straight-line numpy re-evaluations for forward passes, HiGHS for the
 transportation LP, and integer leaf-peeling for spanning-tree bases.
+Reference implementations that a faster library path must match bit for
+bit keep the earlier arithmetic: the recalibration step with an explicit
+identity Jacobian and separate softmax and log-softmax, and the greedy
+vertex search with its live-cell mask rebuilt at every step.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import log_softmax, softmax
 
 
 def finite_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -141,3 +146,81 @@ def leaf_peel(cells, w, q) -> np.ndarray:
         rest[leaf] = 0
         edges.remove((a, b))
     return plan
+
+
+def recalibration_lower_stack(layers, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Activations and Jacobians d h / d u below the last of (w, b, act)
+    layers; the Jacobian starts from an explicit identity, even for a
+    one-layer head."""
+    n, d_in = u.shape
+    h = u
+    jac = np.broadcast_to(np.eye(d_in), (n, d_in, d_in)).copy()
+    for w, b, act in layers[:-1]:
+        pre = h @ w + b
+        if act == "tanh":
+            h = np.tanh(pre)
+            dact = 1.0 - h * h
+        elif act == "relu":
+            h = np.maximum(pre, 0.0)
+            dact = (pre > 0.0).astype(np.float64)
+        else:
+            h = pre
+            dact = np.ones_like(pre)
+        jac = dact[:, :, None] * np.einsum("io,niu->nou", w, jac)
+    return h, jac
+
+
+def recalibration_loss_and_grad(
+    w, b, h, jac, d, omega: float, penalty_weight: float, margin: float
+) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """penalty_weight * hinge-squared penalty + proxy cross-entropy in the
+    last layer (w, b): (objective, per-row feature-gradient norms, (gw, gb)),
+    through the Jacobian product and separate softmax and log-softmax."""
+    n = h.shape[0]
+    threshold = omega * margin
+    logits = h @ w + b
+    p = softmax(logits, axis=-1)
+    r = p - d
+    g_u = np.einsum("nh,nhu->nu", r @ w.T, jac)
+    norms = np.linalg.norm(g_u, axis=1)
+    hinge = np.maximum(norms - threshold, 0.0)
+    objective = penalty_weight * float(np.mean(hinge**2)) - float(
+        (d * log_softmax(logits, axis=-1)).sum() / n
+    )
+    coef = (2.0 * penalty_weight / n) * hinge / np.maximum(norms, threshold)
+    g_h = np.einsum("nhu,nu->nh", jac, coef[:, None] * g_u)
+    g_r = g_h @ w
+    g_logits = p * (g_r - (g_r * p).sum(axis=1, keepdims=True)) + r / n
+    gw = h.T @ g_logits + g_h.T @ r
+    gb = g_logits.sum(axis=0, keepdims=True)
+    return objective, norms, (gw, gb)
+
+
+def masked_vertex_entropies(w, q, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Coupling entropies of random greedy-fill vertices, rebuilding the
+    live-cell mask from per-line alive flags at every step."""
+    w = np.asarray(w, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    n, m = w.size, q.size
+    b = int(n_samples)
+    rows = np.tile(w, (b, 1))
+    cols = np.tile(q, (b, 1))
+    alive_r = np.ones((b, n), dtype=bool)
+    alive_c = np.ones((b, m), dtype=bool)
+    ent = np.zeros(b)
+    bi = np.arange(b)
+    priority = rng.random((b, n, m))
+    for _ in range(n + m - 1):
+        live = alive_r[:, :, None] & alive_c[:, None, :]
+        scores = np.where(live, priority, -1.0)
+        flat = scores.reshape(b, -1).argmax(axis=1)
+        i, j = flat // m, flat % m
+        x = np.minimum(rows[bi, i], cols[bi, j])
+        pos = x > 0.0
+        ent[pos] -= x[pos] * np.log(x[pos])
+        rows[bi, i] -= x
+        cols[bi, j] -= x
+        kill_row = rows[bi, i] <= cols[bi, j]
+        alive_r[bi[kill_row], i[kill_row]] = False
+        alive_c[bi[~kill_row], j[~kill_row]] = False
+    return ent

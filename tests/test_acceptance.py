@@ -188,7 +188,7 @@ def test_criterion_06_gradient_integrity():
         h, jac = lipschitz._lower_stack(head, u)
         cfg = LipschitzConfig(omega=omega, penalty_weight=1.0, enforcement_margin=1.0)
         last = head.layers[-1]
-        _, _, (gw, gb) = lipschitz._recalibration_loss_and_grad(last, h, jac, d, cfg)
+        _, _, (gw, gb) = lipschitz._recalibration_loss_and_grad(last.w, last.b, h, jac, d, cfg)
         analytic = np.concatenate([gw.ravel(), gb.ravel()])
 
         def penalty_objective(vec, head=head, u=u, d=d, omega=omega, last=last):
@@ -214,16 +214,17 @@ def test_criterion_06_gradient_integrity():
         kernel = models.init_transport_head(3, kz, kt, rng, feature_scale=0.4)
         p_s = models.predict_source(head, u)
         labels = rng.integers(0, kt, size=8)
-        _, grads = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels)
+        onehot = np.eye(kt)[labels]
+        _, grads = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
 
-        def nll_objective(vec, kernel=kernel, u=u, p_s=p_s, labels=labels):
+        def nll_objective(vec, kernel=kernel, u=u, p_s=p_s, labels=labels, onehot=onehot):
             k = models.TransportHeadParams(
                 models.params_with_vector(kernel.mlp, vec),
                 kernel.n_source_classes,
                 kernel.n_target_classes,
             )
-            return pipeline._stage2_loss_and_grad(k, u, p_s, labels)[0]
+            return pipeline._stage2_loss_and_grad(k, u, p_s, labels, onehot)[0]
 
         fd = finite_difference(nll_objective, models.params_vector(kernel.mlp))
         worst["nll"] = max(worst["nll"], relative_gradient_error(analytic, fd))

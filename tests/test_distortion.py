@@ -15,6 +15,7 @@ from oracles import (
     finite_difference,
     highs_w1,
     leaf_peel,
+    masked_vertex_entropies,
     relative_gradient_error,
 )
 
@@ -45,10 +46,12 @@ def test_kernel_rejects(case):
 
 
 def test_kernel_passes_nan_through():
-    # NaN compares false against both thresholds, so neither check fires;
-    # this pins the current behaviour, it is not a promise
-    kernel = TransportKernel(np.array([[0.5, 0.5], [np.nan, 1.0]]))
-    assert np.isnan(kernel.matrix[1, 0])
+    # NaN compares false against the negativity threshold, so a NaN entry
+    # reaches the row-sum check, which a NaN row sum fails
+    with pytest.raises(ValueError, match="^kernel rows must sum to 1 within 1e-10$"):
+        TransportKernel(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="^kernel rows must sum to 1 within 1e-10$"):
+        TransportKernel(np.array([[np.nan, np.nan], [0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +257,27 @@ def test_random_vertex_search_reaches_enumerated_optimum():
     exact = fld_exact(w, q).fld
     ents = distortion.random_vertex_entropies(w, q, 20_000, rng)
     assert float(ents.min()) - entropy(w) == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_vertex_entropies_match_masked_reference(n, m):
+    """Retiring a line by writing -1 over its priorities picks the same
+    cells as rebuilding the live mask: equal entropies bit for bit, with
+    and without zero masses, and the same generator state afterwards."""
+    rng = np.random.default_rng(40 + 10 * n + m)
+    w, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+    w0, q0 = w.copy(), q.copy()
+    w0[rng.integers(n)] = 0.0
+    q0[rng.integers(m)] = 0.0
+    w0, q0 = w0 / w0.sum(), q0 / q0.sum()
+    for a, b in ((w, q), (w0, q), (w, q0), (w0, q0)):
+        seed = int(rng.integers(2**31))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = distortion.random_vertex_entropies(a, b, 400, ours)
+        ref = masked_vertex_entropies(a, b, 400, theirs)
+        assert got.tobytes() == ref.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ from gapcraft import lipschitz, models
 from gapcraft.lipschitz import LipschitzConfig
 from gapcraft.probs import softmax
 
-from oracles import finite_difference, relative_gradient_error
+from oracles import (
+    finite_difference,
+    recalibration_loss_and_grad,
+    recalibration_lower_stack,
+    relative_gradient_error,
+)
 
 
 def _blob_task(seed=0, n=120, k=3, d=4):
@@ -110,7 +115,7 @@ def test_recalibration_gradient_matches_fd_through_lower_stack():
     cfg = LipschitzConfig(omega=threshold / 0.8, penalty_weight=10.0, enforcement_margin=0.8)
     h, jac = lipschitz._lower_stack(head, u)
     objective, row_norms, (gw, gb) = lipschitz._recalibration_loss_and_grad(
-        last, h, jac, d, cfg
+        last.w, last.b, h, jac, d, cfg
     )
 
     def f(vec):
@@ -128,6 +133,89 @@ def test_recalibration_gradient_matches_fd_through_lower_stack():
     assert objective == pytest.approx(f(x0), abs=1e-12)
     fd = finite_difference(f, x0)
     assert relative_gradient_error(np.concatenate([gw.ravel(), gb.ravel()]), fd) < 1e-4
+
+
+REFERENCE_HEADS = {"one_layer": [4, 3], "two_layer_tanh": [4, 6, 3]}
+
+
+def _sharp_reference_setup(dims, seed):
+    """A head whose last layer is scaled up so the hinge is active on most
+    rows, its proxy features and one-hot labels."""
+    x, y, theta, _ = _blob_task(seed=seed)
+    rng = np.random.default_rng(seed)
+    head = models.init_mlp(dims, "tanh", rng)
+    last = models.Layer(head.layers[-1].w * 6.0, rng.normal(size=(1, 3)), "linear")
+    head = models.MlpParams(head.layers[:-1] + (last,))
+    return head, x, y, theta, models.embed(theta, x), np.eye(3)[y]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_HEADS))
+def test_recalibration_step_matches_reference_bitwise(name):
+    """Objective, norms and (gw, gb) equal the reference step's bit for bit:
+    skipping the identity Jacobian of an empty lower stack and sharing one
+    shift, exp and sum between softmax and log-softmax change no bit."""
+    dims = REFERENCE_HEADS[name]
+    head, _, _, _, u, d = _sharp_reference_setup(dims, seed=21)
+    cfg = LipschitzConfig(omega=0.3, penalty_weight=10.0, enforcement_margin=0.8)
+    h, jac = lipschitz._lower_stack(head, u)
+    assert (jac is None) == (len(dims) == 2)
+    h_ref, jac_ref = recalibration_lower_stack([(l.w, l.b, l.act) for l in head.layers], u)
+    assert h.tobytes() == h_ref.tobytes()
+    last = head.layers[-1]
+    objective, norms, (gw, gb) = lipschitz._recalibration_loss_and_grad(
+        last.w, last.b, h, jac, d, cfg
+    )
+    ref_objective, ref_norms, (ref_gw, ref_gb) = recalibration_loss_and_grad(
+        last.w, last.b, h_ref, jac_ref, d, cfg.omega, cfg.penalty_weight, cfg.enforcement_margin
+    )
+    threshold = cfg.omega * cfg.enforcement_margin
+    assert np.any(norms > threshold) and np.any(norms < threshold)  # both hinge branches
+    assert objective == ref_objective
+    assert norms.tobytes() == ref_norms.tobytes()
+    assert gw.tobytes() == ref_gw.tobytes()
+    assert gb.tobytes() == ref_gb.tobytes()
+
+
+@pytest.mark.parametrize("name, grad_clip", [("one_layer", 150.0), ("two_layer_tanh", 33.0)])
+def test_recalibrate_head_matches_reference_loop(name, grad_clip):
+    """20 epochs of recalibrate_head equal a loop driven by the reference
+    step: the same head bytes and the same penalty history."""
+    head, x, y, theta, u, d = _sharp_reference_setup(REFERENCE_HEADS[name], seed=22)
+    cfg = LipschitzConfig(omega=0.3, penalty_weight=10.0, epochs=20, lr=0.01,
+                          grad_clip=grad_clip, enforcement_margin=0.8)
+    result = lipschitz.recalibrate_head(head, theta, x, y, cfg)
+
+    h, jac = recalibration_lower_stack([(l.w, l.b, l.act) for l in head.layers], u)
+    w, b = head.layers[-1].w, head.layers[-1].b
+
+    def step(w, b):
+        return recalibration_loss_and_grad(
+            w, b, h, jac, d, cfg.omega, cfg.penalty_weight, cfg.enforcement_margin
+        )
+
+    def penalty(norms):
+        return float(np.mean(np.maximum(norms - cfg.omega, 0.0) ** 2))
+
+    history, clipped = [], 0
+    for _ in range(cfg.epochs):
+        _, norms, (gw, gb) = step(w, b)
+        history.append(penalty(norms))
+        gnorm = float(np.sqrt((gw * gw).sum() + (gb * gb).sum()))
+        if gnorm > cfg.grad_clip:
+            clipped += 1
+            gw = gw * (cfg.grad_clip / gnorm)
+            gb = gb * (cfg.grad_clip / gnorm)
+        w = w - cfg.lr * gw
+        b = b - cfg.lr * gb
+    history.append(penalty(step(w, b)[1]))
+
+    assert 0 < clipped < cfg.epochs  # the clip is exercised both ways
+    assert result.initial_penalty == history[0]
+    assert result.final_penalty == history[-1]
+    assert result.penalty_history == tuple(history)
+    last = result.head.layers[-1]
+    assert last.w.tobytes() == w.tobytes() and last.b.tobytes() == b.tobytes()
+    assert result.head.layers[:-1] == head.layers[:-1]
 
 
 def test_penalty_zero_when_norms_below_omega():

@@ -200,14 +200,15 @@ def _stage2_gradient_error(rng, kernel_feature_dim, kz, kt, n=8, d=3):
     head = models.init_mlp([d, kz], "tanh", rng)
     kernel = models.init_transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.4)
     p_s = models.predict_source(head, u)
-    _, grads = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels)
+    onehot = np.eye(kt)[labels]
+    _, grads = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
     analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
 
     def f(vec):
         k = models.TransportHeadParams(
             models.params_with_vector(kernel.mlp, vec), kz, kt
         )
-        return pipeline._stage2_loss_and_grad(k, u, p_s, labels)[0]
+        return pipeline._stage2_loss_and_grad(k, u, p_s, labels, onehot)[0]
 
     fd = finite_difference(f, models.params_vector(kernel.mlp))
     return relative_gradient_error(analytic, fd)
@@ -233,7 +234,7 @@ def test_stage2_loss_matches_composed_prediction():
     head = models.init_mlp([3, 5], "tanh", rng)
     kernel = models.init_transport_head(3, 5, 4, rng, feature_scale=0.4)
     loss, _ = pipeline._stage2_loss_and_grad(
-        kernel, u, models.predict_source(head, u), labels
+        kernel, u, models.predict_source(head, u), labels, np.eye(4)[labels]
     )
     p_tau = models.predict_target(head, kernel, u)
     assert loss == pytest.approx(-np.mean(np.log(p_tau[np.arange(6), labels])), abs=1e-14)
@@ -243,7 +244,9 @@ def test_stage2_loss_rejects_non_finite():
     kernel = models.init_transport_head(0, 2, 2, identity_boost=2000.0)
     p_s = np.array([[1.0, 0.0]])
     with pytest.raises(FloatingPointError):
-        pipeline._stage2_loss_and_grad(kernel, np.zeros((1, 2)), p_s, np.array([1]))
+        pipeline._stage2_loss_and_grad(
+            kernel, np.zeros((1, 2)), p_s, np.array([1]), np.array([[0.0, 1.0]])
+        )
 
 
 def test_transport_head_rejects_multilayer_kernel():

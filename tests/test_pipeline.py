@@ -8,6 +8,7 @@ import pytest
 from dataclasses import replace
 
 from gapcraft import models, pipeline, synthtasks
+from gapcraft.numgrad import DimensionError
 from gapcraft.pipeline import PipelineConfig, RunLog, RunRecord, UndefinedCorrelationError
 from gapcraft.probs import softmax
 from gapcraft.synthtasks import Dataset, TaskSpec
@@ -221,6 +222,36 @@ def test_stage2_loss_nonincreasing_median_over_seeds(rotated_bundle):
         nlls = np.array([r.train_nll for r in log.records])
         worst_increase.append(float(np.max(np.diff(nlls), initial=0.0)))
     assert np.median(worst_increase) <= 1e-3
+
+
+def test_stage2_records_score_predict_target(rotated_bundle):
+    """Each record's held-out error is the argmax error of
+    models.predict_target under that epoch's kernel (an n-epoch run ends
+    where the longer run stood after n epochs)."""
+    cfg = replace(SMALL, n0=12, seed=11)
+    theta, head = _pretrained(rotated_bundle, cfg)
+    phi = pipeline.init_target_embedder(rotated_bundle, theta, cfg.seed)
+    kt = pipeline.target_class_count(rotated_bundle)
+    kernel0 = models.init_transport_head(theta.output_dim, head.output_dim, kt)
+    target, held = rotated_bundle.target, rotated_bundle.target_test
+    _, log = pipeline.stage2(phi, head, kernel0, target, cfg, held)
+    u_eval = models.embed(phi, held.x)
+    errors = set()
+    for epochs in (1, 5, cfg.n0):
+        kernel, _ = pipeline.stage2(phi, head, kernel0, target, replace(cfg, n0=epochs))
+        pred = np.argmax(models.predict_target(head, kernel, u_eval), axis=1)
+        errors.add(log.records[epochs - 1].holdout_error)
+        assert log.records[epochs - 1].holdout_error == float(np.mean(pred != held.y))
+    assert len(errors) > 1  # the kernel moves the predictions
+
+
+def test_stage2_rejects_kernel_of_other_source_classes(rotated_bundle):
+    cfg = replace(SMALL, seed=12)
+    theta, head = _pretrained(rotated_bundle, cfg)
+    phi = pipeline.init_target_embedder(rotated_bundle, theta, cfg.seed)
+    kernel = models.init_transport_head(theta.output_dim, head.output_dim + 1, 3)
+    with pytest.raises(DimensionError, match="^stage2: head emits 3 classes, kernel consumes 4$"):
+        pipeline.stage2(phi, head, kernel, rotated_bundle.target, cfg)
 
 
 # ---------------------------------------------------------------------------
