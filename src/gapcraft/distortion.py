@@ -28,7 +28,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import as_distribution, entropy, softmax, xlogx
+from .probs import as_distribution, entropy, fold_last, softmax, xlogx
 from .transport import CapabilityError
 
 __all__ = [
@@ -196,7 +196,7 @@ def _basic_feasible_solutions(wa: np.ndarray, qa: np.ndarray) -> tuple[np.ndarra
     """Cells and clipped values of every feasible tree basis, in tree order."""
     cells, index, forms = _cut_table(wa.size, qa.size)
     values = forms @ np.concatenate([wa, qa[:-1]])
-    feasible = (values >= -1e-12)[index].all(axis=1)
+    feasible = fold_last(np.logical_and, (values >= -1e-12)[index])[:, 0]
     return cells[feasible], np.maximum(values[index[feasible]], 0.0)
 
 
@@ -236,7 +236,7 @@ def fld_exact(w, q) -> FldExact:
     else:
         cells, sols = _basic_feasible_solutions(wa, qa)
         assert len(cells), "transportation polytope cannot be empty"
-        t = int((-xlogx(sols).sum(axis=1)).argmin())  # first minimum in tree order
+        t = int((-fold_last(np.add, xlogx(sols))).argmin())  # first minimum in tree order
         pi_a = np.zeros((n, m))
         pi_a.flat[cells[t]] = sols[t]
 

@@ -10,8 +10,10 @@ Only first-order machinery is needed: with the lower head layers frozen,
 the feature gradient is jac_lower(u)^T W (p - d), an explicit expression
 in the trainable last layer (W, b), so the penalty and its gradient in
 (W, b) have a closed form instead of differentiating through a gradient.
-The lower stack is evaluated once per recalibration.  A one-layer head has
-none: its Jacobian is the identity, so no Jacobian product is formed.
+The lower stack is read once per recalibration from the tape of one
+:func:`models.mlp_apply` forward, which checks every pre-activation.  A
+one-layer head has none: its Jacobian is the identity, so no Jacobian
+product is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import LOG_FLOOR, as_conditional
+from .probs import LOG_FLOOR, as_conditional, fold_last, softmax
 
 __all__ = [
     "LipschitzConfig",
@@ -100,31 +102,30 @@ def source_pointwise_loss(head: MlpParams, u, conditional) -> float:
     return float(losses[0])
 
 
-def _lower_stack(head: MlpParams, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _lower_stack(tape: ng.Tape) -> tuple[np.ndarray, np.ndarray | None]:
     """Hidden activations and per-sample Jacobians d h / d u of all layers
-    below the trainable last layer.
+    below the trainable last layer, from the tape of one head forward.
 
-    A one-layer head has an empty lower stack: h is u itself and the
-    Jacobian, the identity, comes back as None so that callers use the
-    last layer's feature gradient as it is instead of multiplying by it.
+    The activations and their derivatives are read from the record of
+    :func:`models.mlp_apply`, which computed and checked every
+    pre-activation.  A one-layer head has an empty lower stack: h is u
+    itself and the Jacobian, the identity, comes back as None so that
+    callers use the last layer's feature gradient as it is instead of
+    multiplying by it.
     """
-    if len(head.layers) == 1:
-        return u, None
-    n, d_in = u.shape
-    h = u
+    h = tape.layers[-1][2]  # the last layer's input
+    if len(tape.layers) == 1:
+        return h, None
+    n, d_in = tape.layers[0][2].shape
     jac = np.broadcast_to(np.eye(d_in), (n, d_in, d_in)).copy()
-    for layer in head.layers[:-1]:
-        pre = h @ layer.w + layer.b
-        if layer.act == "tanh":
-            h = np.tanh(pre)
-            dact = 1.0 - h * h
-        elif layer.act == "relu":
-            h = np.maximum(pre, 0.0)
-            dact = (pre > 0.0).astype(np.float64)
+    for w, act, _, out in tape.layers[:-1]:
+        if act == "tanh":
+            dact = 1.0 - out * out
+        elif act == "relu":
+            dact = (out > 0.0).astype(np.float64)  # out > 0 exactly where pre > 0
         else:
-            h = pre
-            dact = np.ones_like(pre)
-        jac = dact[:, :, None] * np.einsum("io,niu->nou", layer.w, jac)
+            dact = np.ones_like(out)
+        jac = dact[:, :, None] * np.einsum("io,niu->nou", w, jac)
     return h, jac
 
 
@@ -132,18 +133,21 @@ def feature_gradients(head: MlpParams, u, conditional) -> np.ndarray:
     """Analytic gradient of the pointwise loss with respect to the feature.
 
     grad_u = jac_lower(u)^T W (p - d) with p the head's prediction and d
-    the conditional; exact for softmax heads of any depth.
+    the conditional; exact for softmax heads of any depth.  One forward
+    gives both p and the lower stack.
     """
     u = ng.as_matrix(u, "feature batch")
     d = as_conditional(conditional, "task conditional")
-    _, jac = _lower_stack(head, u)
-    p = models.predict_source(head, u)
+    tape = ng.Tape()
+    p = softmax(models._head_logits(head, u, tape))
+    _, jac = _lower_stack(tape)
     grad_h = (p - d) @ head.layers[-1].w.T
     return grad_h if jac is None else np.einsum("nh,nhu->nu", grad_h, jac)
 
 
 def _hinge_penalty(norms: np.ndarray, threshold: float) -> float:
-    return float(np.mean(np.maximum(norms - threshold, 0.0) ** 2))
+    # np.mean's own arithmetic (a sum, then a divide) without its Python overhead
+    return float((np.maximum(norms - threshold, 0.0) ** 2).sum() / norms.size)
 
 
 def penalty_value(head: MlpParams, u, conditional, omega: float) -> float:
@@ -174,9 +178,9 @@ def _recalibration_loss_and_grad(
     threshold = cfg.omega * cfg.enforcement_margin
     logits = h @ w + b
     # probs.softmax and probs.log_softmax, sharing one shift, exp and sum
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - fold_last(np.maximum, logits)
     e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
+    total = fold_last(np.add, e)
     p = e / total
     r = p - d
     g_u = r @ w.T
@@ -184,7 +188,7 @@ def _recalibration_loss_and_grad(
         g_u = np.einsum("nh,nhu->nu", g_u, jac)
     norms = np.sqrt((g_u * g_u).sum(axis=1))  # np.linalg.norm(g_u, axis=1)
     hinge = np.maximum(norms - threshold, 0.0)
-    objective = cfg.penalty_weight * float(np.mean(hinge**2)) - float(
+    objective = cfg.penalty_weight * float((hinge**2).sum() / n) - float(
         (d * (shifted - np.log(total))).sum() / n
     )
     # hinge > 0 only where norms > threshold > 0, so the division is safe
@@ -193,7 +197,7 @@ def _recalibration_loss_and_grad(
     if jac is not None:
         g_h = np.einsum("nhu,nu->nh", jac, g_h)
     g_r = g_h @ w
-    g_logits = p * (g_r - (g_r * p).sum(axis=1, keepdims=True)) + r / n
+    g_logits = p * (g_r - fold_last(np.add, g_r * p)) + r / n
     gw = h.T @ g_logits + g_h.T @ r
     gb = g_logits.sum(axis=0, keepdims=True)
     if not (np.isfinite(objective) and np.isfinite(gw).all() and np.isfinite(gb).all()):
@@ -227,7 +231,9 @@ def recalibrate_head(
     )
     # the lower stack is frozen: evaluate it once; the first step's norms
     # are the initial penalty's
-    h, jac = _lower_stack(head, u)
+    tape = ng.Tape()
+    models.mlp_apply(head, u, tape)
+    h, jac = _lower_stack(tape)
     last = head.layers[-1]
     w, b = last.w, last.b
     step = _recalibration_loss_and_grad(w, b, h, jac, d, cfg)

@@ -10,7 +10,8 @@ feature vector.
 The kernel is one linear layer on [u, one-hot z]; its weight splits into
 a feature block w_u and a label block w_z, so the logits for every source
 class come from one broadcast, u @ w_u + w_z[z] + b.  Prediction
-(:func:`kernel_matrices`) and stage-2 training share that forward.
+(:func:`kernel_matrices`) and stage-2 training share that forward; stage 2
+checks its frozen features once and then calls the forward directly.
 
 Every MLP forward is :func:`mlp_apply`, which rejects non-finite
 pre-activations.  Reverse mode is :func:`mlp_vjp`: :func:`mlp_apply`
@@ -180,12 +181,16 @@ def embed(params: MlpParams, x) -> Matrix:
 
 def predict_source(head: MlpParams, u) -> Matrix:
     """Per-row distribution over source classes at features u."""
-    u = ng.as_matrix(u, "feature batch")
+    return softmax(_head_logits(head, ng.as_matrix(u, "feature batch")))
+
+
+def _head_logits(head: MlpParams, u: Matrix, tape: Tape | None = None) -> Matrix:
+    """The head's logits at the feature matrix u, recorded on ``tape`` if given."""
     if u.shape[1] != head.input_dim:
         raise DimensionError(
             f"predict_source: features have {u.shape[1]} columns, head expects {head.input_dim}"
         )
-    return softmax(mlp_apply(head, u))
+    return mlp_apply(head, u, tape)
 
 
 def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
@@ -195,6 +200,11 @@ def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
     [i, z, z'] is the kernel's probability of target label z' given source
     label z at feature u_i.
     """
+    return _kernel_forward(kernel, _kernel_features(kernel, u))
+
+
+def _kernel_features(kernel: TransportHeadParams, u) -> Matrix:
+    """``u`` checked as a feature batch for ``kernel``."""
     u = ng.as_matrix(u, "feature batch")
     fd = kernel.feature_dim
     # label-only kernels (feature_dim 0) ignore the features entirely
@@ -203,6 +213,13 @@ def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
             f"kernel_matrices: features have {u.shape[1]} columns, "
             f"kernel expects {fd}"
         )
+    return u
+
+
+def _kernel_forward(kernel: TransportHeadParams, u: Matrix) -> np.ndarray:
+    """:func:`kernel_matrices` at features already passed through
+    :func:`_kernel_features`, for loops that reuse a frozen batch."""
+    fd = kernel.feature_dim
     layer = kernel.mlp.layers[0]
     w_u, w_z = layer.w[:fd], layer.w[fd:]
     return softmax((u[:, :fd] @ w_u)[:, None, :] + w_z[None] + layer.b[None])

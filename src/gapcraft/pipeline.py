@@ -298,9 +298,10 @@ def induced_predictor_error(
 
 def _minibatches(
     n: int, batch_size: int | None, rng: np.random.Generator
-) -> list[np.ndarray]:
+) -> list[np.ndarray | slice]:
+    # a full batch is every row in order: a slice, so indexing makes views
     if batch_size is None or batch_size >= n:
-        return [np.arange(n)]
+        return [slice(None)]
     order = rng.permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
@@ -402,7 +403,8 @@ def _stage2_loss_and_grad(
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """-mean log p_target(label | u) and its gradient in the kernel's (w, b).
 
-    ``onehot`` is ``labels`` one-hot over the target classes.  With
+    ``u`` has passed :func:`models._kernel_features` and ``onehot`` is
+    ``labels`` one-hot over the target classes.  With
     lam = kernel_matrices(kernel, u), the cotangent on the logits of
     source class z at row i is post[i, z] (lam[i, z] - e_y) / n, where
     post[i, z] = p_s[i, z] lam[i, z, y_i] / p_tau[i, y_i] is the posterior
@@ -411,8 +413,8 @@ def _stage2_loss_and_grad(
     """
     n = u.shape[0]
     rows = np.arange(n)
-    lam = models.kernel_matrices(kernel, u)
-    p_tau = (p_source[:, :, None] * lam).sum(axis=1)[rows, labels]
+    lam = models._kernel_forward(kernel, u)
+    p_tau = np.einsum("nz,nzt->nt", p_source, lam)[rows, labels]
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = float(-np.log(p_tau).mean())
     if not np.isfinite(loss):
@@ -443,14 +445,16 @@ def stage2(
             f"kernel consumes {kernel.n_source_classes}"
         )
     # the embedder and source head are frozen: everything but the kernel's
-    # forward is computed once
+    # forward is computed, and checked, once
     target_labels, disc = _labels_as_classes(target)
     onehot = np.eye(kernel.n_target_classes)[target_labels]
     u = models.embed(phi, target.x)
     p_source = models.predict_source(source_head, u)
+    u = models._kernel_features(kernel, u)
     if target_eval is not None:
         u_eval = models.embed(phi, target_eval.x)
         p_eval = models.predict_source(source_head, u_eval)
+        u_eval = models._kernel_features(kernel, u_eval)
         eval_labels = _labels_binned_as(target_eval, disc)
     _, _, n0 = cfg.effective_epochs()
     rng = _rng_for(cfg.seed, 3)
@@ -471,7 +475,7 @@ def stage2(
             nlls.append(loss)
         if target_eval is not None:
             # models.predict_target with its source half precomputed
-            lam = models.kernel_matrices(kernel, u_eval)
+            lam = models._kernel_forward(kernel, u_eval)
             pred = np.argmax(np.einsum("nz,nzt->nt", p_eval, lam), axis=1)
             err = float(np.mean(pred != eval_labels))
         else:

@@ -6,8 +6,10 @@ straight-line numpy re-evaluations for forward passes, HiGHS for the
 transportation LP, and integer leaf-peeling for spanning-tree bases.
 Reference implementations that a faster library path must match bit for
 bit keep the earlier arithmetic: the recalibration step with an explicit
-identity Jacobian and separate softmax and log-softmax, and the greedy
-vertex search with its live-cell mask rebuilt at every step.
+identity Jacobian and separate softmax and log-softmax, the greedy
+vertex search with its live-cell mask rebuilt at every step, the softmax
+and the stage-2 likelihood step with numpy's row reductions, and the
+Sinkhorn loop that rebuilds its plan at every iteration.
 """
 
 from __future__ import annotations
@@ -224,3 +226,75 @@ def masked_vertex_entropies(w, q, n_samples: int, rng: np.random.Generator) -> n
         alive_r[bi[kill_row], i[kill_row]] = False
         alive_c[bi[~kill_row], j[~kill_row]] = False
     return ent
+
+
+def reduce_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis by numpy's max and sum reductions."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def stage2_loss_and_grad(w, b, feature_dim: int, u, p_source, labels, onehot):
+    """Stage-2 negative log-likelihood and its (w, b) gradient for a linear
+    kernel with weight ``w`` on [u, one-hot z] and bias ``b``, the composed
+    prediction summed over the middle axis."""
+    n = u.shape[0]
+    rows = np.arange(n)
+    w_u, w_z = w[:feature_dim], w[feature_dim:]
+    lam = reduce_softmax((u[:, :feature_dim] @ w_u)[:, None, :] + w_z[None] + b[None])
+    p_tau = (p_source[:, :, None] * lam).sum(axis=1)[rows, labels]
+    loss = float(-np.log(p_tau).mean())
+    post = p_source * lam[rows, :, labels] / p_tau[:, None]
+    g = post[:, :, None] * (lam - onehot[:, None, :]) / n
+    gw = np.vstack([u[:, :feature_dim].T @ g.sum(axis=1), g.sum(axis=0)])
+    return loss, gw, g.sum(axis=(0, 1))[None, :]
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = a.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def sinkhorn_rebuilding_plan(cost, mu, nu, eps: float, max_iter: int, tol: float) -> dict:
+    """Log-domain Sinkhorn that rebuilds the plan at every iteration and
+    stops at the first whose marginal violation is at most ``tol``.
+
+    Returns the plan, transport cost, convergence flag, iteration count,
+    violation and the potentials (-inf at zero-mass atoms) by name.
+    """
+    n, m = cost.shape
+    ri = np.flatnonzero(mu > 0.0)
+    ci = np.flatnonzero(nu > 0.0)
+    c = cost[np.ix_(ri, ci)]
+    lmu = np.log(mu[ri])
+    lnu = np.log(nu[ci])
+    f = np.zeros(ri.size)
+    g = np.zeros(ci.size)
+    violation = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        f = eps * (lmu - _logsumexp((g[None, :] - c) / eps, axis=1))
+        g = eps * (lnu - _logsumexp((f[:, None] - c) / eps, axis=0))
+        plan = np.exp((f[:, None] + g[None, :] - c) / eps)
+        violation = max(
+            float(np.max(np.abs(plan.sum(axis=1) - mu[ri]))),
+            float(np.max(np.abs(plan.sum(axis=0) - nu[ci]))),
+        )
+        if violation <= tol:
+            break
+    full = np.zeros((n, m))
+    full[np.ix_(ri, ci)] = plan
+    ff = np.full(n, -np.inf)
+    gg = np.full(m, -np.inf)
+    ff[ri] = f
+    gg[ci] = g
+    return {
+        "plan": full,
+        "w1_estimate": float((full * cost).sum()),
+        "converged": violation <= tol,
+        "n_iter": it,
+        "violation": violation,
+        "potential_f": ff,
+        "potential_g": gg,
+    }

@@ -185,7 +185,9 @@ def test_criterion_06_gradient_integrity():
         if np.min(np.abs(norms - omega)) < 1e-3:  # keep clear of hinge kinks
             continue
         count += 1
-        h, jac = lipschitz._lower_stack(head, u)
+        tape = ng.Tape()
+        models.mlp_apply(head, u, tape)
+        h, jac = lipschitz._lower_stack(tape)
         cfg = LipschitzConfig(omega=omega, penalty_weight=1.0, enforcement_margin=1.0)
         last = head.layers[-1]
         _, _, (gw, gb) = lipschitz._recalibration_loss_and_grad(last.w, last.b, h, jac, d, cfg)

@@ -7,6 +7,7 @@ import pytest
 
 from gapcraft import lipschitz, models
 from gapcraft.lipschitz import LipschitzConfig
+from gapcraft.numgrad import Tape
 from gapcraft.probs import softmax
 
 from oracles import (
@@ -15,6 +16,13 @@ from oracles import (
     recalibration_lower_stack,
     relative_gradient_error,
 )
+
+
+def _lower_stack(head, u):
+    """The lower stack of ``head`` at ``u``, read from one recorded forward."""
+    tape = Tape()
+    models.mlp_apply(head, u, tape)
+    return lipschitz._lower_stack(tape)
 
 
 def _blob_task(seed=0, n=120, k=3, d=4):
@@ -113,7 +121,7 @@ def test_recalibration_gradient_matches_fd_through_lower_stack():
     norms = np.sort(np.linalg.norm(lipschitz.feature_gradients(head, u, d), axis=1))
     threshold = 0.5 * (norms[5] + norms[6])  # half the rows above, clear of kinks
     cfg = LipschitzConfig(omega=threshold / 0.8, penalty_weight=10.0, enforcement_margin=0.8)
-    h, jac = lipschitz._lower_stack(head, u)
+    h, jac = _lower_stack(head, u)
     objective, row_norms, (gw, gb) = lipschitz._recalibration_loss_and_grad(
         last.w, last.b, h, jac, d, cfg
     )
@@ -150,6 +158,35 @@ def _sharp_reference_setup(dims, seed):
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_HEADS))
+def test_lower_stack_matches_reference_bitwise(name):
+    """The lower stack read from the forward's tape equals the reference's
+    recomputed activations and Jacobians; a one-layer head has no Jacobian
+    where the reference carries an explicit identity."""
+    head, _, _, _, u, _ = _sharp_reference_setup(REFERENCE_HEADS[name], seed=23)
+    h, jac = _lower_stack(head, u)
+    h_ref, jac_ref = recalibration_lower_stack([(l.w, l.b, l.act) for l in head.layers], u)
+    assert h.shape == h_ref.shape and h.tobytes() == h_ref.tobytes()
+    if len(head.layers) == 1:
+        assert jac is None
+        assert np.array_equal(jac_ref, np.broadcast_to(np.eye(u.shape[1]), jac_ref.shape))
+    else:
+        assert jac.shape == jac_ref.shape and jac.tobytes() == jac_ref.tobytes()
+
+
+def test_penalty_value_rejects_overflowed_hidden_pre_activation():
+    """Layer 1's pre-activation is 1e200 * 1e200 = inf; tanh would saturate
+    it, but the one head forward behind the penalty checks it."""
+    layers = (
+        models.Layer(np.array([[1e200]]), np.zeros((1, 1)), "linear"),
+        models.Layer(np.array([[1e200]]), np.zeros((1, 1)), "tanh"),
+        models.Layer(np.array([[1.0, -1.0]]), np.zeros((1, 2)), "linear"),
+    )
+    head = models.MlpParams(layers)
+    with pytest.raises(FloatingPointError, match="layer 1"):
+        lipschitz.penalty_value(head, [[1.0]], [[1.0, 0.0]], 0.3)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_HEADS))
 def test_recalibration_step_matches_reference_bitwise(name):
     """Objective, norms and (gw, gb) equal the reference step's bit for bit:
     skipping the identity Jacobian of an empty lower stack and sharing one
@@ -157,7 +194,7 @@ def test_recalibration_step_matches_reference_bitwise(name):
     dims = REFERENCE_HEADS[name]
     head, _, _, _, u, d = _sharp_reference_setup(dims, seed=21)
     cfg = LipschitzConfig(omega=0.3, penalty_weight=10.0, enforcement_margin=0.8)
-    h, jac = lipschitz._lower_stack(head, u)
+    h, jac = _lower_stack(head, u)
     assert (jac is None) == (len(dims) == 2)
     h_ref, jac_ref = recalibration_lower_stack([(l.w, l.b, l.act) for l in head.layers], u)
     assert h.tobytes() == h_ref.tobytes()

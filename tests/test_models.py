@@ -6,7 +6,13 @@ import pytest
 from gapcraft import models, pipeline
 from gapcraft import numgrad as ng
 
-from oracles import finite_difference, relative_gradient_error, softmax_mp, straightline_mlp
+from oracles import (
+    finite_difference,
+    relative_gradient_error,
+    softmax_mp,
+    stage2_loss_and_grad,
+    straightline_mlp,
+)
 
 
 def test_embed_identity_layer():
@@ -238,6 +244,30 @@ def test_stage2_loss_matches_composed_prediction():
     )
     p_tau = models.predict_target(head, kernel, u)
     assert loss == pytest.approx(-np.mean(np.log(p_tau[np.arange(6), labels])), abs=1e-14)
+
+
+@pytest.mark.parametrize("kz", [2, 3, 4, 5])
+@pytest.mark.parametrize("kernel_feature_dim", [0, 4])
+def test_stage2_step_matches_reference_bitwise(kz, kernel_feature_dim):
+    """Loss and (w, b) gradient equal the reference step's bit for bit: the
+    composed prediction by einsum equals the middle-axis sum, and the
+    folded softmax equals numpy's row reductions."""
+    rng = np.random.default_rng(30 + kz + kernel_feature_dim)
+    kt = 3
+    u = rng.normal(size=(40, 4))
+    labels = rng.integers(0, kt, size=40)
+    head = models.init_mlp([4, kz], "tanh", rng)
+    kernel = models.init_transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.5)
+    p_s = models.predict_source(head, u)
+    onehot = np.eye(kt)[labels]
+    loss, [(gw, gb)] = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
+    layer = kernel.mlp.layers[0]
+    ref_loss, ref_gw, ref_gb = stage2_loss_and_grad(
+        layer.w, layer.b, kernel_feature_dim, u, p_s, labels, onehot
+    )
+    assert loss == ref_loss
+    assert gw.tobytes() == ref_gw.tobytes() and gw.shape == ref_gw.shape
+    assert gb.tobytes() == ref_gb.tobytes() and gb.shape == ref_gb.shape
 
 
 def test_stage2_loss_rejects_non_finite():

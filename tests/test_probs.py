@@ -1,4 +1,5 @@
-"""Probability-vector validators and the max-shifted (log-)softmax."""
+"""Probability-vector validators, the last-axis fold and the max-shifted
+(log-)softmax."""
 
 import re
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax as scipy_log_softmax
 
-from gapcraft.probs import as_conditional, as_distribution, log_softmax
+from gapcraft.probs import as_conditional, as_distribution, fold_last, log_softmax, softmax
+
+from oracles import reduce_softmax
 
 BIG = 1e308  # two of these overflow a float64 sum while each stays finite
 
@@ -111,3 +114,52 @@ def test_log_softmax_matches_scipy_on_infinite_rows():
     assert _same_bits(ours, scipy_log_softmax(x, axis=1))
     assert ours[0, 1] == ninf and ours[1, 2] == 0.0
     assert np.isnan(ours[2]).all()
+
+
+# ---------------------------------------------------------------------------
+# fold_last and softmax
+# ---------------------------------------------------------------------------
+
+FOLD_OPS = {"maximum": np.maximum, "add": np.add, "logical_and": np.logical_and}
+
+
+def _special_values(shape, rng):
+    """Normal draws salted with +-0.0, +-inf and NaN, some rows all -0.0."""
+    x = rng.normal(size=shape) * 10.0
+    pick = rng.random(shape)
+    x[pick < 0.15] = -0.0
+    x[(pick >= 0.15) & (pick < 0.2)] = 0.0
+    x[(pick >= 0.2) & (pick < 0.25)] = np.inf
+    x[(pick >= 0.25) & (pick < 0.3)] = -np.inf
+    x[(pick >= 0.3) & (pick < 0.33)] = np.nan
+    x.reshape(-1, shape[-1])[0] = -0.0
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("op", sorted(FOLD_OPS))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+@pytest.mark.parametrize("lead", [(1000,), (40, 25), (6, 5)])
+def test_fold_last_equals_reduce_bit_for_bit(op, k, lead):
+    """Folds (k < 8 on 1000 rows) and the reduce fallback (k >= 8, or 30
+    rows) alike, with signed zeros, infinities and NaN in the input."""
+    ufunc = FOLD_OPS[op]
+    rng = np.random.default_rng(k + 10 * len(lead))
+    x = _special_values(lead + (k,), rng)
+    if ufunc is np.logical_and:
+        x = x > 0.0
+    folded = fold_last(ufunc, x)
+    assert _same_bits(folded, ufunc.reduce(x, axis=-1, keepdims=True))
+    assert not np.shares_memory(folded, x)
+
+
+def test_fold_last_add_of_negative_zeros_is_positive_zero():
+    out = fold_last(np.add, np.array([[-0.0, -0.0], [-0.0, 0.0]]))
+    assert _same_bits(out, np.zeros((2, 1)))
+    assert np.signbit(fold_last(np.maximum, np.array([[-0.0]])))[0, 0]
+
+
+@pytest.mark.parametrize("shape", [(240, 3), (400, 3, 3), (9, 5), (4, 2, 7), (3, 8), (2, 12)])
+def test_softmax_matches_reduce_formula_bit_for_bit(shape):
+    x = np.random.default_rng(sum(shape)).normal(size=shape) * 4.0
+    assert _same_bits(softmax(x), reduce_softmax(x))

@@ -15,6 +15,7 @@ from oracles import (
     highs_w1,
     random_lipschitz_function,
     relative_gradient_error,
+    sinkhorn_rebuilding_plan,
 )
 
 
@@ -325,6 +326,50 @@ def test_sinkhorn_log_domain_small_epsilon_no_nan():
     )
     assert np.all(np.isfinite(res.coupling.pi))
     assert res.converged
+
+
+def _sinkhorn_case(rows, cols, seed, zero_rows=0, zero_cols=0, uniform=False):
+    """Euclidean costs between seeded point clouds and their marginals, the
+    first ``zero_rows`` / ``zero_cols`` atoms carrying no mass."""
+    rng = np.random.default_rng(seed)
+    cost = transport.cost_matrix(rng.normal(size=(rows, 4)), rng.normal(size=(cols, 4)) + 0.3)
+    if uniform:
+        return cost, np.full(rows, 1.0 / rows), np.full(cols, 1.0 / cols)
+    mu, nu = random_simplex(rng, rows), random_simplex(rng, cols)
+    mu[:zero_rows] = 0.0
+    nu[:zero_cols] = 0.0
+    return cost, mu / mu.sum(), nu / nu.sum()
+
+
+SINKHORN_ORACLE_CASES = {
+    # name: (case arguments, (epsilon, max_iter, tol))
+    "random_default": ((12, 20, 40), (0.1, 1000, 1e-7)),
+    "pipeline_shape": ((48, 240, 41, 0, 0, True), (0.1, 500, 1e-6)),
+    "small_epsilon": ((10, 14, 42), (0.01, 20000, 1e-8)),
+    "zero_mass_atoms": ((9, 11, 43, 2, 3), (0.05, 5000, 1e-9)),
+    "hits_max_iter": ((16, 16, 44), (0.004, 40, 1e-7)),
+    "single_iteration": ((5, 7, 45), (0.1, 1, 1e-7)),
+    "tol_1e-12": ((16, 24, 46, 1, 0), (0.1, 3000, 1e-12)),
+    "tol_1e-3": ((16, 24, 47, 0, 2), (0.1, 1000, 1e-3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINKHORN_ORACLE_CASES))
+def test_sinkhorn_matches_plan_rebuilding_loop_bitwise(name):
+    """Stopping on the cheap row estimate, confirmed by one rebuild, returns
+    what rebuilding the plan at every iteration returns, bit for bit."""
+    args, (eps, max_iter, tol) = SINKHORN_ORACLE_CASES[name]
+    cost, mu, nu = _sinkhorn_case(*args)
+    res = transport.sinkhorn(cost, mu, nu, SinkhornConfig(eps, max_iter, tol))
+    ref = sinkhorn_rebuilding_plan(cost, mu, nu, eps, max_iter, tol)
+    assert res.coupling.pi.tobytes() == ref["plan"].tobytes()
+    assert res.w1_estimate == ref["w1_estimate"]
+    assert (res.converged, res.n_iter) == (ref["converged"], ref["n_iter"])
+    assert res.violation == ref["violation"]
+    assert res.potential_f.tobytes() == ref["potential_f"].tobytes()
+    assert res.potential_g.tobytes() == ref["potential_g"].tobytes()
+    if name in ("hits_max_iter", "single_iteration"):
+        assert not res.converged and res.n_iter == max_iter
 
 
 def test_dual_lower_bound_never_exceeds_exact():
