@@ -24,7 +24,7 @@ import numpy as np
 
 from . import transport
 from .distortion import TransportKernel, fld_exact
-from .probs import LOG_FLOOR, as_conditional, as_distribution, entropy, kl_divergence
+from .probs import LOG_FLOOR, as_conditional, as_distribution, xlogx
 
 __all__ = [
     "DiscreteInstance",
@@ -89,7 +89,7 @@ class DiscreteInstance:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     err_s: float
     err_tau: float
@@ -116,7 +116,7 @@ class BoundReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofTerms:
     term_a_lhs: float
     term_a_rhs: float
@@ -124,7 +124,7 @@ class ProofTerms:
     term_b_rhs: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TfResult:
     tf: float
     realized_plan: np.ndarray
@@ -157,23 +157,29 @@ def lipschitz_constant(inst: DiscreteInstance) -> float:
     Max over distinct atom pairs of |l(u1) - l(u2)| / ||u1 - u2||; zero for
     single-atom supports, certifying the alignment premise exactly.
     """
-    k = inst.n_points
-    if k < 2:
+    if inst.n_points < 2:
         return 0.0
+    return _lipschitz_on(inst, transport.cost_matrix(inst.points, inst.points))
+
+
+def _lipschitz_on(inst: DiscreteInstance, dist: np.ndarray) -> float:
+    """The Lipschitz constant over the atom distances ``dist`` (read only);
+    the zero diagonal pairs an atom with itself and counts as ratio 0."""
     losses = source_loss_values(inst)
-    dist = transport.cost_matrix(inst.points, inst.points)
-    np.fill_diagonal(dist, np.inf)
-    ratios = np.abs(losses[:, None] - losses[None, :]) / dist
+    diff = np.abs(losses[:, None] - losses[None, :])
+    ratios = np.divide(diff, dist, out=np.zeros(dist.shape), where=dist > 0.0)
     return float(ratios.max())
 
 
 def fa_exact(inst: DiscreteInstance) -> float:
     """Alignment term: Lipschitz constant times exact W1 between marginals."""
-    tau = lipschitz_constant(inst)
+    if inst.n_points < 2:
+        return 0.0
+    dist = transport.cost_matrix(inst.points, inst.points)
+    tau = _lipschitz_on(inst, dist)
     if tau == 0.0:
         return 0.0
-    cost = transport.cost_matrix(inst.points, inst.points)
-    _, w1 = transport.exact_w1(cost, inst.target_marginal, inst.source_marginal)
+    _, w1 = transport.exact_w1(dist, inst.target_marginal, inst.source_marginal)
     return tau * w1
 
 
@@ -193,17 +199,25 @@ def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> TfResul
     if lam.shape[1] != q.size or q.size != p.size:
         raise ValueError("plan, conditional, and prediction class counts differ")
     live = q > 0.0
-    if not live.all():
+    every_live = live.all()
+    if not every_live:
         col_mass = lam[:, ~live].max(axis=0, initial=0.0)
         if (col_mass > 1e-9).any():
             j = int(np.flatnonzero(~live)[col_mass.argmax()])
             raise InfeasibilityError(
                 f"plan puts mass on target class {j} which the conditional never emits"
             )
-    tf = kl_divergence(q, p)
+    # KL(q || p) with the arithmetic of probs.kl_divergence: cross-entropy
+    # minus entropy, each summed over the classes q lives on
+    q_live, p_live = q[live], p[live]
+    if (p_live <= 0.0).any():
+        tf = math.inf
+    else:
+        tf = float(-(q_live * np.log(p_live)).sum()) - float(-(q_live * np.log(q_live)).sum())
+    if every_live:
+        return TfResult(tf, lam * (p / q))
     ratio = np.divide(p, q, out=np.zeros(p.shape), where=live)
-    realized = np.where(live, lam * ratio, p)
-    return TfResult(tf, realized)
+    return TfResult(tf, np.where(live, lam * ratio, p))
 
 
 def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float:
@@ -302,13 +316,10 @@ def verify_proof_terms(inst: DiscreteInstance) -> ProofTerms:
     and B compares that entropy term against the source error; A is
     bounded by the expected distortion-plus-fitting, B by the alignment.
     """
-    err_s, err_tau = generalized_errors(inst)
     report = evaluate_bound(inst)
-    h_source_on_target = float(
-        inst.target_marginal @ np.array([entropy(row) for row in inst.source_cond])
-    )
-    term_a_lhs = err_tau - h_source_on_target
-    term_b_lhs = h_source_on_target - err_s
+    h_source_on_target = float(inst.target_marginal @ -xlogx(inst.source_cond).sum(axis=1))
+    term_a_lhs = report.err_tau - h_source_on_target
+    term_b_lhs = h_source_on_target - report.err_s
     return ProofTerms(term_a_lhs, report.e_fld + report.e_tf, term_b_lhs, report.fa)
 
 

@@ -7,10 +7,12 @@ induced kernel, which equals H(pi) - H(w) over couplings pi with marginals
 transportation polytope.  Its vertices are the feasible basic solutions
 of the spanning trees of the complete bipartite support graph, and each
 basic value is a cut form: the signed marginal mass on one side of a tree
-edge.  A table built once per label shape holds every tree's cells and the
-few distinct 0/+-1 forms they use, so one call evaluates the forms at the
-marginals with a single small product and gathers every tree's solution
-from it.
+edge.  A table built once per label shape holds every tree's cells, the
+few distinct 0/+-1 forms they use, and which form each tree edge takes,
+as an intp index with one column per tree.  One call evaluates the forms
+at the marginals with a single small product and gathers every tree's
+solution from it in one take, already laid out so that feasibility and
+entropy are reductions down the columns.
 
 The differentiable surrogate replaces the oracle with pseudo-label joint
 statistics: H[Z',Z] - H[Z] under soft counts, the expectation of the
@@ -28,7 +30,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import as_distribution, entropy, fold_last, softmax, xlogx
+from .probs import as_distribution, entropy, softmax, xlogx
 from .transport import CapabilityError
 
 __all__ = [
@@ -47,7 +49,7 @@ __all__ = [
 
 MAX_LABEL_CLASSES = 5
 
-# (cells, index, forms) per label shape, built on first use; see _cut_table
+# (cells, index_t, forms) per label shape, built on first use; see _cut_table
 _CUT_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
@@ -144,9 +146,11 @@ def _cut_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of them: 204 for the 4096 trees of 4x4, 910 for the 390625 of 5x5.
 
     Returns ``cells`` (n_trees, n+m-1) int8 flat cells i*m+j in enumeration
-    order, ``index`` (n_trees, n+m-1) int16 rows of ``forms``, and
-    ``forms`` (n_forms, n+m-1) float64, so the basic solutions at d are
-    ``(forms @ d)[index]``.  Built once per shape.
+    order, ``index_t`` (n+m-1, n_trees) C-contiguous intp rows of ``forms``,
+    one column per tree, and ``forms`` (n_forms, n+m-1) float64, so column t
+    of ``(forms @ d)[index_t]`` is tree t's basic solution at d.  The index
+    is intp because numpy casts any other index dtype to intp on every
+    gather; at 5x5 it takes 28 MB.  Built once per shape.
     """
     key = (n, m)
     if key in _CUT_TABLES:
@@ -183,21 +187,38 @@ def _cut_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # form is summed the same way as a row of a k x k basis solve
     order = np.argsort(bits.sum(axis=1) == 1, kind="stable")
     codes, bits = codes[order], bits[order]
-    slot = np.empty(present.size, dtype=np.int16)
+    slot = np.empty(present.size, dtype=np.intp)
     slot[codes] = np.arange(codes.size)
-    index = slot[keys]
+    index_t = slot[np.ascontiguousarray(keys.T)]
     sign = np.where(codes >> k, -1.0, 1.0)[:, None]
     forms = np.where(bits == 1, sign * np.where(np.arange(k) < n, 1.0, -1.0), 0.0)
-    _CUT_TABLES[key] = cells, index, forms
+    _CUT_TABLES[key] = cells, index_t, forms
     return _CUT_TABLES[key]
 
 
 def _basic_feasible_solutions(wa: np.ndarray, qa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells and clipped values of every feasible tree basis, in tree order."""
-    cells, index, forms = _cut_table(wa.size, qa.size)
-    values = forms @ np.concatenate([wa, qa[:-1]])
-    feasible = fold_last(np.logical_and, (values >= -1e-12)[index])[:, 0]
-    return cells[feasible], np.maximum(values[index[feasible]], 0.0)
+    """Cells of every feasible tree basis, in tree order, and their clipped
+    values, one column per tree."""
+    cells, index_t, forms = _cut_table(wa.size, qa.size)
+    values = (forms @ np.concatenate([wa, qa[:-1]]))[index_t]
+    trees = (values.min(axis=0) >= -1e-12).nonzero()[0]
+    return cells.take(trees, axis=0), np.maximum(values.take(trees, axis=1), 0.0)
+
+
+def _min_entropy_tree(sols: np.ndarray) -> int:
+    """First column of ``sols`` whose values have the least entropy.
+
+    A column's x log x terms are summed down it, in order, as numpy sums a
+    row of fewer than 8 terms.  From 8 terms on (4x5, 5x4 and 5x5) numpy
+    sums a row pairwise, so those shapes sum each tree as a contiguous row,
+    which keeps the tie order of a per-tree row sum.
+    """
+    terms = xlogx(sols)
+    if len(terms) < 8:
+        score = terms.sum(axis=0)
+    else:
+        score = np.ascontiguousarray(terms.T).sum(axis=1)
+    return int(score.argmax())
 
 
 def _check_label_sizes(n: int, m: int) -> None:
@@ -215,11 +236,16 @@ def fld_exact(w, q) -> FldExact:
     attained at a transportation-polytope vertex, together with the
     row-normalized kernel of the optimal coupling.  The search is
     exhaustive over the spanning trees of the active (nonzero) classes:
-    the cached cut-form table gives every tree's basic solution, the
-    feasible ones (no value below -1e-12) are scored by entropy, and ties
-    go to the first tree in enumeration order.  Rows of zero source mass
-    carry no entropy weight; they are reported as q itself so the kernel
-    still averages back to q.
+    the cached cut-form table gives every tree's basic solution as one
+    column of a single gather through its intp index, the feasible
+    columns (no value below -1e-12) are scored by entropy, and ties go to
+    the first tree in enumeration order.  Each kernel row is its coupling
+    row over that row's own sum, not over w_i: the basic values carry
+    rounding of the order of the whole unit mass, which divided by a tiny
+    w_i would leave the row's sum off 1.  Rows of zero coupling mass (zero
+    source mass, or a source mass lost below that rounding) carry no
+    entropy weight; they are reported as q itself so the kernel still
+    averages back to q.
     """
     w = as_distribution(w, "source conditional")
     q = as_distribution(q, "target conditional")
@@ -236,15 +262,18 @@ def fld_exact(w, q) -> FldExact:
     else:
         cells, sols = _basic_feasible_solutions(wa, qa)
         assert len(cells), "transportation polytope cannot be empty"
-        t = int((-fold_last(np.add, xlogx(sols))).argmin())  # first minimum in tree order
+        t = _min_entropy_tree(sols)
         pi_a = np.zeros((n, m))
-        pi_a.flat[cells[t]] = sols[t]
+        pi_a.flat[cells[t]] = sols[:, t]
 
     fld = max(0.0, entropy(pi_a) - entropy(wa))
-    pi = _embed(pi_a, ri, ci, (w.size, q.size))
+    pi = pi_a if n == w.size and m == q.size else _embed(pi_a, ri, ci, (w.size, q.size))
+    mass = pi.sum(axis=1, keepdims=True)
+    if mass.all():
+        return FldExact(fld, TransportKernel(pi / mass), pi)
     lam = np.empty_like(pi)
     lam[:] = q
-    np.divide(pi, w[:, None], out=lam, where=w[:, None] > 0.0)
+    np.divide(pi, mass, out=lam, where=mass > 0.0)
     return FldExact(fld, TransportKernel(lam), pi)
 
 
@@ -272,7 +301,8 @@ def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
     if n == 1 or m == 1:
         return [_embed(qa[None, :] if n == 1 else wa[:, None], ri, ci, (w.size, q.size))]
     seen: dict[tuple, np.ndarray] = {}
-    for tree, vals in zip(*_basic_feasible_solutions(wa, qa)):
+    cells, sols = _basic_feasible_solutions(wa, qa)
+    for tree, vals in zip(cells, sols.T):
         pi_a = np.zeros((n, m))
         pi_a.flat[tree] = vals
         key = tuple(np.round(pi_a, 12).ravel())

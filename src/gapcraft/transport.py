@@ -214,8 +214,11 @@ def exact_w1(cost, mu, nu) -> tuple[Coupling, float]:
         raise ng.DimensionError("exact_w1: marginal sizes do not match cost")
     ri = np.flatnonzero(mu > 0.0)
     ci = np.flatnonzero(nu > 0.0)
-    pi = np.zeros((n, m))
-    pi[np.ix_(ri, ci)] = _transport_simplex(cost[np.ix_(ri, ci)], mu[ri], nu[ci])
+    if ri.size == n and ci.size == m:
+        pi = _transport_simplex(cost, mu, nu)
+    else:
+        pi = np.zeros((n, m))
+        pi[np.ix_(ri, ci)] = _transport_simplex(cost[np.ix_(ri, ci)], mu[ri], nu[ci])
     coupling = Coupling(pi, mu, nu)
     violation = coupling.marginal_violation()
     if violation > 1e-12 + abs(float(mu.sum() - nu.sum())) or pi.min() < 0.0:

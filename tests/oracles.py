@@ -8,8 +8,10 @@ Reference implementations that a faster library path must match bit for
 bit keep the earlier arithmetic: the recalibration step with an explicit
 identity Jacobian and separate softmax and log-softmax, the greedy
 vertex search with its live-cell mask rebuilt at every step, the softmax
-and the stage-2 likelihood step with numpy's row reductions, and the
-Sinkhorn loop that rebuilds its plan at every iteration.
+and the stage-2 likelihood step with numpy's row reductions, the
+Sinkhorn loop that rebuilds its plan at every iteration, and the bound
+assembled with a per-entry feasibility gather, the fitting term through
+``kl_divergence`` and the proof terms' entropies one row at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import mpmath
 import numpy as np
 from scipy.optimize import linprog
 from scipy.special import log_softmax, softmax
+
+from gapcraft import bound, distortion, transport
+from gapcraft.probs import entropy, kl_divergence
 
 
 def finite_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -298,3 +303,112 @@ def sinkhorn_rebuilding_plan(cost, mu, nu, eps: float, max_iter: int, tol: float
         "potential_f": ff,
         "potential_g": gg,
     }
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    pos = x > 0.0
+    return np.where(pos, x * np.log(np.where(pos, x, 1.0)), 0.0)
+
+
+def conditional_pairs(n, m, count, rng):
+    """``count`` (w, q) pairs of n and m classes, in turn: Dirichlet draws;
+    draws with exact zeros on each side of more than one class, so the
+    active shape shrinks; and multiples of 1/20 (zeros allowed), whose
+    degenerate vertices tie exactly across many trees."""
+    for c in range(count):
+        alpha = float(rng.choice([0.4, 1.0, 3.0]))
+        w, q = rng.dirichlet(np.full(n, alpha)), rng.dirichlet(np.full(m, alpha))
+        if c % 3 == 1:
+            for side in (w, q):
+                if side.size > 1:
+                    side[rng.choice(side.size, rng.integers(1, side.size), replace=False)] = 0.0
+                    side /= side.sum()
+        elif c % 3 == 2:
+            w = (rng.multinomial(20 - n, w) + 1) / 20
+            q = rng.multinomial(20, q) / 20
+        yield w, q
+
+
+def gathered_fld(w, q) -> tuple[float, np.ndarray]:
+    """(fld, coupling) of ``fld_exact`` with the library's cut-form table
+    turned to one index row per tree.
+
+    A flag per tree entry is gathered and folded along the row into one
+    feasibility flag per tree, the feasible trees' values are gathered
+    again, and each row of their entropy terms is summed on its own; ties
+    go to the first tree.
+    """
+    w = np.maximum(np.asarray(w, dtype=np.float64), 0.0)
+    q = np.maximum(np.asarray(q, dtype=np.float64), 0.0)
+    ri, ci = np.flatnonzero(w > 0.0), np.flatnonzero(q > 0.0)
+    wa, qa = w[ri], q[ci]
+    if wa.size == 1:
+        pi_a = qa[None, :]
+    elif qa.size == 1:
+        pi_a = wa[:, None]
+    else:
+        cells, index_t, forms = distortion._cut_table(wa.size, qa.size)
+        index = index_t.T
+        values = forms @ np.concatenate([wa, qa[:-1]])
+        feasible = np.logical_and.reduce((values >= -1e-12)[index], axis=1)
+        sols = np.maximum(values[index[feasible]], 0.0)
+        t = int((-np.add.reduce(_xlogx(sols), axis=1)).argmin())
+        pi_a = np.zeros((wa.size, qa.size))
+        pi_a.flat[cells[feasible][t]] = sols[t]
+    fld = max(0.0, entropy(pi_a) - entropy(wa))
+    pi = np.zeros((w.size, q.size))
+    pi[ri[:, None], ci] = pi_a
+    return fld, pi
+
+
+def kl_route_tf(lam: np.ndarray, q, p) -> tuple[float, np.ndarray]:
+    """(tf, realized plan) of the fitting term with the KL taken by
+    ``kl_divergence`` and the plan rescaled by a masked ratio."""
+    q = np.asarray(q, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    live = q > 0.0
+    ratio = np.divide(p, q, out=np.zeros(p.shape), where=live)
+    return kl_divergence(q, p), np.where(live, lam * ratio, p)
+
+
+def reference_bound(inst) -> tuple[float, ...]:
+    """(err_s, err_tau, fa, e_fld, e_tf, rhs, gap, relative_gap) with a
+    separate distance matrix for the Lipschitz constant and for W1, the
+    zero-mass atoms of W1 gathered out, the distortion by
+    :func:`gathered_fld` and the fitting term by ``kl_divergence``."""
+    err_s, err_tau = bound.generalized_errors(inst)
+    fa = 0.0
+    if inst.n_points > 1:
+        losses = bound.source_loss_values(inst)
+        dist = transport.cost_matrix(inst.points, inst.points)
+        np.fill_diagonal(dist, np.inf)
+        tau = float((np.abs(losses[:, None] - losses[None, :]) / dist).max())
+        if tau != 0.0:
+            cost = transport.cost_matrix(inst.points, inst.points)
+            mu, nu = inst.target_marginal, inst.source_marginal
+            ri, ci = np.flatnonzero(mu > 0.0), np.flatnonzero(nu > 0.0)
+            plan = np.zeros(cost.shape)
+            plan[np.ix_(ri, ci)] = transport._transport_simplex(
+                cost[np.ix_(ri, ci)], mu[ri], nu[ci]
+            )
+            fa = tau * float((plan * cost).sum())
+    e_fld = e_tf = 0.0
+    for i in range(inst.n_points):
+        weight = float(inst.target_marginal[i])
+        if weight == 0.0:
+            continue
+        q = inst.target_cond[i]
+        e_fld += weight * gathered_fld(inst.source_cond[i], q)[0]
+        e_tf += weight * kl_divergence(q, inst.p_target[i])
+    rhs = err_s + fa + e_fld + e_tf
+    gap = rhs - err_tau
+    return err_s, err_tau, fa, e_fld, e_tf, rhs, gap, gap / rhs if rhs > 0.0 else 0.0
+
+
+def entropy_loop_proof_terms(inst) -> tuple[float, float, float, float]:
+    """(term_a_lhs, term_a_rhs, term_b_lhs, term_b_rhs) with the source
+    conditional's entropies taken one row at a time."""
+    err_s, err_tau = bound.generalized_errors(inst)
+    report = bound.evaluate_bound(inst)
+    h = float(inst.target_marginal @ np.array([entropy(row) for row in inst.source_cond]))
+    return err_tau - h, report.e_fld + report.e_tf, h - err_s, report.fa

@@ -8,7 +8,13 @@ from gapcraft.bound import DiscreteInstance, InfeasibilityError
 from gapcraft.distortion import TransportKernel
 from gapcraft.probs import kl_divergence
 
-from oracles import kl_mp
+from oracles import (
+    conditional_pairs,
+    entropy_loop_proof_terms,
+    kl_mp,
+    kl_route_tf,
+    reference_bound,
+)
 
 
 def _self_transfer_instance(k=3, kz=3, seed=0):
@@ -231,6 +237,13 @@ def test_bound_holds_on_random_instances():
         )
 
 
+def test_bound_on_instance_with_tiny_source_class_mass():
+    # its atom 2 has a source class of mass 3.77e-7, whose kernel row once
+    # failed the row-sum check inside fld_exact
+    report = bound.evaluate_bound(synthtasks.random_discrete_instance(955220))
+    assert report.gap >= -1e-9
+
+
 def test_bound_invariant_under_target_label_permutation():
     rng = np.random.default_rng(8)
     inst = synthtasks.random_discrete_instance(11)
@@ -270,6 +283,38 @@ def test_proof_terms_hold_on_random_instances():
         terms = bound.verify_proof_terms(synthtasks.random_discrete_instance(seed))
         assert terms.term_a_lhs <= terms.term_a_rhs + 1e-9, seed
         assert terms.term_b_lhs <= terms.term_b_rhs + 1e-9, seed
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 5) for m in range(1, 5)] + [(4, 5), (5, 4), (5, 5)]
+)
+def test_tf_matches_kl_route_bitwise(n, m):
+    rng = np.random.default_rng(200 + 10 * n + m)
+    for c, (w, q) in enumerate(conditional_pairs(n, m, 8 if max(n, m) == 5 else 40, rng)):
+        plan = distortion.fld_exact(w, q).plan
+        p = rng.dirichlet(np.full(m, 2.0))
+        if c % 3 == 2 and m > 1:
+            p[rng.integers(m)] = 0.0  # KL is infinite when q lives there
+            p /= p.sum()
+        res = bound.tf_closed_form(plan, q, p)
+        tf, realized = kl_route_tf(plan.matrix, q, p)
+        assert res.tf.hex() == tf.hex(), (q, p)
+        assert res.realized_plan.tobytes() == realized.tobytes(), (q, p)
+
+
+def test_bound_and_proof_terms_match_reference_bitwise():
+    for seed in range(200):
+        inst = synthtasks.random_discrete_instance(seed)
+        report = bound.evaluate_bound(inst)
+        expected = reference_bound(inst)
+        assert _bits(report.to_dict().values()) == _bits(expected), seed
+        terms = bound.verify_proof_terms(inst)
+        got = (terms.term_a_lhs, terms.term_a_rhs, terms.term_b_lhs, terms.term_b_rhs)
+        assert _bits(got) == _bits(entropy_loop_proof_terms(inst)), seed
 
 
 def test_training_p_target_toward_conditional_reduces_tf():

@@ -42,6 +42,18 @@ def test_verify_theorem_reports_zero_violations(tmp_path, capsys):
     assert printed == summary
 
 
+def test_verify_theorem_1000_instances_pins_worst_gap(tmp_path, capsys):
+    # the worst gap over instances 0..999 is pinned to its last bit: a
+    # faster bound path must not change what verify-theorem reports
+    out = tmp_path / "vt"
+    code = main(["verify-theorem", "--instances", "1000", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["violations"] == 0
+    assert summary["proof_term_violations"] == 0
+    assert summary["worst_gap"] == 0.017963728713937588
+
+
 def test_gen_writes_bundle(tmp_path):
     out = tmp_path / "data"
     assert main(["gen", "--family", "rotated", "--seed", "4", "--out", str(out)]) == 0

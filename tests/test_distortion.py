@@ -5,14 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from gapcraft import distortion, models, transport
+from gapcraft import distortion, models, synthtasks, transport
 from gapcraft import numgrad as ng
 from gapcraft.distortion import JointLabelStats, TransportKernel, fld_exact, fld_surrogate
 from gapcraft.probs import entropy
 
 from oracles import (
+    conditional_pairs,
     entropy_mp,
     finite_difference,
+    gathered_fld,
     highs_w1,
     leaf_peel,
     masked_vertex_entropies,
@@ -99,6 +101,17 @@ def test_fld_zero_weight_rows_get_barycentric_completion():
     assert np.max(np.abs(np.array([0.6, 0.0, 0.4]) @ res.plan.matrix - [0.25, 0.75])) < 1e-12
 
 
+def test_fld_kernel_row_of_tiny_source_mass_sums_to_one():
+    # source class 2 has mass 3.77e-7; the coupling row over w_2 missed 1 by
+    # 1.6e-10, past TransportKernel's 1e-10, so fld_exact raised
+    inst = synthtasks.random_discrete_instance(955220)
+    w, q = inst.source_cond[2], inst.target_cond[2]
+    res = fld_exact(w, q)
+    assert np.abs(res.plan.matrix.sum(axis=1) - 1.0).max() <= 1e-15
+    live = res.coupling[:, q > 0.0]
+    assert res.plan.matrix[:, q > 0.0].tobytes() == (live / live.sum(axis=1, keepdims=True)).tobytes()
+
+
 def test_fld_oversize_rejected():
     with pytest.raises(transport.CapabilityError):
         fld_exact(np.full(6, 1 / 6), [0.5, 0.5])
@@ -175,28 +188,46 @@ def test_fld_5x5_below_every_sampled_vertex():
 
 
 def _gathered_plans_match_peeling(n, m, trees, rng):
-    cells, index, forms = distortion._cut_table(n, m)
+    cells, index_t, forms = distortion._cut_table(n, m)
     for _ in range(3):
         w = rng.integers(1, 40, size=n)
         q = rng.multinomial(int(w.sum()) - m, np.full(m, 1.0 / m)) + 1
-        sols = (forms @ np.concatenate([w, q[:-1]]).astype(np.float64))[index]
+        sols = (forms @ np.concatenate([w, q[:-1]]).astype(np.float64))[index_t]
         for t in trees:
             plan = np.zeros(n * m)
-            plan[cells[t]] = sols[t]
+            plan[cells[t]] = sols[:, t]
             plan = plan.reshape(n, m)
             assert np.array_equal(plan, leaf_peel(cells[t], w, q)), (t, w, q)
             assert np.array_equal(plan.sum(axis=1), w) and np.array_equal(plan.sum(axis=0), q)
 
 
+WIDE_SHAPES = [(4, 5), (5, 4), (5, 5)]
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 5) for m in range(1, 5)] + WIDE_SHAPES
+)
+def test_fld_matches_per_entry_feasibility_gather_bitwise(n, m):
+    # 8 or more terms per tree (4x5, 5x4, 5x5) is where numpy's row sum
+    # turns pairwise; the tie order there must still match
+    rng = np.random.default_rng(100 * n + m)
+    for w, q in conditional_pairs(n, m, 8 if (n, m) in WIDE_SHAPES else 40, rng):
+        res = fld_exact(w, q)
+        fld, pi = gathered_fld(w, q)
+        assert res.fld == fld, (w, q)
+        assert res.coupling.tobytes() == pi.tobytes(), (w, q)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_cut_table_matches_leaf_peeling_on_every_tree(n, m):
-    cells, index, forms = distortion._cut_table(n, m)
+    cells, index_t, forms = distortion._cut_table(n, m)
     # Scoins' count n^(m-1) m^(n-1) for K_{n,m}; each tree once, cells increasing
     assert len(cells) == n ** (m - 1) * m ** (n - 1)
     assert len(np.unique(cells, axis=0)) == len(cells)
     assert np.all(np.diff(cells, axis=1) > 0)
-    assert cells.dtype == np.int8 and index.dtype == np.int16
+    assert cells.dtype == np.int8 and index_t.dtype == np.intp
+    assert index_t.shape == cells.shape[::-1] and index_t.flags.c_contiguous
     assert set(np.unique(forms)) <= {-1.0, 0.0, 1.0}
     _gathered_plans_match_peeling(n, m, range(len(cells)), np.random.default_rng(16 + 5 * n + m))
 
