@@ -9,8 +9,8 @@ is computable exactly: the alignment term by the transportation simplex
 (:func:`transport.exact_w1`, certified optimal by its dual potentials)
 weighted with the support-restricted Lipschitz constant of the source
 loss, the distortion term by the minimum-entropy coupling oracle, and the
-fitting term by its closed form, cross-checkable against a
-projected-gradient solve of the underlying constrained convex program.
+fitting term by its closed form, the minimum of the underlying
+constrained convex program.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from . import transport
 from .distortion import TransportKernel, fld_exact
 from .probs import LOG_FLOOR, as_conditional, as_distribution, xlogx
 
+# the smallest normal float64: a ratio p / q of probabilities can overflow
+# only for q below it
+_MIN_NORMAL = np.finfo(np.float64).tiny
+
 __all__ = [
     "DiscreteInstance",
     "BoundReport",
@@ -34,10 +38,8 @@ __all__ = [
     "InfeasibilityError",
     "generalized_errors",
     "source_loss_values",
-    "lipschitz_constant",
     "fa_exact",
     "tf_closed_form",
-    "tf_convex_oracle",
     "evaluate_bound",
     "verify_proof_terms",
     "reports_to_bars_csv",
@@ -151,17 +153,6 @@ def generalized_errors(inst: DiscreteInstance) -> tuple[float, float]:
     return err_s, err_tau
 
 
-def lipschitz_constant(inst: DiscreteInstance) -> float:
-    """Exact Lipschitz constant of the source loss on the support.
-
-    Max over distinct atom pairs of |l(u1) - l(u2)| / ||u1 - u2||; zero for
-    single-atom supports, certifying the alignment premise exactly.
-    """
-    if inst.n_points < 2:
-        return 0.0
-    return _lipschitz_on(inst, transport.cost_matrix(inst.points, inst.points))
-
-
 def _lipschitz_on(inst: DiscreteInstance, dist: np.ndarray) -> float:
     """The Lipschitz constant over the atom distances ``dist`` (read only);
     the zero diagonal pairs an atom with itself and counts as ratio 0."""
@@ -187,9 +178,10 @@ def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> TfResul
     """Fitting term in closed form: KL(target conditional || prediction).
 
     The minimizing plan is plus_plan rescaled columnwise by prediction over
-    conditional; columns the conditional never visits are completed with
-    the constant prediction column (objective-neutral), so the plan's
-    mixture under the source conditional reproduces the prediction exactly.
+    conditional; columns the conditional never visits, and columns whose
+    ratio overflows (a subnormal conditional mass), are completed with the
+    constant prediction column (objective-neutral), so the plan's mixture
+    under the source conditional reproduces the prediction exactly.
     The rescaled rows are generally not normalized: the program constrains
     only nonnegativity and the mixture.
     """
@@ -199,85 +191,27 @@ def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> TfResul
     if lam.shape[1] != q.size or q.size != p.size:
         raise ValueError("plan, conditional, and prediction class counts differ")
     live = q > 0.0
-    every_live = live.all()
-    if not every_live:
+    plain = q.min() >= _MIN_NORMAL  # every class live, no ratio p_j / q_j overflows
+    if not plain:
         col_mass = lam[:, ~live].max(axis=0, initial=0.0)
         if (col_mass > 1e-9).any():
             j = int(np.flatnonzero(~live)[col_mass.argmax()])
             raise InfeasibilityError(
                 f"plan puts mass on target class {j} which the conditional never emits"
             )
-    # KL(q || p) with the arithmetic of probs.kl_divergence: cross-entropy
-    # minus entropy, each summed over the classes q lives on
+    # KL(q || p) as cross-entropy minus entropy, each summed over the
+    # classes q lives on
     q_live, p_live = q[live], p[live]
     if (p_live <= 0.0).any():
         tf = math.inf
     else:
         tf = float(-(q_live * np.log(p_live)).sum()) - float(-(q_live * np.log(q_live)).sum())
-    if every_live:
+    if plain:
         return TfResult(tf, lam * (p / q))
-    ratio = np.divide(p, q, out=np.zeros(p.shape), where=live)
-    return TfResult(tf, np.where(live, lam * ratio, p))
-
-
-def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float:
-    """Fitting term by a generic constrained convex solve; closed-form-free.
-
-    Minimizes sum_z w(z) KL(plus(.|z) || lam(.|z)) over nonnegative plans
-    whose mixture under w equals the prediction: per prediction class this
-    is an independent problem in its plan column, solved by sequential
-    quadratic programming in log space (linear objective, one smooth
-    equality, iterates strictly positive by construction).  Kept as the
-    cross-check route against :func:`tf_closed_form` at small label counts.
-    """
-    from scipy.optimize import minimize
-
-    w = as_distribution(source_cond, "source conditional")
-    p = as_distribution(p_target, "target prediction")
-    plus = plus_plan.matrix
-    if plus.shape[0] != w.size or plus.shape[1] != p.size:
-        raise ValueError("plan shape disagrees with conditional/prediction sizes")
-    if w.size > 5 or p.size > 5:
-        raise transport.CapabilityError("convex oracle rated for label spaces <= 5")
-    live = w > 0.0
-    wa = w[live]
-    total = 0.0
-    for j in range(p.size):
-        a = wa * plus[live, j]  # per-entry objective weights of this column
-        if float(a.sum()) <= 0.0:
-            continue  # column never visited: any feasible completion is free
-        if p[j] <= 0.0:
-            return math.inf
-        support = a > 0.0
-        a_s = a[support]
-        w_s = wa[support]
-        total += float((a_s * np.log(plus[live, j][support])).sum())
-        if a_s.size == 1:
-            # the single supported entry is pinned by the mixture constraint
-            total += float(-a_s[0] * np.log(p[j] / w_s[0]))
-            continue
-
-        # Solve in log space: variables t = log(plan column on the support).
-        # The objective is then linear and iterates stay strictly positive.
-        mass = float(p[j])
-        res = minimize(
-            lambda t, a_s=a_s: -float(a_s @ t),
-            np.full(a_s.size, np.log(mass)),
-            jac=lambda t, a_s=a_s: -a_s,
-            method="SLSQP",
-            constraints=[
-                {
-                    "type": "eq",
-                    "fun": lambda t, w_s=w_s, mass=mass: w_s @ np.exp(t) - mass,
-                    "jac": lambda t, w_s=w_s: (w_s * np.exp(t))[None, :],
-                }
-            ],
-            options={"ftol": 1e-14, "maxiter": 500},
-        )
-        if not res.success and abs(float(res.fun)) > 1e6:
-            raise transport.SolverError(f"convex oracle failed on column {j}: {res.message}")
-        total += float(res.fun)
-    return total
+    with np.errstate(over="ignore"):
+        ratio = np.divide(p, q, out=np.full(p.shape, np.inf), where=live)
+    plan = np.broadcast_to(p, lam.shape).copy()
+    return TfResult(tf, np.multiply(lam, ratio, out=plan, where=ratio < np.inf))
 
 
 def evaluate_bound(inst: DiscreteInstance) -> BoundReport:

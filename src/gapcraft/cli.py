@@ -349,7 +349,7 @@ def cmd_correlate(args) -> int:
 
 
 def _add_task_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default="rotated", choices=synthtasks.FAMILIES[:3])
+    p.add_argument("--family", default="rotated", choices=synthtasks.FAMILIES)
     p.add_argument("--source-dim", type=int, default=4)
     p.add_argument("--target-dim", type=int, default=12)
     p.add_argument("--classes", type=int, default=3)

@@ -21,9 +21,7 @@ hard sampled counts.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,12 +37,10 @@ __all__ = [
     "JointLabelStats",
     "FldExact",
     "fld_exact",
-    "enumerate_polytope_vertices",
     "random_vertex_entropies",
     "pseudo_label_stats",
     "fld_surrogate",
     "fld_loss_and_grad",
-    "stats_to_csv",
 ]
 
 MAX_LABEL_CLASSES = 5
@@ -284,33 +280,6 @@ def _embed(pi_a: np.ndarray, ri: np.ndarray, ci: np.ndarray, shape) -> np.ndarra
     return full
 
 
-def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
-    """All vertices (basic feasible solutions) of the coupling polytope.
-
-    Every returned matrix has marginals (w, q) and at most
-    ``len(w) + len(q) - 1`` nonzeros; degenerate vertices reachable from
-    several spanning trees (equal to 12 decimals) appear once.
-    """
-    w = as_distribution(w, "row marginal")
-    q = as_distribution(q, "col marginal")
-    _check_label_sizes(w.size, q.size)
-    ri = (w > 0.0).nonzero()[0]
-    ci = (q > 0.0).nonzero()[0]
-    wa, qa = w[ri], q[ci]
-    n, m = wa.size, qa.size
-    if n == 1 or m == 1:
-        return [_embed(qa[None, :] if n == 1 else wa[:, None], ri, ci, (w.size, q.size))]
-    seen: dict[tuple, np.ndarray] = {}
-    cells, sols = _basic_feasible_solutions(wa, qa)
-    for tree, vals in zip(cells, sols.T):
-        pi_a = np.zeros((n, m))
-        pi_a.flat[tree] = vals
-        key = tuple(np.round(pi_a, 12).ravel())
-        if key not in seen:
-            seen[key] = _embed(pi_a, ri, ci, (w.size, q.size))
-    return list(seen.values())
-
-
 def random_vertex_entropies(
     w, q, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -446,12 +415,3 @@ def fld_loss_and_grad(
         g_logits = p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
     grads = pullback(g_logits)  # raises FloatingPointError if a count is zero
     return loss, grads[: len(phi.layers)]
-
-
-def stats_to_csv(stats: JointLabelStats, path) -> None:
-    """Joint matrix as CSV, source classes as rows."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"zprime_{j}" for j in range(stats.joint.shape[1])])
-        for row in stats.joint:
-            writer.writerow([repr(float(v)) for v in row])

@@ -27,14 +27,12 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import LOG_FLOOR, as_conditional, fold_last, softmax
+from .probs import as_conditional, fold_last, softmax
 
 __all__ = [
     "LipschitzConfig",
     "DivergenceError",
     "RecalibrationResult",
-    "source_pointwise_loss",
-    "pointwise_losses",
     "feature_gradients",
     "penalty_value",
     "recalibrate_head",
@@ -80,26 +78,6 @@ def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels must lie in [0, {k})")
     return np.eye(k)[labels]
-
-
-def pointwise_losses(head: MlpParams, u, conditional) -> tuple[np.ndarray, bool]:
-    """Cross-entropy of the head against per-row conditionals, in nats.
-
-    Predictions at exactly zero probability on a supported class are
-    clamped at 1e-12; the returned flag reports whether that happened.
-    """
-    u = ng.as_matrix(u, "feature batch")
-    d = as_conditional(conditional, "task conditional")
-    p = models.predict_source(head, u)
-    clamped = bool(np.any((p < LOG_FLOOR) & (d > 0.0)))
-    logp = np.log(np.maximum(p, LOG_FLOOR))
-    return -(d * logp).sum(axis=1), clamped
-
-
-def source_pointwise_loss(head: MlpParams, u, conditional) -> float:
-    """Loss at a single feature point; see :func:`pointwise_losses`."""
-    losses, _ = pointwise_losses(head, np.atleast_2d(u), np.atleast_2d(conditional))
-    return float(losses[0])
 
 
 def _lower_stack(tape: ng.Tape) -> tuple[np.ndarray, np.ndarray | None]:
@@ -177,7 +155,7 @@ def _recalibration_loss_and_grad(
     n = h.shape[0]
     threshold = cfg.omega * cfg.enforcement_margin
     logits = h @ w + b
-    # probs.softmax and probs.log_softmax, sharing one shift, exp and sum
+    # softmax and log-softmax, sharing one shift, exp and sum
     shifted = logits - fold_last(np.maximum, logits)
     e = np.exp(shifted)
     total = fold_last(np.add, e)

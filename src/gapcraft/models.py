@@ -47,8 +47,6 @@ __all__ = [
     "mlp_apply",
     "mlp_vjp",
     "sgd_update",
-    "params_vector",
-    "params_with_vector",
     "save_params",
     "load_params",
 ]
@@ -299,25 +297,6 @@ def sgd_update(
         layers.append(
             Layer(freeze(layer.w - lr * gw), freeze(layer.b - lr * gb), layer.act)
         )
-    return MlpParams(tuple(layers))
-
-
-def params_vector(params: MlpParams) -> np.ndarray:
-    return np.concatenate([np.concatenate([l.w.ravel(), l.b.ravel()]) for l in params.layers])
-
-
-def params_with_vector(params: MlpParams, vec: np.ndarray) -> MlpParams:
-    needed = params.n_parameters()
-    if vec.size != needed:
-        raise DimensionError(f"vector has {vec.size} entries, params need {needed}")
-    layers = []
-    at = 0
-    for l in params.layers:
-        w = vec[at : at + l.w.size].reshape(l.w.shape)
-        at += l.w.size
-        b = vec[at : at + l.b.size].reshape(l.b.shape)
-        at += l.b.size
-        layers.append(Layer(freeze(w), freeze(b), l.act))
     return MlpParams(tuple(layers))
 
 

@@ -328,18 +328,19 @@ def stage1(
     proxy: Dataset,
     target: Dataset,
     cfg: PipelineConfig,
-    target_eval: Dataset | None = None,
-    n_target_classes: int | None = None,
+    target_eval: Dataset | None,
+    n_target_classes: int,
 ) -> tuple[MlpParams, RunLog]:
     """Learn the target embedder: alignment epochs then distortion epochs.
 
     Runs the configured alignment epochs first (coupling recomputed every
     step, gradient under the fixed coupling), then the distortion epochs on
     the soft pseudo-label surrogate, exactly in that order.  One record per
-    epoch lands in the log.
+    epoch lands in the log; the induced error in it is NaN without
+    ``target_eval``.  ``n_target_classes`` is :func:`target_class_count` of
+    the task.
     """
     target_labels, _ = _labels_as_classes(target)
-    kt = int(n_target_classes or target_labels.max() + 1)
     n1, n2, _ = cfg.effective_epochs()
     rng = _rng_for(cfg.seed, 2)
     source_features = models.embed(theta, proxy.x)
@@ -349,7 +350,7 @@ def stage1(
     def checkpoint(epoch: int, phase: str, l_fa: float, l_fld: float) -> None:
         err = (
             induced_predictor_error(
-                phi, source_head, target, target_eval, kt
+                phi, source_head, target, target_eval, n_target_classes
             )
             if target_eval is not None
             else float("nan")
@@ -376,7 +377,7 @@ def stage1(
             phi = models.sgd_update(phi, grads, cfg.lr_fa)
             losses.append(loss)
         stats = distortion.pseudo_label_stats(
-            phi, source_head, target.x, target_labels, kt, "soft"
+            phi, source_head, target.x, target_labels, n_target_classes, "soft"
         )
         checkpoint(epoch, "fa", float(np.mean(losses)), distortion.fld_surrogate(stats))
 
@@ -384,7 +385,7 @@ def stage1(
         losses = []
         for idx in _minibatches(len(target), cfg.batch_size, rng):
             loss, grads = distortion.fld_loss_and_grad(
-                phi, source_head, target.x[idx], target_labels[idx], kt
+                phi, source_head, target.x[idx], target_labels[idx], n_target_classes
             )
             phi = models.sgd_update(phi, grads, cfg.lr_fld)
             losses.append(loss)

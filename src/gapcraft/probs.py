@@ -1,13 +1,12 @@
-"""Validation helpers for probability vectors, (log-)softmax, and entropy/KL in nats.
+"""Validation helpers for probability vectors, softmax, and entropy in nats.
 
-Conventions used throughout the package: natural logarithms everywhere,
-``0 * log 0 = 0``, and ``kl(p, q) = +inf`` as soon as p puts mass where q
-does not.
+Conventions used throughout the package: natural logarithms everywhere
+and ``0 * log 0 = 0``.
 
 Label axes are short (a few classes), and numpy reduces a short last axis
 one row at a time.  Given enough rows, :func:`fold_last` reduces it
 instead in k - 1 vector steps over the columns, with the same bits as the
-reduction it replaces; the (log-)softmax and the other per-row label
+reduction it replaces; the softmax and the other per-row label
 reductions go through it.
 """
 
@@ -19,11 +18,8 @@ __all__ = [
     "as_distribution",
     "as_conditional",
     "entropy",
-    "kl_divergence",
-    "cross_entropy",
     "xlogx",
     "softmax",
-    "log_softmax",
     "LOG_FLOOR",
 ]
 
@@ -102,20 +98,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / fold_last(np.add, e)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, shifted by the row maximum.
-
-    A row whose maximum is not finite is shifted by 0 instead, as
-    ``scipy.special.log_softmax`` does; the arithmetic is the same, so the
-    results agree bit for bit.
-    """
-    top = fold_last(np.maximum, logits)
-    top[~np.isfinite(top)] = 0.0
-    shifted = logits - top
-    with np.errstate(divide="ignore"):
-        return shifted - np.log(fold_last(np.add, np.exp(shifted)))
-
-
 def xlogx(x: np.ndarray) -> np.ndarray:
     """Elementwise x*log(x) with the 0*log(0)=0 convention."""
     x = np.asarray(x, dtype=np.float64)
@@ -128,22 +110,3 @@ def xlogx(x: np.ndarray) -> np.ndarray:
 def entropy(p) -> float:
     """Shannon entropy in nats of a nonnegative array (any shape)."""
     return float(-xlogx(np.asarray(p, dtype=np.float64)).sum())
-
-
-def cross_entropy(p, q) -> float:
-    """-sum p*log(q) in nats; +inf when p puts mass where q vanishes."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    support = p > 0.0
-    qs = q[support]
-    if (qs <= 0.0).any():
-        return float("inf")
-    return float(-(p[support] * np.log(qs)).sum())
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats; +inf on support violation, 0*log(0/q)=0."""
-    ce = cross_entropy(p, q)
-    if ce == float("inf"):
-        return ce
-    return ce - entropy(p)

@@ -9,7 +9,9 @@ Families:
 * ``gap_dial``: one knob in [0, 1] interpolates features from a planted
   rotation to fresh noise and labels from a planted permutation to
   uniform, giving monotone, oracle-checkable control of the semantic gap.
-* ``discrete_exact``: finite instances for the bound calculus.
+
+Finite instances for the bound calculus come from
+:func:`random_discrete_instance`.
 
 Class means sit on scaled orthonormal directions, so pairwise class
 separation is identical for every seed and the Bayes-optimal error is the
@@ -27,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .bound import DiscreteInstance
-from .probs import softmax
 from .transport import cost_matrix
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "generate",
     "discretize",
     "gap_dial_conditionals",
-    "to_discrete_instance",
     "random_discrete_instance",
     "save_dataset",
     "load_dataset",
@@ -46,7 +46,7 @@ __all__ = [
 
 log = logging.getLogger("gapcraft")
 
-FAMILIES = ("rotated", "permuted_labels", "gap_dial", "discrete_exact")
+FAMILIES = ("rotated", "permuted_labels", "gap_dial")
 MEAN_SCALE = 3.0
 NOISE_SCALE = 0.5
 
@@ -184,8 +184,6 @@ def generate(spec: TaskSpec) -> TaskBundle:
     seeded streams; target and target_test likewise.  Everything is a pure
     function of the spec.
     """
-    if spec.family == "discrete_exact":
-        raise ValueError("discrete_exact generates instances; use to_discrete_instance")
     ss = np.random.SeedSequence([spec.seed, 101])
     rng_source, rng_proxy, rng_target, rng_test, rng_map = (
         np.random.default_rng(s) for s in ss.spawn(5)
@@ -267,23 +265,6 @@ def _bayes_error(spec: TaskSpec) -> float:
     return 1.0 - keep
 
 
-def exact_source_conditional(meta: dict, x) -> np.ndarray:
-    """True label conditional D(z|x) of the source generative process.
-
-    Gaussian class posterior composed with the planted flip-noise matrix;
-    available exactly because the task is synthetic.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    means = np.asarray(meta["class_means"], dtype=np.float64)
-    k = means.shape[0]
-    noise = float(meta["label_noise"])
-    d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    post = softmax(-d2 / (2.0 * NOISE_SCALE**2))
-    flip = np.full((k, k), noise / (k - 1))
-    np.fill_diagonal(flip, 1.0 - noise)
-    return post @ flip
-
-
 # ---------------------------------------------------------------------------
 # Label discretization for regression-style tasks
 # ---------------------------------------------------------------------------
@@ -331,21 +312,6 @@ def discretize(labels, d: Discretizer) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact discrete instances
 # ---------------------------------------------------------------------------
-
-
-def to_discrete_instance(spec: TaskSpec) -> DiscreteInstance:
-    """A random exactly-evaluable instance keyed by the spec's seed."""
-    if spec.family != "discrete_exact":
-        raise ValueError("to_discrete_instance requires family='discrete_exact'")
-    if spec.n_classes > 4 or spec.n_target_classes > 4:
-        raise ValueError("exact instances are rated for at most 4 classes per side")
-    return random_discrete_instance(
-        spec.seed,
-        max_points=min(8, max(1, spec.n_target)),
-        source_classes=spec.n_classes,
-        target_classes=spec.n_target_classes,
-        dim=min(3, spec.source_dim),
-    )
 
 
 def _dirichlet_rows(rng, n, k, alpha) -> np.ndarray:

@@ -9,10 +9,8 @@ optimum it returns; it serves the bound calculus and the Sinkhorn tests.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "exact_w1",
     "dual_lower_bound",
     "fa_loss_and_grad",
-    "coupling_to_csv",
 ]
 
 EXACT_MAX_SIDE = 64
@@ -69,17 +66,6 @@ class Coupling:
     pi: np.ndarray
     row_marginal: np.ndarray
     col_marginal: np.ndarray
-
-    def validate(self, atol: float = 1e-8) -> "Coupling":
-        if np.any(self.pi < -atol):
-            raise ValueError(f"coupling has negative mass (min {self.pi.min():.3e})")
-        row_err = float(np.max(np.abs(self.pi.sum(axis=1) - self.row_marginal)))
-        col_err = float(np.max(np.abs(self.pi.sum(axis=0) - self.col_marginal)))
-        if row_err > atol or col_err > atol:
-            raise ValueError(
-                f"coupling marginals violated: row {row_err:.3e}, col {col_err:.3e}"
-            )
-        return self
 
     def marginal_violation(self) -> float:
         row_err = float(np.max(np.abs(self.pi.sum(axis=1) - self.row_marginal)))
@@ -443,12 +429,3 @@ def fa_loss_and_grad(
     safe = np.where(c > 0.0, c, 1.0)
     g_u = omega * np.einsum("ij,ijd->id", pi / safe * (c > 0.0), diff)
     return loss, pullback(g_u), result
-
-
-def coupling_to_csv(coupling: Coupling, path) -> None:
-    """Write (row, col, mass) triples for every nonzero cell."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "mass"])
-        for i, j in zip(*np.nonzero(coupling.pi)):
-            writer.writerow([int(i), int(j), repr(float(coupling.pi[i, j]))])

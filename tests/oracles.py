@@ -4,6 +4,14 @@ Everything here deliberately avoids the library's own computation paths:
 finite differences for gradients, mpmath for high-precision entropy,
 straight-line numpy re-evaluations for forward passes, HiGHS for the
 transportation LP, and integer leaf-peeling for spanning-tree bases.
+Reference code that checks the library and that the library itself never
+calls lives here too: the flat parameter vector finite differences
+perturb (``params_vector``, ``params_with_vector``), the head's per-row
+cross-entropy (``pointwise_losses``), ``cross_entropy`` and
+``kl_divergence``, every vertex of a coupling polytope
+(``enumerate_polytope_vertices``), the fitting term by an SLSQP solve
+(``tf_convex_oracle``), and the true source label conditional of a
+synthetic task (``exact_source_conditional``).
 Reference implementations that a faster library path must match bit for
 bit keep the earlier arithmetic: the recalibration step with an explicit
 identity Jacobian and separate softmax and log-softmax, the greedy
@@ -16,13 +24,175 @@ assembled with a per-entry feasibility gather, the fitting term through
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 from scipy.special import log_softmax, softmax
 
-from gapcraft import bound, distortion, transport
-from gapcraft.probs import entropy, kl_divergence
+from gapcraft import bound, distortion, models, probs, transport
+from gapcraft import numgrad as ng
+from gapcraft.distortion import TransportKernel
+from gapcraft.models import Layer, MlpParams
+from gapcraft.numgrad import DimensionError, freeze
+from gapcraft.probs import LOG_FLOOR, as_conditional, as_distribution, entropy
+from gapcraft.synthtasks import NOISE_SCALE
+
+
+def params_vector(params: MlpParams) -> np.ndarray:
+    return np.concatenate([np.concatenate([l.w.ravel(), l.b.ravel()]) for l in params.layers])
+
+
+def params_with_vector(params: MlpParams, vec: np.ndarray) -> MlpParams:
+    needed = params.n_parameters()
+    if vec.size != needed:
+        raise DimensionError(f"vector has {vec.size} entries, params need {needed}")
+    layers = []
+    at = 0
+    for l in params.layers:
+        w = vec[at : at + l.w.size].reshape(l.w.shape)
+        at += l.w.size
+        b = vec[at : at + l.b.size].reshape(l.b.shape)
+        at += l.b.size
+        layers.append(Layer(freeze(w), freeze(b), l.act))
+    return MlpParams(tuple(layers))
+
+
+def pointwise_losses(head: MlpParams, u, conditional) -> tuple[np.ndarray, bool]:
+    """Cross-entropy of the head against per-row conditionals, in nats.
+
+    Predictions at exactly zero probability on a supported class are
+    clamped at 1e-12; the returned flag reports whether that happened.
+    """
+    u = ng.as_matrix(u, "feature batch")
+    d = as_conditional(conditional, "task conditional")
+    p = models.predict_source(head, u)
+    clamped = bool(np.any((p < LOG_FLOOR) & (d > 0.0)))
+    logp = np.log(np.maximum(p, LOG_FLOOR))
+    return -(d * logp).sum(axis=1), clamped
+
+
+def cross_entropy(p, q) -> float:
+    """-sum p*log(q) in nats; +inf when p puts mass where q vanishes."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    support = p > 0.0
+    qs = q[support]
+    if (qs <= 0.0).any():
+        return float("inf")
+    return float(-(p[support] * np.log(qs)).sum())
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p || q) in nats; +inf on support violation, 0*log(0/q)=0."""
+    ce = cross_entropy(p, q)
+    if ce == float("inf"):
+        return ce
+    return ce - entropy(p)
+
+
+def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
+    """All vertices (basic feasible solutions) of the coupling polytope.
+
+    Every returned matrix has marginals (w, q) and at most
+    ``len(w) + len(q) - 1`` nonzeros; degenerate vertices reachable from
+    several spanning trees (equal to 12 decimals) appear once.
+    """
+    w = as_distribution(w, "row marginal")
+    q = as_distribution(q, "col marginal")
+    distortion._check_label_sizes(w.size, q.size)
+    ri = (w > 0.0).nonzero()[0]
+    ci = (q > 0.0).nonzero()[0]
+    wa, qa = w[ri], q[ci]
+    n, m = wa.size, qa.size
+    if n == 1 or m == 1:
+        pi_a = qa[None, :] if n == 1 else wa[:, None]
+        return [distortion._embed(pi_a, ri, ci, (w.size, q.size))]
+    seen: dict[tuple, np.ndarray] = {}
+    cells, sols = distortion._basic_feasible_solutions(wa, qa)
+    for tree, vals in zip(cells, sols.T):
+        pi_a = np.zeros((n, m))
+        pi_a.flat[tree] = vals
+        key = tuple(np.round(pi_a, 12).ravel())
+        if key not in seen:
+            seen[key] = distortion._embed(pi_a, ri, ci, (w.size, q.size))
+    return list(seen.values())
+
+
+def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float:
+    """Fitting term by a generic constrained convex solve; closed-form-free.
+
+    Minimizes sum_z w(z) KL(plus(.|z) || lam(.|z)) over nonnegative plans
+    whose mixture under w equals the prediction: per prediction class this
+    is an independent problem in its plan column, solved by sequential
+    quadratic programming in log space (linear objective, one smooth
+    equality, iterates strictly positive by construction).  Kept as the
+    cross-check route against ``bound.tf_closed_form`` at small label counts.
+    """
+    w = as_distribution(source_cond, "source conditional")
+    p = as_distribution(p_target, "target prediction")
+    plus = plus_plan.matrix
+    if plus.shape[0] != w.size or plus.shape[1] != p.size:
+        raise ValueError("plan shape disagrees with conditional/prediction sizes")
+    if w.size > 5 or p.size > 5:
+        raise transport.CapabilityError("convex oracle rated for label spaces <= 5")
+    live = w > 0.0
+    wa = w[live]
+    total = 0.0
+    for j in range(p.size):
+        a = wa * plus[live, j]  # per-entry objective weights of this column
+        if float(a.sum()) <= 0.0:
+            continue  # column never visited: any feasible completion is free
+        if p[j] <= 0.0:
+            return math.inf
+        support = a > 0.0
+        a_s = a[support]
+        w_s = wa[support]
+        total += float((a_s * np.log(plus[live, j][support])).sum())
+        if a_s.size == 1:
+            # the single supported entry is pinned by the mixture constraint
+            total += float(-a_s[0] * np.log(p[j] / w_s[0]))
+            continue
+
+        # Solve in log space: variables t = log(plan column on the support).
+        # The objective is then linear and iterates stay strictly positive.
+        mass = float(p[j])
+        res = minimize(
+            lambda t, a_s=a_s: -float(a_s @ t),
+            np.full(a_s.size, np.log(mass)),
+            jac=lambda t, a_s=a_s: -a_s,
+            method="SLSQP",
+            constraints=[
+                {
+                    "type": "eq",
+                    "fun": lambda t, w_s=w_s, mass=mass: w_s @ np.exp(t) - mass,
+                    "jac": lambda t, w_s=w_s: (w_s * np.exp(t))[None, :],
+                }
+            ],
+            options={"ftol": 1e-14, "maxiter": 500},
+        )
+        if not res.success and abs(float(res.fun)) > 1e6:
+            raise transport.SolverError(f"convex oracle failed on column {j}: {res.message}")
+        total += float(res.fun)
+    return total
+
+
+def exact_source_conditional(meta: dict, x) -> np.ndarray:
+    """True label conditional D(z|x) of the source generative process.
+
+    Gaussian class posterior composed with the planted flip-noise matrix;
+    available exactly because the task is synthetic.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    means = np.asarray(meta["class_means"], dtype=np.float64)
+    k = means.shape[0]
+    noise = float(meta["label_noise"])
+    d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    post = probs.softmax(-d2 / (2.0 * NOISE_SCALE**2))
+    flip = np.full((k, k), noise / (k - 1))
+    np.fill_diagonal(flip, 1.0 - noise)
+    return post @ flip
 
 
 def finite_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -18,7 +18,15 @@ from gapcraft.probs import entropy
 from gapcraft.synthtasks import TaskSpec
 from gapcraft.transport import SinkhornConfig
 
-from oracles import finite_difference, relative_gradient_error
+from oracles import (
+    exact_source_conditional,
+    finite_difference,
+    params_vector,
+    params_with_vector,
+    pointwise_losses,
+    relative_gradient_error,
+    tf_convex_oracle,
+)
 
 warnings.filterwarnings("ignore")
 
@@ -93,7 +101,7 @@ def test_criterion_04_tf_closed_form_vs_convex_oracle():
         p_tau = rng.dirichlet(np.ones(kt) * 2)
         plus = distortion.fld_exact(w, q).plan
         closed = bound.tf_closed_form(plus, q, p_tau).tf
-        oracle = bound.tf_convex_oracle(plus, w, p_tau)
+        oracle = tf_convex_oracle(plus, w, p_tau)
         worst = max(worst, abs(closed - oracle))
     _verdict(4, worst <= 1e-4, f"worst |closed-oracle|={worst:.2e} (<=1e-4)")
 
@@ -148,10 +156,10 @@ def test_criterion_06_gradient_integrity():
         v = models.embed(theta, source)
 
         def fa_objective(vec):
-            u = models.embed(models.params_with_vector(phi, vec), target)
+            u = models.embed(params_with_vector(phi, vec), target)
             return omega * float((pi * transport.cost_matrix(u, v)).sum())
 
-        fd = finite_difference(fa_objective, models.params_vector(phi))
+        fd = finite_difference(fa_objective, params_vector(phi))
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
         worst["fa"] = max(worst["fa"], relative_gradient_error(analytic, fd))
 
@@ -165,11 +173,11 @@ def test_criterion_06_gradient_integrity():
 
         def fld_objective(vec):
             stats = distortion.pseudo_label_stats(
-                models.params_with_vector(phi, vec), head, x, y, 3, "soft"
+                params_with_vector(phi, vec), head, x, y, 3, "soft"
             )
             return distortion.fld_surrogate(stats)
 
-        fd = finite_difference(fld_objective, models.params_vector(phi))
+        fd = finite_difference(fld_objective, params_vector(phi))
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
         worst["fld"] = max(worst["fld"], relative_gradient_error(analytic, fd))
 
@@ -201,7 +209,7 @@ def test_criterion_06_gradient_integrity():
             )
             return (
                 lipschitz.penalty_value(patched, u, d, omega)
-                + lipschitz.pointwise_losses(patched, u, d)[0].mean()
+                + pointwise_losses(patched, u, d)[0].mean()
             )
 
         x0 = np.concatenate([last.w.ravel(), last.b.ravel()])
@@ -222,13 +230,13 @@ def test_criterion_06_gradient_integrity():
 
         def nll_objective(vec, kernel=kernel, u=u, p_s=p_s, labels=labels, onehot=onehot):
             k = models.TransportHeadParams(
-                models.params_with_vector(kernel.mlp, vec),
+                params_with_vector(kernel.mlp, vec),
                 kernel.n_source_classes,
                 kernel.n_target_classes,
             )
             return pipeline._stage2_loss_and_grad(k, u, p_s, labels, onehot)[0]
 
-        fd = finite_difference(nll_objective, models.params_vector(kernel.mlp))
+        fd = finite_difference(nll_objective, params_vector(kernel.mlp))
         worst["nll"] = max(worst["nll"], relative_gradient_error(analytic, fd))
 
     ok = all(v < 1e-4 for v in worst.values())
@@ -253,11 +261,11 @@ def test_criterion_07_lipschitz_recalibration():
     lip = LipschitzConfig(0.3, penalty_weight=10.0, epochs=800, lr=0.1, enforcement_margin=0.8)
     # exact mode: the generator supplies the true label conditional, which
     # is what the pointwise source loss is defined against
-    cond_train = synthtasks.exact_source_conditional(bundle.meta, train.x)
+    cond_train = exact_source_conditional(bundle.meta, train.x)
     result = lipschitz.recalibrate_head(
         head, theta, train.x, train.y, lip, conditional=cond_train
     )
-    cond_hold = synthtasks.exact_source_conditional(bundle.meta, hold.x)
+    cond_hold = exact_source_conditional(bundle.meta, hold.x)
     norms = np.linalg.norm(
         lipschitz.feature_gradients(result.head, u_hold, cond_hold), axis=1
     )

@@ -13,11 +13,14 @@ from gapcraft.probs import entropy
 from oracles import (
     conditional_pairs,
     entropy_mp,
+    enumerate_polytope_vertices,
     finite_difference,
     gathered_fld,
     highs_w1,
     leaf_peel,
     masked_vertex_entropies,
+    params_vector,
+    params_with_vector,
     relative_gradient_error,
 )
 
@@ -80,7 +83,7 @@ def test_fld_2x2_reference_value():
     expected = entropy_mp([0.5, 0.2, 0.3]) - entropy_mp([0.7, 0.3])
     assert expected == pytest.approx(0.4188, abs=5e-5)
     assert res.fld == pytest.approx(expected, abs=1e-12)
-    vertices = distortion.enumerate_polytope_vertices([0.7, 0.3], [0.5, 0.5])
+    vertices = enumerate_polytope_vertices([0.7, 0.3], [0.5, 0.5])
     values = [entropy(v) - entropy([0.7, 0.3]) for v in vertices]
     assert res.fld == pytest.approx(min(values), abs=1e-12)
     assert any(np.allclose(v, [[0.5, 0.2], [0.0, 0.3]]) for v in vertices)
@@ -156,7 +159,7 @@ def test_fld_below_any_feasible_coupling_entropy():
         best = fld_exact(w, q).fld
         # independent coupling and random vertex blends are all feasible
         candidates = [np.outer(w, q)]
-        vertices = distortion.enumerate_polytope_vertices(w, q)
+        vertices = enumerate_polytope_vertices(w, q)
         candidates.extend(vertices[:5])
         lam = rng.random(2)
         candidates.append(
@@ -245,13 +248,13 @@ def test_cut_table_matches_leaf_peeling_on_sampled_5x5_trees():
 
 
 def test_enumerate_singleton():
-    vertices = distortion.enumerate_polytope_vertices([1.0], [1.0])
+    vertices = enumerate_polytope_vertices([1.0], [1.0])
     assert len(vertices) == 1
     assert np.allclose(vertices[0], [[1.0]])
 
 
 def test_enumerate_birkhoff_corners():
-    vertices = distortion.enumerate_polytope_vertices([0.5, 0.5], [0.5, 0.5])
+    vertices = enumerate_polytope_vertices([0.5, 0.5], [0.5, 0.5])
     mats = [np.round(v / 0.5).astype(int) for v in vertices]
     assert any(np.array_equal(m, np.eye(2, dtype=int)) for m in mats)
     assert any(np.array_equal(m, np.eye(2, dtype=int)[::-1]) for m in mats)
@@ -261,7 +264,7 @@ def test_enumerate_marginals_and_support_size():
     rng = np.random.default_rng(4)
     w = rng.dirichlet(np.ones(3))
     q = rng.dirichlet(np.ones(3))
-    vertices = distortion.enumerate_polytope_vertices(w, q)
+    vertices = enumerate_polytope_vertices(w, q)
     for v in vertices:
         assert np.max(np.abs(v.sum(axis=1) - w)) < 1e-9
         assert np.max(np.abs(v.sum(axis=0) - q)) < 1e-9
@@ -273,7 +276,7 @@ def test_enumerate_covers_lp_optima():
     rng = np.random.default_rng(5)
     w = rng.dirichlet(np.ones(3))
     q = rng.dirichlet(np.ones(3))
-    vertices = distortion.enumerate_polytope_vertices(w, q)
+    vertices = enumerate_polytope_vertices(w, q)
     for _ in range(50):
         c = rng.normal(size=9)
         _, lp_best, _ = highs_w1(c.reshape(3, 3), w, q)
@@ -475,21 +478,12 @@ def test_fld_grad_matches_fd():
     loss, grads = distortion.fld_loss_and_grad(phi, head, x, y, 3)
 
     def f(vec):
-        p = models.params_with_vector(phi, vec)
+        p = params_with_vector(phi, vec)
         stats = distortion.pseudo_label_stats(p, head, x, y, 3, "soft")
         return fld_surrogate(stats)
 
-    x0 = models.params_vector(phi)
+    x0 = params_vector(phi)
     assert loss == pytest.approx(f(x0), abs=1e-12)
     fd = finite_difference(f, x0)
     analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
     assert relative_gradient_error(analytic, fd) < 1e-4
-
-
-def test_stats_csv(tmp_path):
-    stats = JointLabelStats(np.array([[0.4, 0.1], [0.1, 0.4]]), kappa=4)
-    path = tmp_path / "joint.csv"
-    distortion.stats_to_csv(stats, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "zprime_0,zprime_1"
-    assert len(lines) == 3

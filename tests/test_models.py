@@ -8,6 +8,8 @@ from gapcraft import numgrad as ng
 
 from oracles import (
     finite_difference,
+    params_vector,
+    params_with_vector,
     relative_gradient_error,
     softmax_mp,
     stage2_loss_and_grad,
@@ -158,11 +160,11 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_params_vector_roundtrip():
     rng = np.random.default_rng(9)
     p = models.init_mlp([3, 4, 2], "tanh", rng)
-    vec = models.params_vector(p)
-    q = models.params_with_vector(p, vec)
+    vec = params_vector(p)
+    q = params_with_vector(p, vec)
     assert all(np.array_equal(a.w, b.w) for a, b in zip(p.layers, q.layers))
     with pytest.raises(ng.DimensionError):
-        models.params_with_vector(p, vec[:-1])
+        params_with_vector(p, vec[:-1])
 
 
 @pytest.mark.parametrize(
@@ -180,7 +182,7 @@ def test_mlp_vjp_matches_fd_three_layers(acts):
             for l, act in zip(models.init_mlp(dims, "tanh", rng).layers, acts)
         )
     )
-    params = models.params_with_vector(shape, rng.normal(size=shape.n_parameters()))
+    params = params_with_vector(shape, rng.normal(size=shape.n_parameters()))
     x = rng.normal(size=(6, 3))
     g = rng.normal(size=(6, 2))
     out, pullback = models.mlp_vjp(params, x)
@@ -190,9 +192,9 @@ def test_mlp_vjp_matches_fd_three_layers(acts):
     analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in pullback(g)])
 
     def f(vec):
-        return float((models.embed(models.params_with_vector(params, vec), x) * g).sum())
+        return float((models.embed(params_with_vector(params, vec), x) * g).sum())
 
-    fd = finite_difference(f, models.params_vector(params))
+    fd = finite_difference(f, params_vector(params))
     assert relative_gradient_error(analytic, fd) < 1e-4
     with pytest.raises(FloatingPointError):
         pullback(np.full((6, 2), np.inf))
@@ -212,11 +214,11 @@ def _stage2_gradient_error(rng, kernel_feature_dim, kz, kt, n=8, d=3):
 
     def f(vec):
         k = models.TransportHeadParams(
-            models.params_with_vector(kernel.mlp, vec), kz, kt
+            params_with_vector(kernel.mlp, vec), kz, kt
         )
         return pipeline._stage2_loss_and_grad(k, u, p_s, labels, onehot)[0]
 
-    fd = finite_difference(f, models.params_vector(kernel.mlp))
+    fd = finite_difference(f, params_vector(kernel.mlp))
     return relative_gradient_error(analytic, fd)
 
 

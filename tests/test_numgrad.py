@@ -7,7 +7,13 @@ import pytest
 from gapcraft import models
 from gapcraft import numgrad as ng
 
-from oracles import finite_difference, relative_gradient_error, straightline_mlp
+from oracles import (
+    finite_difference,
+    params_vector,
+    params_with_vector,
+    relative_gradient_error,
+    straightline_mlp,
+)
 
 
 def _mlp(*layers):
@@ -102,10 +108,10 @@ def test_backward_three_layer_mlp_matches_fd():
     )
 
     def f(vec):
-        h = models.embed(models.params_with_vector(params, vec), x)
+        h = models.embed(params_with_vector(params, vec), x)
         return float(((h - target) ** 2).sum())
 
-    fd = finite_difference(f, models.params_vector(params))
+    fd = finite_difference(f, params_vector(params))
     assert relative_gradient_error(analytic, fd) < 1e-4
 
 
@@ -126,9 +132,9 @@ def test_primitive_gradients_match_fd(seed):
     analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in pullback(g)])
 
     def f(vec):
-        return float((models.embed(models.params_with_vector(params, vec), x) * g).sum())
+        return float((models.embed(params_with_vector(params, vec), x) * g).sum())
 
-    fd = finite_difference(f, models.params_vector(params))
+    fd = finite_difference(f, params_vector(params))
     assert relative_gradient_error(analytic, fd) < 1e-4, act
 
 

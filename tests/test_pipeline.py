@@ -13,7 +13,7 @@ from gapcraft.pipeline import PipelineConfig, RunLog, RunRecord, UndefinedCorrel
 from gapcraft.probs import softmax
 from gapcraft.synthtasks import Dataset, TaskSpec
 
-from oracles import finite_difference, relative_gradient_error
+from oracles import finite_difference, params_vector, params_with_vector, relative_gradient_error
 
 
 SMALL = PipelineConfig(n0=20, n1=10, n2=2, pretrain_epochs=100, recalibrate=False)
@@ -54,14 +54,14 @@ def test_pretrain_step_is_cross_entropy_gradient(rotated_bundle):
     theta1, head1, _ = pipeline.pretrain_source(rotated_bundle, cfg)
     before = models.MlpParams(theta0.layers + head0.layers)
     after = models.MlpParams(theta1.layers + head1.layers)
-    step = (models.params_vector(before) - models.params_vector(after)) / cfg.lr_pretrain
+    step = (params_vector(before) - params_vector(after)) / cfg.lr_pretrain
     x, y = rotated_bundle.source.x, rotated_bundle.source.y
 
     def cross_entropy(vec):
-        p = softmax(models.embed(models.params_with_vector(before, vec), x))
+        p = softmax(models.embed(params_with_vector(before, vec), x))
         return float(-np.log(p[np.arange(len(y)), y]).mean())
 
-    fd = finite_difference(cross_entropy, models.params_vector(before))
+    fd = finite_difference(cross_entropy, params_vector(before))
     assert relative_gradient_error(step, fd) < 1e-4
 
 
@@ -95,7 +95,8 @@ def test_stage1_zero_epochs_is_noop(rotated_bundle):
     rng = np.random.default_rng(0)
     phi = models.init_mlp([12, 16, 8], "tanh", rng)
     phi_out, log = pipeline.stage1(
-        phi, theta, head, rotated_bundle.proxy, rotated_bundle.target, cfg
+        phi, theta, head, rotated_bundle.proxy, rotated_bundle.target, cfg, None,
+        pipeline.target_class_count(rotated_bundle),
     )
     assert phi_out is phi
     assert log.records == []
@@ -126,7 +127,10 @@ def test_stage1_reduces_alignment_loss_median_over_seeds():
             [12, 16, 8], "tanh",
             np.random.default_rng(np.random.SeedSequence([seed, 4])),
         )
-        phi, log = pipeline.stage1(phi, theta, head, bundle.proxy, bundle.target, cfg)
+        phi, log = pipeline.stage1(
+            phi, theta, head, bundle.proxy, bundle.target, cfg, None,
+            pipeline.target_class_count(bundle),
+        )
         fa = [r.l_fa for r in log.phase("fa")]
         ratios.append(fa[-1] / fa[0])
     assert np.median(ratios) <= 0.5

@@ -1,13 +1,12 @@
 """Probability-vector validators, the last-axis fold and the max-shifted
-(log-)softmax."""
+softmax."""
 
 import re
 
 import numpy as np
 import pytest
-from scipy.special import log_softmax as scipy_log_softmax
 
-from gapcraft.probs import as_conditional, as_distribution, fold_last, log_softmax, softmax
+from gapcraft.probs import as_conditional, as_distribution, fold_last, softmax
 
 from oracles import reduce_softmax
 
@@ -82,43 +81,13 @@ def test_validators_use_the_given_name_and_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# log_softmax
+# fold_last and softmax
 # ---------------------------------------------------------------------------
-
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-
-def test_log_softmax_matches_scipy_bit_for_bit():
-    rng = np.random.default_rng(0)
-    for shape, scale in [((7, 3), 1.0), ((5, 4), 30.0), ((1, 2), 1e3), ((6,), 5.0), ((2, 3, 4), 2.0)]:
-        x = rng.normal(size=shape) * scale
-        assert _same_bits(log_softmax(x), scipy_log_softmax(x, axis=-1))
-
-
-@pytest.mark.filterwarnings("ignore:invalid value")
-def test_log_softmax_matches_scipy_on_infinite_rows():
-    ninf = -np.inf
-    x = np.array(
-        [
-            [0.5, ninf, 2.0],  # one -inf entry: exactly -inf out
-            [ninf, ninf, 1.0],  # all mass on one class: exactly 0 there
-            [ninf, ninf, ninf],  # all -inf: NaN, as scipy
-            [np.inf, 0.0, 1.0],  # +inf maximum: shifted by 0, NaN as scipy
-            [800.0, 0.0, -5.0],  # the shift keeps exp from overflowing
-        ]
-    )
-    ours = log_softmax(x)
-    assert _same_bits(ours, scipy_log_softmax(x, axis=1))
-    assert ours[0, 1] == ninf and ours[1, 2] == 0.0
-    assert np.isnan(ours[2]).all()
-
-
-# ---------------------------------------------------------------------------
-# fold_last and softmax
-# ---------------------------------------------------------------------------
 
 FOLD_OPS = {"maximum": np.maximum, "add": np.add, "logical_and": np.logical_and}
 

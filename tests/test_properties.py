@@ -13,6 +13,8 @@ from gapcraft import bound, distortion
 from gapcraft.bound import DiscreteInstance
 from gapcraft.probs import entropy
 
+from oracles import enumerate_polytope_vertices
+
 PROPERTY = settings(
     derandomize=True,
     database=None,
@@ -85,7 +87,7 @@ def test_fld_kernel_marginals_and_range(w, q):
 @settings(PROPERTY, max_examples=150)
 @given(distributions(max_size=3), distributions(max_size=3))
 def test_fld_is_the_minimum_over_enumerated_vertices(w, q):
-    vertices = distortion.enumerate_polytope_vertices(w, q)
+    vertices = enumerate_polytope_vertices(w, q)
     best = min(entropy(v) for v in vertices) - entropy(w)
     assert abs(distortion.fld_exact(w, q).fld - max(0.0, best)) <= 1e-12
 
@@ -97,3 +99,22 @@ def test_bound_and_proof_terms_hold(inst):
     terms = bound.verify_proof_terms(inst)
     assert terms.term_a_lhs <= terms.term_a_rhs + 1e-9
     assert terms.term_b_lhs <= terms.term_b_rhs + 1e-9
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_tf_realized_plan_is_finite_and_reproduces_prediction(kz, kt, data):
+    """The fitting term's plan stays finite when a target class carries a
+    subnormal mass, and its mixture under w reproduces p on every column
+    completed with p (the class is never visited, or p_j / q_j overflows)
+    and on every column whose kernel mixture reproduces q_j."""
+    w = data.draw(distributions(kz, kz))
+    q = data.draw(distributions(kt, kt))
+    p = data.draw(distributions(kt, kt))
+    kernel = distortion.fld_exact(w, q).plan
+    plan = bound.tf_closed_form(kernel, q, p).realized_plan
+    assert np.isfinite(plan).all()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        completed = ~np.isfinite(p / q)
+    faithful = np.abs(w @ kernel.matrix - q) <= 1e-9 * q
+    assert np.abs(w @ plan - p)[completed | faithful].max(initial=0.0) <= 1e-9

@@ -167,15 +167,6 @@ def test_random_instances_pass_validation():
         assert inst.target_cond.shape[1] <= 4
 
 
-def test_to_discrete_instance_requires_family():
-    with pytest.raises(ValueError):
-        synthtasks.to_discrete_instance(TaskSpec(family="rotated"))
-    inst = synthtasks.to_discrete_instance(
-        TaskSpec(family="discrete_exact", n_classes=3, n_target_classes=3, seed=12)
-    )
-    assert inst.n_points >= 1
-
-
 # ---------------------------------------------------------------------------
 # Dataset files
 # ---------------------------------------------------------------------------
