@@ -40,12 +40,6 @@ def _setup_logging() -> None:
     )
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_resolved_config(args, out: Path) -> None:
     resolved = {
         k: v for k, v in vars(args).items() if k not in ("func", "config")
@@ -90,11 +84,21 @@ def _pipeline_config(args) -> PipelineConfig:
         lr_fld=args.lr_fld,
         lr_predictor=args.lr_predictor,
         batch_size=args.batch_size,
-        omega=args.omega,
         sinkhorn=SinkhornConfig(args.epsilon, args.sinkhorn_iters, args.sinkhorn_tol),
+        lipschitz=replace(PipelineConfig().lipschitz, omega=args.omega),
         seed=args.seed,
         baseline=args.baseline,
         scale=args.scale,
+    )
+
+
+def _lipschitz_config(args) -> LipschitzConfig:
+    return LipschitzConfig(
+        omega=args.omega,
+        penalty_weight=args.penalty_weight,
+        epochs=args.epochs,
+        lr=args.lr,
+        enforcement_margin=args.enforcement_margin,
     )
 
 
@@ -115,8 +119,7 @@ def _load_bundle(data_dir: Path) -> synthtasks.TaskBundle:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    out = _out_dir(args)
+def cmd_gen(args, out: Path) -> int:
     bundle = synthtasks.generate(_task_spec(args))
     for name, ds in (
         ("source", bundle.source),
@@ -125,13 +128,11 @@ def cmd_gen(args) -> int:
         ("target_test", bundle.target_test),
     ):
         synthtasks.save_dataset(ds, out / f"{name}.csv", bundle.meta)
-    _write_resolved_config(args, out)
     log.info("wrote task bundle to %s", out)
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    out = _out_dir(args)
+def cmd_pretrain(args, out: Path) -> int:
     bundle = _load_bundle(_require(args.data, "data directory"))
     cfg = _pipeline_config(args)
     theta, head, proxy_error = pipeline.pretrain_source(bundle, cfg)
@@ -140,25 +141,18 @@ def cmd_pretrain(args) -> int:
     (out / "pretrain_summary.json").write_text(
         json.dumps({"proxy_error": proxy_error}, indent=2)
     )
-    _write_resolved_config(args, out)
     log.info("pretrained source model: proxy error %.4f", proxy_error)
     return 0
 
 
-def cmd_recalibrate(args) -> int:
-    out = _out_dir(args)
+def cmd_recalibrate(args, out: Path) -> int:
     bundle = _load_bundle(_require(args.data, "data directory"))
     mdir = _require(args.models, "models directory")
     theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
     head, _ = models.load_params(_require(mdir / "source_head.json", "head checkpoint"))
-    cfg = LipschitzConfig(
-        omega=args.omega,
-        penalty_weight=args.penalty_weight,
-        epochs=args.epochs,
-        lr=args.lr,
-        enforcement_margin=args.enforcement_margin,
+    result = lipschitz.recalibrate_head(
+        head, theta, bundle.proxy.x, bundle.proxy.y, _lipschitz_config(args)
     )
-    result = lipschitz.recalibrate_head(head, theta, bundle.proxy.x, bundle.proxy.y, cfg)
     models.save_params(result.head, out / "source_head.json", role="source_head_recalibrated")
     models.save_params(theta, out / "theta.json", role="source_embedder")
     (out / "recalibrate_summary.json").write_text(
@@ -171,12 +165,10 @@ def cmd_recalibrate(args) -> int:
             indent=2,
         )
     )
-    _write_resolved_config(args, out)
     return 0
 
 
-def cmd_stage1(args) -> int:
-    out = _out_dir(args)
+def cmd_stage1(args, out: Path) -> int:
     bundle = _load_bundle(_require(args.data, "data directory"))
     mdir = _require(args.models, "models directory")
     theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
@@ -189,12 +181,10 @@ def cmd_stage1(args) -> int:
     )
     models.save_params(phi, out / "phi.json", role="target_embedder")
     log1.to_jsonl(out / "runlog.jsonl")
-    _write_resolved_config(args, out)
     return 0
 
 
-def cmd_stage2(args) -> int:
-    out = _out_dir(args)
+def cmd_stage2(args, out: Path) -> int:
     bundle = _load_bundle(_require(args.data, "data directory"))
     mdir = _require(args.models, "models directory")
     theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
@@ -210,16 +200,14 @@ def cmd_stage2(args) -> int:
     )
     models.save_params(kernel.mlp, out / "kernel.json", role="transport_head")
     log2.to_jsonl(out / "runlog.jsonl")
-    final = log2.records[-1].holdout_error if log2.records else float("nan")
+    holdout = pipeline.score_holdout(phi, head, kernel, bundle)
     (out / "stage2_summary.json").write_text(
-        json.dumps({"holdout_error": final}, indent=2)
+        json.dumps({"holdout_error": holdout}, indent=2)
     )
-    _write_resolved_config(args, out)
     return 0
 
 
-def cmd_verify_theorem(args) -> int:
-    out = _out_dir(args)
+def cmd_verify_theorem(args, out: Path) -> int:
     violations = []
     proof_violations = []
     worst_gap = float("inf")
@@ -243,13 +231,11 @@ def cmd_verify_theorem(args) -> int:
         "worst_gap": worst_gap,
     }
     (out / "verify_theorem.json").write_text(json.dumps(summary, indent=2))
-    _write_resolved_config(args, out)
     print(json.dumps(summary, indent=2))
     return 0 if not violations and not proof_violations else 1
 
 
-def cmd_bound_report(args) -> int:
-    out = _out_dir(args)
+def cmd_bound_report(args, out: Path) -> int:
     reports = {}
     for i in range(args.tasks):
         inst = synthtasks.random_discrete_instance(args.seed + i)
@@ -258,7 +244,6 @@ def cmd_bound_report(args) -> int:
     (out / "bound_report.json").write_text(json.dumps(payload, indent=2))
     if args.bars:
         bound.reports_to_bars_csv(reports, out / "bars.csv")
-    _write_resolved_config(args, out)
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -278,8 +263,7 @@ def _parse_grid(grid: str) -> list[float]:
     return values
 
 
-def cmd_sweep_omega(args) -> int:
-    out = _out_dir(args)
+def cmd_sweep_omega(args, out: Path) -> int:
     bundle = _load_bundle(_require(args.data, "data directory"))
     cfg = _pipeline_config(args)
     theta, head, _ = pipeline.pretrain_source(bundle, cfg)
@@ -289,22 +273,14 @@ def cmd_sweep_omega(args) -> int:
         head,
         bundle.proxy.x,
         bundle.proxy.y,
-        LipschitzConfig(
-            omega=0.3,
-            penalty_weight=args.penalty_weight,
-            epochs=args.epochs,
-            lr=args.lr,
-            enforcement_margin=args.enforcement_margin,
-        ),
+        _lipschitz_config(args),
         seed=args.seed,
     )
     lipschitz.sweep_to_csv(rows, out / "sweep.csv")
-    _write_resolved_config(args, out)
     return 0
 
 
-def cmd_baseline(args) -> int:
-    out = _out_dir(args)
+def cmd_baseline(args, out: Path) -> int:
     specs = {}
     for family in args.families.split(","):
         family = family.strip()
@@ -319,18 +295,13 @@ def cmd_baseline(args) -> int:
     rows = pipeline.run_baseline(specs, cfg, seeds=range(args.seeds))
     pipeline.baseline_table_to_csv(rows, out / "baseline.csv")
     (out / "baseline.json").write_text(json.dumps(rows, indent=2))
-    _write_resolved_config(args, out)
     print(json.dumps(rows, indent=2))
     return 0
 
 
-def cmd_correlate(args) -> int:
-    out = _out_dir(args)
+def cmd_correlate(args, out: Path) -> int:
     runlog = RunLog.from_jsonl(_require(args.runlog, "run log"))
-    try:
-        r, series = pipeline.correlate_gap_error(runlog)
-    except pipeline.UndefinedCorrelationError as exc:
-        raise DomainError(str(exc)) from exc
+    r, series = pipeline.correlate_gap_error(runlog)
     with (out / "gap_error_series.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["epoch", "phase", "semantic_gap", "holdout_error"]
@@ -338,7 +309,6 @@ def cmd_correlate(args) -> int:
         writer.writeheader()
         writer.writerows(series)
     (out / "correlation.json").write_text(json.dumps({"pearson_r": r}, indent=2))
-    _write_resolved_config(args, out)
     print(json.dumps({"pearson_r": r}, indent=2))
     return 0
 
@@ -348,43 +318,52 @@ def cmd_correlate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# every default below is the library's: TaskSpec, PipelineConfig and its
+# LipschitzConfig are the one home of each setting
+
+
 def _add_task_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default="rotated", choices=synthtasks.FAMILIES)
-    p.add_argument("--source-dim", type=int, default=4)
-    p.add_argument("--target-dim", type=int, default=12)
-    p.add_argument("--classes", type=int, default=3)
+    spec = TaskSpec()
+    p.add_argument("--family", default=spec.family, choices=synthtasks.FAMILIES)
+    p.add_argument("--source-dim", type=int, default=spec.source_dim)
+    p.add_argument("--target-dim", type=int, default=spec.target_dim)
+    p.add_argument("--classes", type=int, default=spec.n_classes)
+    # 0: as many target classes as source classes
     p.add_argument("--target-classes", type=int, default=0)
-    p.add_argument("--n-source", type=int, default=240)
-    p.add_argument("--n-proxy", type=int, default=240)
-    p.add_argument("--n-target", type=int, default=48)
-    p.add_argument("--n-target-test", type=int, default=400)
-    p.add_argument("--gap-knob", type=float, default=0.0)
-    p.add_argument("--label-noise", type=float, default=0.1)
+    p.add_argument("--n-source", type=int, default=spec.n_source)
+    p.add_argument("--n-proxy", type=int, default=spec.n_proxy)
+    p.add_argument("--n-target", type=int, default=spec.n_target)
+    p.add_argument("--n-target-test", type=int, default=spec.n_target_test)
+    p.add_argument("--gap-knob", type=float, default=spec.gap_knob)
+    p.add_argument("--label-noise", type=float, default=spec.label_noise)
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n0", type=int, default=60)
-    p.add_argument("--n1", type=int, default=60)
-    p.add_argument("--n2", type=int, default=4)
-    p.add_argument("--lr-fa", type=float, default=0.2)
-    p.add_argument("--lr-fld", type=float, default=0.1)
-    p.add_argument("--lr-predictor", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--omega", type=float, default=0.3)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--sinkhorn-iters", type=int, default=500)
-    p.add_argument("--sinkhorn-tol", type=float, default=1e-6)
-    p.add_argument("--baseline", default="recraft", choices=pipeline.VARIANTS)
-    p.add_argument("--scale", type=float, default=1.0)
+    cfg = PipelineConfig()
+    p.add_argument("--n0", type=int, default=cfg.n0)
+    p.add_argument("--n1", type=int, default=cfg.n1)
+    p.add_argument("--n2", type=int, default=cfg.n2)
+    p.add_argument("--lr-fa", type=float, default=cfg.lr_fa)
+    p.add_argument("--lr-fld", type=float, default=cfg.lr_fld)
+    p.add_argument("--lr-predictor", type=float, default=cfg.lr_predictor)
+    p.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    # the one omega: recalibration's bound and the alignment loss's weight
+    p.add_argument("--omega", type=float, default=cfg.lipschitz.omega)
+    p.add_argument("--epsilon", type=float, default=cfg.sinkhorn.epsilon)
+    p.add_argument("--sinkhorn-iters", type=int, default=cfg.sinkhorn.max_iter)
+    p.add_argument("--sinkhorn-tol", type=float, default=cfg.sinkhorn.tol)
+    p.add_argument("--baseline", default=cfg.baseline, choices=pipeline.VARIANTS)
+    p.add_argument("--scale", type=float, default=cfg.scale)
 
 
 def _add_recalibrate_args(p: argparse.ArgumentParser, with_omega: bool = True) -> None:
+    lip = PipelineConfig().lipschitz
     if with_omega:
-        p.add_argument("--omega", type=float, default=0.3)
-    p.add_argument("--penalty-weight", type=float, default=10.0)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--enforcement-margin", type=float, default=0.8)
+        p.add_argument("--omega", type=float, default=lip.omega)
+    p.add_argument("--penalty-weight", type=float, default=lip.penalty_weight)
+    p.add_argument("--epochs", type=int, default=lip.epochs)
+    p.add_argument("--lr", type=float, default=lip.lr)
+    p.add_argument("--enforcement-margin", type=float, default=lip.enforcement_margin)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,24 +471,24 @@ def main(argv: list[str] | None = None) -> int:
     if not argv:
         parser.print_usage(sys.stderr)
         return 2
+    # the one subcommand boundary: each cmd_* gets its created output
+    # directory; the resolved config follows every return, and a raised
+    # error leaves none
     try:
         args = _apply_config_file(argv, parser)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        code = args.func(args, out)
+        _write_resolved_config(args, out)
     except SystemExit as exc:  # argparse reports usage errors on stderr
         return 2 if exc.code not in (0, None) else 0
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
-        ValueError, OSError, FloatingPointError, lipschitz.DivergenceError,
-        SolverError,
+        DomainError, ValueError, OSError, FloatingPointError,
+        lipschitz.DivergenceError, SolverError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ entropy are reductions down the columns.
 
 The differentiable surrogate replaces the oracle with pseudo-label joint
 statistics: H[Z',Z] - H[Z] under soft counts, the expectation of the
-hard sampled counts.
+hard counts that sample one source label per point.  The library computes
+soft counts only; the hard sampler, the reference the soft counts are
+checked against, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -329,15 +331,13 @@ def pseudo_label_stats(
     target_x,
     target_labels,
     n_target_classes: int,
-    mode: str = "soft",
-    seed: int = 0,
 ) -> JointLabelStats:
-    """Joint (pseudo source label, target label) statistics on a target set.
+    """Joint (pseudo source label, target label) soft counts on a target set.
 
-    hard: one source label sampled per point from the head's distribution
-    at the embedded feature, counted into C(z, z')/kappa.  soft: each
-    point contributes its full predictive row, which is exactly the
-    expectation of the hard counts over the sampling.
+    Each point contributes the head's full predictive row at its embedded
+    feature to its target label's column, over kappa points: exactly the
+    expectation of the hard counts C(z, z')/kappa that sample one source
+    label per point.
     """
     x = ng.as_matrix(target_x, "target batch")
     labels = np.asarray(target_labels, dtype=np.int64).ravel()
@@ -350,21 +350,10 @@ def pseudo_label_stats(
             f"target labels must lie in [0, {n_target_classes}), "
             f"got range [{labels.min()}, {labels.max()}]"
         )
-    if mode not in ("hard", "soft"):
-        raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
     kappa = x.shape[0]
     p = models.predict_source(source_head, models.embed(phi, x))
-    k_source = p.shape[1]
-    joint = np.zeros((k_source, n_target_classes))
-    if mode == "soft":
-        np.add.at(joint.T, labels, p)
-    else:
-        rng = np.random.default_rng(seed)
-        cum = np.cumsum(p, axis=1)
-        draws = rng.random(kappa)
-        # the last class takes whatever a rounded-down cumsum leaves above it
-        z = (draws[:, None] > cum[:, :-1]).sum(axis=1)
-        np.add.at(joint, (z, labels), 1.0)
+    joint = np.zeros((p.shape[1], n_target_classes))
+    np.add.at(joint.T, labels, p)
     joint /= kappa
     return JointLabelStats(joint, kappa)
 

@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _ACTS = ("tanh", "relu", "linear")
+# diagonal logit boost of an initial kernel whose class counts match
+IDENTITY_BOOST = 2.0
 
 
 @dataclass(frozen=True)
@@ -132,27 +134,18 @@ def init_mlp(
 
 
 def init_transport_head(
-    feature_dim: int,
-    n_source_classes: int,
-    n_target_classes: int,
-    rng: np.random.Generator | None = None,
-    identity_boost: float = 2.0,
-    feature_scale: float = 0.0,
+    feature_dim: int, n_source_classes: int, n_target_classes: int
 ) -> TransportHeadParams:
-    """Linear kernel on [u, one-hot z].
+    """Linear kernel on [u, one-hot z], zero on the feature block.
 
-    When the class counts match, the one-hot block gets a diagonal logit
-    boost so the initial kernel is close to the row-stochastic identity and
-    the composed target predictor starts out close to the source head.
-    Otherwise rows start near uniform.
+    When the class counts match, the one-hot block gets the diagonal logit
+    boost IDENTITY_BOOST, so the initial kernel is close to the
+    row-stochastic identity and the composed target predictor starts out
+    close to the source head.  Otherwise every row starts uniform.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     w = np.zeros((feature_dim + n_source_classes, n_target_classes))
-    if feature_scale > 0.0:
-        w[:feature_dim] = rng.normal(0.0, feature_scale, size=(feature_dim, n_target_classes))
     if n_source_classes == n_target_classes:
-        w[feature_dim:] = identity_boost * np.eye(n_source_classes)
+        w[feature_dim:] = IDENTITY_BOOST * np.eye(n_source_classes)
     mlp = MlpParams(
         (Layer(freeze(w), freeze(np.zeros((1, n_target_classes))), "linear"),)
     )
@@ -267,17 +260,19 @@ def mlp_apply(params: MlpParams, x: Matrix, tape: Tape | None = None) -> Matrix:
 
 
 def mlp_vjp(
-    params: MlpParams, x
+    params: MlpParams, x: Matrix
 ) -> tuple[Matrix, Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]]:
-    """The MLP's output at ``x`` and its pullback.
+    """The MLP's output at the checked matrix ``x`` and its pullback.
 
+    As for :func:`mlp_apply`, ``x`` has passed :func:`numgrad.as_matrix`;
+    a training loop checks its batch once, not at every step.
     ``pullback(g)`` returns every layer's (dw, db) of sum(out * g), so a
     loss whose cotangent on the output is ``g`` gets its parameter
     gradient.  Non-finite pre-activations or cotangents raise
     FloatingPointError.
     """
     tape = Tape()
-    out = mlp_apply(params, ng.as_matrix(x, "input batch"), tape)
+    out = mlp_apply(params, x, tape)
 
     def pullback(g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         if not np.isfinite(g).all():

@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import distortion, lipschitz, models, transport
+from . import numgrad as ng
 from .lipschitz import LipschitzConfig
 from .models import MlpParams, TransportHeadParams
 from .numgrad import DimensionError
@@ -52,6 +53,7 @@ __all__ = [
     "stage2",
     "frozen_gap",
     "run_pipeline",
+    "score_holdout",
     "run_baseline",
     "correlate_gap_error",
     "induced_predictor_error",
@@ -61,6 +63,7 @@ __all__ = [
 
 PHASES = ("fa", "fld", "predictor")
 VARIANTS = ("recraft", "nft", "fa_only")
+LR_PRETRAIN = 0.5  # source pretraining step size
 
 
 class UndefinedCorrelationError(ValueError):
@@ -73,17 +76,16 @@ class PipelineConfig:
     n1: int = 60  # alignment epochs
     n2: int = 4  # distortion epochs
     pretrain_epochs: int = 300
-    lr_pretrain: float = 0.5
     lr_fa: float = 0.2
     lr_fld: float = 0.1
     lr_predictor: float = 0.5
     batch_size: int | None = None  # None: full batch
-    omega: float = 0.3
     sinkhorn: SinkhornConfig = field(default_factory=lambda: SinkhornConfig(0.1, 500, 1e-6))
+    # its omega is the paper's one Lipschitz constant: the bound that
+    # recalibration enforces and the weight of W1 in the alignment loss
     lipschitz: LipschitzConfig = field(
         default_factory=lambda: LipschitzConfig(0.3, 10.0, 300, 0.1, enforcement_margin=0.8)
     )
-    recalibrate: bool = True
     seed: int = 0
     baseline: str = "recraft"
     scale: float = 1.0  # shrinks epoch counts for fast runs
@@ -91,7 +93,7 @@ class PipelineConfig:
     def __post_init__(self):
         if min(self.n0, self.n1, self.n2, self.pretrain_epochs) < 0:
             raise ValueError("epoch counts must be nonnegative")
-        if min(self.lr_pretrain, self.lr_fa, self.lr_fld, self.lr_predictor) <= 0:
+        if min(self.lr_fa, self.lr_fld, self.lr_predictor) <= 0:
             raise ValueError("learning rates must be positive")
         if self.baseline not in VARIANTS:
             raise ValueError(f"baseline must be one of {VARIANTS}")
@@ -237,13 +239,15 @@ def pretrain_source(
     bundle: TaskBundle, cfg: PipelineConfig
 ) -> tuple[MlpParams, MlpParams, float]:
     """Train the source embedder (tanh, widths 16 and 8) and head jointly
-    by cross-entropy.
+    by cross-entropy, at step size LR_PRETRAIN.
 
     Returns (embedder, head, proxy error); the proxy set acts as the
     held-out split since it is an independent draw of the same
     distribution.
     """
-    x, y = bundle.source.x, bundle.source.y.astype(np.int64)
+    # checked once here: every epoch's forward reuses it
+    x = ng.as_matrix(bundle.source.x, "input batch")
+    y = bundle.source.y.astype(np.int64)
     k = int(bundle.meta.get("n_classes", y.max() + 1))
     rng = _rng_for(cfg.seed, 1)
     theta = models.init_mlp([x.shape[1], 16, 8], "tanh", rng)
@@ -260,7 +264,7 @@ def pretrain_source(
     for _ in range(epochs):
         logits, pullback = models.mlp_vjp(params, x)
         params = models.sgd_update(
-            params, pullback(c_onehot - softmax(logits) * c), cfg.lr_pretrain
+            params, pullback(c_onehot - softmax(logits) * c), LR_PRETRAIN
         )
     theta = MlpParams(params.layers[:n_theta])
     head = MlpParams(params.layers[n_theta:])
@@ -285,7 +289,7 @@ def induced_predictor_error(
     """
     train_labels, disc = _labels_as_classes(target_train)
     stats = distortion.pseudo_label_stats(
-        phi, source_head, target_train.x, train_labels, n_target_classes, "soft"
+        phi, source_head, target_train.x, train_labels, n_target_classes
     )
     rows = stats.joint.sum(axis=1, keepdims=True)
     lam = np.where(
@@ -372,12 +376,12 @@ def stage1(
         losses = []
         for idx in _minibatches(len(target), cfg.batch_size, rng):
             loss, grads, _ = transport.fa_loss_and_grad(
-                phi, theta, target.x[idx], proxy.x, cfg.omega, cfg.sinkhorn
+                phi, theta, target.x[idx], proxy.x, cfg.lipschitz.omega, cfg.sinkhorn
             )
             phi = models.sgd_update(phi, grads, cfg.lr_fa)
             losses.append(loss)
         stats = distortion.pseudo_label_stats(
-            phi, source_head, target.x, target_labels, n_target_classes, "soft"
+            phi, source_head, target.x, target_labels, n_target_classes
         )
         checkpoint(epoch, "fa", float(np.mean(losses)), distortion.fld_surrogate(stats))
 
@@ -389,7 +393,9 @@ def stage1(
             )
             phi = models.sgd_update(phi, grads, cfg.lr_fld)
             losses.append(loss)
-        l_fa = _fa_loss_value(phi, source_features, target.x, cfg.omega, cfg.sinkhorn)
+        l_fa = _fa_loss_value(
+            phi, source_features, target.x, cfg.lipschitz.omega, cfg.sinkhorn
+        )
         checkpoint(epoch, "fld", l_fa, float(np.mean(losses)))
 
     return phi, log
@@ -506,10 +512,11 @@ def frozen_gap(
     """(FA, FLD) of the embedder stage 2 freezes, for its run-log records."""
     labels, _ = _labels_as_classes(bundle.target)
     l_fa = _fa_loss_value(
-        phi, models.embed(theta, bundle.proxy.x), bundle.target.x, cfg.omega, cfg.sinkhorn
+        phi, models.embed(theta, bundle.proxy.x), bundle.target.x,
+        cfg.lipschitz.omega, cfg.sinkhorn,
     )
     stats = distortion.pseudo_label_stats(
-        phi, source_head, bundle.target.x, labels, target_class_count(bundle), "soft"
+        phi, source_head, bundle.target.x, labels, target_class_count(bundle)
     )
     return l_fa, distortion.fld_surrogate(stats)
 
@@ -521,21 +528,18 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full flow: pretrain, recalibrate, stage 1, stage 2, final evaluation.
 
-    ``pretrained`` short-circuits the shared prefix so ablation variants of
-    the same seed reuse identical source models.
+    ``pretrained`` short-circuits the shared prefix (pretraining and
+    recalibration) so ablation variants of the same seed reuse identical
+    source models.
     """
     if pretrained is None:
-        pretrained = pretrain_source(bundle, cfg)
-        if cfg.recalibrate:
-            theta, head, proxy_error = pretrained
-            lip = replace(cfg.lipschitz, omega=cfg.omega)
-            result = lipschitz.recalibrate_head(
-                head, theta, bundle.proxy.x, bundle.proxy.y, lip
-            )
-            pretrained = (theta, result.head, proxy_error)
+        theta, head, proxy_error = pretrain_source(bundle, cfg)
+        result = lipschitz.recalibrate_head(
+            head, theta, bundle.proxy.x, bundle.proxy.y, cfg.lipschitz
+        )
+        pretrained = (theta, result.head, proxy_error)
     theta, head, proxy_error = pretrained
 
-    _, train_disc = _labels_as_classes(bundle.target)
     kt = target_class_count(bundle)
     phi = init_target_embedder(bundle, theta, cfg.seed)
     phi, log1 = stage1(
@@ -546,26 +550,30 @@ def run_pipeline(
         phi, head, kernel, bundle.target, cfg, bundle.target_test,
         frozen_gap(phi, theta, head, bundle, cfg),
     )
-    # classification scores 0-1 error; regression-labeled tasks train on
-    # discretized labels and score normalized RMSE through the bin centers
+    holdout = score_holdout(phi, head, kernel, bundle)
+    return PipelineResult(theta, head, phi, kernel, log1.merged(log2), holdout, proxy_error)
+
+
+def score_holdout(
+    phi: MlpParams, source_head: MlpParams, kernel: TransportHeadParams, bundle: TaskBundle
+) -> float:
+    """Held-out error of the trained target predictor on ``bundle.target_test``.
+
+    Classification scores 0-1 error; regression-labeled tasks train on
+    discretized labels and score normalized RMSE through the bin centers.
+    """
+    _, train_disc = _labels_as_classes(bundle.target)
     pred = np.argmax(
-        models.predict_target(head, kernel, models.embed(phi, bundle.target_test.x)),
+        models.predict_target(source_head, kernel, models.embed(phi, bundle.target_test.x)),
         axis=1,
     )
     if train_disc is None:
         eval_labels, _ = _labels_as_classes(bundle.target_test)
-        holdout = float(np.mean(pred != eval_labels))
-    else:
-        holdout = nrmse(train_disc.centers()[pred], bundle.target_test.y)
-    return PipelineResult(theta, head, phi, kernel, log1.merged(log2), holdout, proxy_error)
+        return float(np.mean(pred != eval_labels))
+    return nrmse(train_disc.centers()[pred], bundle.target_test.y)
 
 
-def run_baseline(
-    specs: dict,
-    cfg: PipelineConfig,
-    seeds: Sequence[int],
-    variants: Sequence[str] = VARIANTS,
-) -> list[dict]:
+def run_baseline(specs: dict, cfg: PipelineConfig, seeds: Sequence[int]) -> list[dict]:
     """Held-out error per (task, variant) over seeds; median and IQR.
 
     ``specs`` maps task names to TaskSpec-like factories of seeded bundles;
@@ -575,12 +583,12 @@ def run_baseline(
 
     rows = []
     for task_name, spec in specs.items():
-        per_variant: dict[str, list[float]] = {v: [] for v in variants}
+        per_variant: dict[str, list[float]] = {v: [] for v in VARIANTS}
         for seed in seeds:
             bundle = generate(replace(spec, seed=int(seed)))
             base_cfg = replace(cfg, seed=int(seed))
             shared = None
-            for variant in variants:
+            for variant in VARIANTS:
                 vcfg = replace(base_cfg, baseline=variant)
                 if shared is None:
                     result = run_pipeline(bundle, vcfg)
@@ -588,7 +596,7 @@ def run_baseline(
                 else:
                     result = run_pipeline(bundle, vcfg, pretrained=shared)
                 per_variant[variant].append(result.holdout_error)
-        for variant in variants:
+        for variant in VARIANTS:
             errs = np.array(per_variant[variant])
             rows.append(
                 {
@@ -625,13 +633,13 @@ def baseline_table_to_csv(rows: list[dict], path) -> None:
             writer.writerow(line)
 
 
-def correlate_gap_error(log: RunLog, phases: Sequence[str] = ("fa", "fld")) -> tuple[float, list[dict]]:
+def correlate_gap_error(log: RunLog) -> tuple[float, list[dict]]:
     """Pearson correlation between the semantic gap and held-out error
-    across stage-1 checkpoints, plus the plottable series."""
+    across stage-1 (fa and fld) checkpoints, plus the plottable series."""
     records = [
         r
         for r in log.records
-        if r.phase in phases
+        if r.phase in ("fa", "fld")
         and np.isfinite(r.semantic_gap)
         and np.isfinite(r.holdout_error)
     ]

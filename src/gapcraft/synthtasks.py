@@ -49,6 +49,7 @@ log = logging.getLogger("gapcraft")
 FAMILIES = ("rotated", "permuted_labels", "gap_dial")
 MEAN_SCALE = 3.0
 NOISE_SCALE = 0.5
+DISTRACTOR_SCALE = 1.0  # noise level of the complementary dims
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class TaskSpec:
     n_target_test: int = 400
     gap_knob: float = 0.0
     label_noise: float = 0.1
-    distractor_scale: float = 1.0  # noise level of the complementary dims
     seed: int = 0
 
     def __post_init__(self):
@@ -208,7 +208,7 @@ def generate(spec: TaskSpec) -> TaskBundle:
         x = clean @ lift.T
         if spare.shape[1]:
             x = x + rng.normal(
-                scale=spec.distractor_scale, size=(n, spare.shape[1])
+                scale=DISTRACTOR_SCALE, size=(n, spare.shape[1])
             ) @ spare.T
         if spec.family == "gap_dial":
             fresh = rng.normal(
@@ -318,24 +318,20 @@ def _dirichlet_rows(rng, n, k, alpha) -> np.ndarray:
     return rng.dirichlet(np.full(k, alpha), size=n)
 
 
-def random_discrete_instance(
-    seed: int,
-    max_points: int = 5,
-    source_classes: int | None = None,
-    target_classes: int | None = None,
-    dim: int | None = None,
-) -> DiscreteInstance:
+def random_discrete_instance(seed: int) -> DiscreteInstance:
     """Random finite instance: the substrate of the bound verification suite.
 
-    Marginals and conditionals are Dirichlet draws of varying concentration;
-    conditionals occasionally carry exact zeros to exercise the degenerate
-    paths.  Predictions stay strictly positive so every term is finite.
+    1 to 5 feature atoms in 1 to 3 dimensions carry 2 to 4 source and 2 to
+    4 target classes.  Marginals and conditionals are Dirichlet draws of
+    varying concentration; conditionals occasionally carry exact zeros to
+    exercise the degenerate paths.  Predictions stay strictly positive so
+    every term is finite.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2024]))
-    k = int(rng.integers(1, max_points + 1))
-    kz = int(source_classes or rng.integers(2, 5))
-    kt = int(target_classes or rng.integers(2, 5))
-    d = int(dim or rng.integers(1, 4))
+    k = int(rng.integers(1, 6))
+    kz = int(rng.integers(2, 5))
+    kt = int(rng.integers(2, 5))
+    d = int(rng.integers(1, 4))
     while True:
         points = rng.normal(size=(k, d))
         if k == 1:

@@ -10,8 +10,12 @@ perturb (``params_vector``, ``params_with_vector``), the head's per-row
 cross-entropy (``pointwise_losses``), ``cross_entropy`` and
 ``kl_divergence``, every vertex of a coupling polytope
 (``enumerate_polytope_vertices``), the fitting term by an SLSQP solve
-(``tf_convex_oracle``), and the true source label conditional of a
-synthetic task (``exact_source_conditional``).
+(``tf_convex_oracle``), the true source label conditional of a
+synthetic task (``exact_source_conditional``), the hard pseudo-label
+counts whose expectation the library's soft counts are
+(``hard_pseudo_label_joint``), and transport heads with a random feature
+block or another identity boost than the library's initial kernel
+(``transport_head``).
 Reference implementations that a faster library path must match bit for
 bit keep the earlier arithmetic: the recalibration step with an explicit
 identity Jacobian and separate softmax and log-softmax, the greedy
@@ -401,6 +405,43 @@ def masked_vertex_entropies(w, q, n_samples: int, rng: np.random.Generator) -> n
         alive_r[bi[kill_row], i[kill_row]] = False
         alive_c[bi[~kill_row], j[~kill_row]] = False
     return ent
+
+
+def hard_pseudo_label_joint(p, labels, n_target_classes: int, seed: int) -> np.ndarray:
+    """Hard pseudo-label counts C(z, z')/kappa: one source label sampled per
+    row of the predictive rows ``p`` and counted against that row's target
+    label.  Their expectation over the sampling is the soft joint of
+    ``distortion.pseudo_label_stats``."""
+    p = np.asarray(p, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    draws = np.random.default_rng(seed).random(p.shape[0])
+    # the last class takes whatever a rounded-down cumsum leaves above it
+    z = (draws[:, None] > np.cumsum(p, axis=1)[:, :-1]).sum(axis=1)
+    joint = np.zeros((p.shape[1], n_target_classes))
+    np.add.at(joint, (z, labels), 1.0)
+    return joint / p.shape[0]
+
+
+def transport_head(
+    feature_dim: int,
+    n_source_classes: int,
+    n_target_classes: int,
+    rng: np.random.Generator | None = None,
+    feature_scale: float = 0.0,
+    identity_boost: float = models.IDENTITY_BOOST,
+) -> models.TransportHeadParams:
+    """``models.init_transport_head`` with a feature block of normal draws
+    of scale ``feature_scale`` from ``rng`` and the diagonal boost
+    ``identity_boost`` on matching class counts."""
+    w = np.zeros((feature_dim + n_source_classes, n_target_classes))
+    if feature_scale > 0.0:
+        w[:feature_dim] = rng.normal(0.0, feature_scale, size=(feature_dim, n_target_classes))
+    if n_source_classes == n_target_classes:
+        w[feature_dim:] = identity_boost * np.eye(n_source_classes)
+    layer = Layer(freeze(w), freeze(np.zeros((1, n_target_classes))), "linear")
+    return models.TransportHeadParams(
+        MlpParams((layer,)), n_source_classes, n_target_classes
+    )
 
 
 def reduce_softmax(logits: np.ndarray) -> np.ndarray:

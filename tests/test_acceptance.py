@@ -26,6 +26,7 @@ from oracles import (
     pointwise_losses,
     relative_gradient_error,
     tf_convex_oracle,
+    transport_head,
 )
 
 warnings.filterwarnings("ignore")
@@ -172,9 +173,7 @@ def test_criterion_06_gradient_integrity():
         _, grads = distortion.fld_loss_and_grad(phi, head, x, y, 3)
 
         def fld_objective(vec):
-            stats = distortion.pseudo_label_stats(
-                params_with_vector(phi, vec), head, x, y, 3, "soft"
-            )
+            stats = distortion.pseudo_label_stats(params_with_vector(phi, vec), head, x, y, 3)
             return distortion.fld_surrogate(stats)
 
         fd = finite_difference(fld_objective, params_vector(phi))
@@ -221,7 +220,7 @@ def test_criterion_06_gradient_integrity():
         kz, kt = rng.integers(2, 4, size=2)
         u = rng.normal(size=(8, 3))
         head = models.init_mlp([3, kz], "tanh", rng)
-        kernel = models.init_transport_head(3, kz, kt, rng, feature_scale=0.4)
+        kernel = transport_head(3, kz, kt, rng, feature_scale=0.4)
         p_s = models.predict_source(head, u)
         labels = rng.integers(0, kt, size=8)
         onehot = np.eye(kt)[labels]
@@ -331,10 +330,14 @@ def test_criterion_09_baseline_ordering():
 def test_criterion_10_structural_reductions():
     """recraft(n1=n2=0) == nft and recraft(n2=0) == fa_only, bit for bit."""
     bundle = synthtasks.generate(TaskSpec(family="rotated", seed=2))
-    cfg = PipelineConfig(n0=10, n1=4, n2=2, pretrain_epochs=80, recalibrate=False, seed=2)
+    cfg = PipelineConfig(n0=10, n1=4, n2=2, pretrain_epochs=80, seed=2)
 
-    a = pipeline.run_pipeline(bundle, replace(cfg, n1=0, n2=0))
-    b = pipeline.run_pipeline(bundle, replace(cfg, baseline="nft"))
+    def run(**changes):  # pretrained, not recalibrated
+        vcfg = replace(cfg, **changes)
+        return pipeline.run_pipeline(bundle, vcfg, pipeline.pretrain_source(bundle, vcfg))
+
+    a = run(n1=0, n2=0)
+    b = run(baseline="nft")
     nft_ok = (
         a.holdout_error == b.holdout_error
         and a.log.comparable() == b.log.comparable()
@@ -343,8 +346,8 @@ def test_criterion_10_structural_reductions():
             for x, y in zip(a.kernel.mlp.layers, b.kernel.mlp.layers)
         )
     )
-    c = pipeline.run_pipeline(bundle, replace(cfg, n2=0))
-    d = pipeline.run_pipeline(bundle, replace(cfg, baseline="fa_only"))
+    c = run(n2=0)
+    d = run(baseline="fa_only")
     fa_ok = (
         c.holdout_error == d.holdout_error
         and c.log.comparable() == d.log.comparable()

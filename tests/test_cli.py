@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from gapcraft import cli, lipschitz, models, pipeline, synthtasks, transport
+from gapcraft import bound, cli, lipschitz, models, pipeline, synthtasks, transport
 from gapcraft.cli import main
-from gapcraft.pipeline import PipelineConfig, RunLog
+from gapcraft.pipeline import PipelineConfig, RunLog, RunRecord
+from gapcraft.synthtasks import TaskSpec
 
 
 def test_no_arguments_usage(capsys):
@@ -238,6 +239,14 @@ def test_stage1_stage2_cli_on_float_labels(cli_workspace, tmp_path):
     assert main(["stage2", *common, "--phi", str(s1 / "phi.json"), "--out", str(s2)]) == 0
     kernel, _ = models.load_params(s2 / "kernel.json")
     assert kernel.output_dim == 10
+    # the summary scores the trained predictor as run_pipeline does: nRMSE
+    # of the predicted bins' centers against the float labels
+    kernel = models.TransportHeadParams(kernel, head.output_dim, 10)
+    u_test = models.embed(cli_phi, bundle.target_test.x)
+    pred = np.argmax(models.predict_target(head, kernel, u_test), axis=1)
+    centers = synthtasks.Discretizer.fit(bundle.target.y, 10).centers()
+    summary = json.loads((s2 / "stage2_summary.json").read_text())
+    assert summary["holdout_error"] == pipeline.nrmse(centers[pred], bundle.target_test.y)
 
 
 def test_resolved_config_replay_bitwise(cli_workspace, tmp_path):
@@ -293,8 +302,6 @@ def test_stage2_and_correlate_cli(cli_workspace, tmp_path):
 
 def test_correlate_undefined_is_domain_error(tmp_path, capsys):
     log = RunLog()
-    from gapcraft.pipeline import RunRecord
-
     for i in range(1, 6):
         log.append(RunRecord(i, "fa", 1.0, 0.0, 1.0, 0.25, float("nan"), 0.0))
     path = tmp_path / "flat.jsonl"
@@ -327,3 +334,66 @@ def test_sweep_omega_cli(cli_workspace, tmp_path):
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "omega,proxy_error,penalty_residual"
     assert len(lines) == 3
+
+
+def test_default_flags_are_the_library_defaults(tmp_path):
+    parser = cli.build_parser()
+    out = ["--out", str(tmp_path)]
+    assert cli._task_spec(parser.parse_args(["gen", *out])) == TaskSpec()
+    for sub in ("pretrain", "stage1", "stage2", "sweep-omega", "baseline"):
+        assert cli._pipeline_config(parser.parse_args([sub, *out])) == PipelineConfig()
+    for sub in ("recalibrate", "sweep-omega"):
+        lip = cli._lipschitz_config(parser.parse_args([sub, *out]))
+        assert lip == PipelineConfig().lipschitz
+
+
+def test_omega_flag_sets_the_one_omega(tmp_path):
+    args = cli.build_parser().parse_args(["stage1", "--omega", "0.5", "--out", str(tmp_path)])
+    assert args.omega == 0.5
+    assert cli._pipeline_config(args).lipschitz.omega == 0.5
+
+
+def _write_runlog(path, errors) -> str:
+    log = RunLog()
+    for i, err in enumerate(errors, start=1):
+        log.append(RunRecord(i, "fa", float(i), 0.0, float(i), err, float("nan"), 0.0))
+    log.to_jsonl(path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("gen", 0), ("verify-theorem", 0), ("bound-report", 0), ("correlate", 0),
+     ("verify-theorem-violated", 1)],
+)
+def test_resolved_config_follows_every_return(tmp_path, monkeypatch, capsys, case, code):
+    if case == "gen":
+        argv = ["gen", "--n-target-test", "5"]
+    elif case.startswith("verify-theorem"):
+        argv = ["verify-theorem", "--instances", "3"]
+    elif case == "bound-report":
+        argv = ["bound-report", "--tasks", "1"]
+    else:
+        argv = ["correlate", "--runlog", _write_runlog(tmp_path / "log.jsonl", [0.1, 0.3, 0.2])]
+    if case == "verify-theorem-violated":
+        monkeypatch.setattr(
+            bound, "verify_proof_terms", lambda inst: bound.ProofTerms(1.0, 0.0, 0.0, 0.0)
+        )
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--seed", "5"]) == code
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["subcommand"] == argv[0] and resolved["seed"] == 5
+
+
+@pytest.mark.parametrize("case", ["correlate-undefined", "pretrain-missing-data"])
+def test_no_resolved_config_after_a_raised_error(tmp_path, capsys, case):
+    if case == "correlate-undefined":
+        argv = ["correlate", "--runlog", _write_runlog(tmp_path / "flat.jsonl", [0.25] * 5)]
+        message = "need at least two distinct (gap, error) checkpoints with variance"
+    else:
+        argv = ["pretrain", "--data", str(tmp_path / "nope")]
+        message = f"data directory not found: {tmp_path / 'nope'}"
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert out.is_dir() and not (out / "resolved_config.json").exists()

@@ -16,6 +16,7 @@ from oracles import (
     enumerate_polytope_vertices,
     finite_difference,
     gathered_fld,
+    hard_pseudo_label_joint,
     highs_w1,
     leaf_peel,
     masked_vertex_entropies,
@@ -339,9 +340,10 @@ def test_stats_hard_equals_soft_for_deterministic_head():
     y = rng.integers(0, 2, size=40)
     phi = _identity_embedder(3)
     head = _deterministic_head(3)
-    hard = distortion.pseudo_label_stats(phi, head, x, y, 2, "hard", seed=0)
-    soft = distortion.pseudo_label_stats(phi, head, x, y, 2, "soft")
-    assert np.allclose(hard.joint, soft.joint, atol=1e-12)
+    p = models.predict_source(head, models.embed(phi, x))
+    hard = hard_pseudo_label_joint(p, y, 2, seed=0)
+    soft = distortion.pseudo_label_stats(phi, head, x, y, 2)
+    assert np.allclose(hard, soft.joint, atol=1e-12)
 
 
 def test_stats_uniform_head_balanced_targets():
@@ -352,7 +354,7 @@ def test_stats_uniform_head_balanced_targets():
     zero_head = models.MlpParams(
         (models.Layer(np.zeros((3, 2)), np.zeros((1, 2)), "linear"),)
     )
-    soft = distortion.pseudo_label_stats(phi, zero_head, x, y, 2, "soft")
+    soft = distortion.pseudo_label_stats(phi, zero_head, x, y, 2)
     assert np.allclose(soft.joint, 0.25)
 
 
@@ -362,27 +364,25 @@ def test_stats_hard_concentrates_to_soft():
     y = rng.integers(0, 3, size=64)
     phi = _identity_embedder(3)
     head = models.init_mlp([3, 3], "tanh", rng)
-    soft = distortion.pseudo_label_stats(phi, head, x, y, 3, "soft")
+    soft = distortion.pseudo_label_stats(phi, head, x, y, 3)
+    p = models.predict_source(head, models.embed(phi, x))
     acc = np.zeros_like(soft.joint)
     n_rounds = 10_000
     for s in range(n_rounds):
-        acc += distortion.pseudo_label_stats(phi, head, x, y, 3, "hard", seed=s).joint
+        acc += hard_pseudo_label_joint(p, y, 3, seed=s)
     assert np.max(np.abs(acc / n_rounds - soft.joint)) < 0.02
 
 
-def test_stats_hard_last_class_takes_cumsum_shortfall(monkeypatch):
+def test_stats_hard_last_class_takes_cumsum_shortfall():
     """A draw above a row's rounded-down cumsum lands in the last class,
     not one past it."""
     n = 40
     p = np.full((n, 2), 0.25)  # rows sum to 0.5, far below any draw near 1
-    monkeypatch.setattr(models, "predict_source", lambda head, u: p)
-    y = np.zeros(n, dtype=np.int64)
-    phi = _identity_embedder(2)
-    stats = distortion.pseudo_label_stats(phi, phi, np.zeros((n, 2)), y, 2, "hard", seed=0)
-    draws = np.random.default_rng(0).random(n)  # the draws hard mode makes
+    joint = hard_pseudo_label_joint(p, np.zeros(n, dtype=np.int64), 2, seed=0)
+    draws = np.random.default_rng(0).random(n)  # the draws the sampler makes
     assert np.any(draws > 0.5)
     above = draws > 0.25
-    assert np.array_equal(stats.joint, [[np.mean(~above), 0.0], [np.mean(above), 0.0]])
+    assert np.array_equal(joint, [[np.mean(~above), 0.0], [np.mean(above), 0.0]])
 
 
 def test_stats_rejects_empty_and_out_of_range():
@@ -479,7 +479,7 @@ def test_fld_grad_matches_fd():
 
     def f(vec):
         p = params_with_vector(phi, vec)
-        stats = distortion.pseudo_label_stats(p, head, x, y, 3, "soft")
+        stats = distortion.pseudo_label_stats(p, head, x, y, 3)
         return fld_surrogate(stats)
 
     x0 = params_vector(phi)

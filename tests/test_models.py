@@ -14,6 +14,7 @@ from oracles import (
     softmax_mp,
     stage2_loss_and_grad,
     straightline_mlp,
+    transport_head,
 )
 
 
@@ -67,7 +68,7 @@ def test_predict_source_matches_high_precision_softmax():
 
 
 def _identity_kernel(k, feature_dim=2, boost=200.0):
-    return models.init_transport_head(feature_dim, k, k, identity_boost=boost)
+    return transport_head(feature_dim, k, k, identity_boost=boost)
 
 
 def test_predict_target_identity_kernel_is_source():
@@ -115,7 +116,7 @@ def test_predict_target_hand_product():
 def test_predict_target_rows_are_distributions():
     rng = np.random.default_rng(5)
     head = models.init_mlp([3, 4], "tanh", rng)
-    kernel = models.init_transport_head(3, 4, 2, rng, feature_scale=0.5)
+    kernel = transport_head(3, 4, 2, rng, feature_scale=0.5)
     out = models.predict_target(head, kernel, rng.normal(size=(10, 3)) * 50.0)
     assert np.all(out >= 0.0)
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
@@ -132,7 +133,7 @@ def test_predict_target_class_count_mismatch():
 def test_kernel_isolation_from_source_head():
     rng = np.random.default_rng(7)
     head = models.init_mlp([2, 3], "tanh", rng)
-    kernel = models.init_transport_head(2, 3, 3, rng, feature_scale=0.3)
+    kernel = transport_head(2, 3, 3, rng, feature_scale=0.3)
     u = rng.normal(size=(5, 2))
     p_before = models.predict_source(head, u)
     tau_before = models.predict_target(head, kernel, u)
@@ -206,7 +207,7 @@ def _stage2_gradient_error(rng, kernel_feature_dim, kz, kt, n=8, d=3):
     u = rng.normal(size=(n, d))
     labels = rng.integers(0, kt, size=n)
     head = models.init_mlp([d, kz], "tanh", rng)
-    kernel = models.init_transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.4)
+    kernel = transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.4)
     p_s = models.predict_source(head, u)
     onehot = np.eye(kt)[labels]
     _, grads = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
@@ -240,7 +241,7 @@ def test_stage2_loss_matches_composed_prediction():
     u = rng.normal(size=(6, 3))
     labels = rng.integers(0, 4, size=6)
     head = models.init_mlp([3, 5], "tanh", rng)
-    kernel = models.init_transport_head(3, 5, 4, rng, feature_scale=0.4)
+    kernel = transport_head(3, 5, 4, rng, feature_scale=0.4)
     loss, _ = pipeline._stage2_loss_and_grad(
         kernel, u, models.predict_source(head, u), labels, np.eye(4)[labels]
     )
@@ -259,7 +260,7 @@ def test_stage2_step_matches_reference_bitwise(kz, kernel_feature_dim):
     u = rng.normal(size=(40, 4))
     labels = rng.integers(0, kt, size=40)
     head = models.init_mlp([4, kz], "tanh", rng)
-    kernel = models.init_transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.5)
+    kernel = transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.5)
     p_s = models.predict_source(head, u)
     onehot = np.eye(kt)[labels]
     loss, [(gw, gb)] = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
@@ -273,7 +274,7 @@ def test_stage2_step_matches_reference_bitwise(kz, kernel_feature_dim):
 
 
 def test_stage2_loss_rejects_non_finite():
-    kernel = models.init_transport_head(0, 2, 2, identity_boost=2000.0)
+    kernel = transport_head(0, 2, 2, identity_boost=2000.0)
     p_s = np.array([[1.0, 0.0]])
     with pytest.raises(FloatingPointError):
         pipeline._stage2_loss_and_grad(
@@ -293,7 +294,7 @@ def test_transport_head_rejects_multilayer_kernel():
 def test_kernel_matrices_match_per_class_forward():
     """The broadcast forward equals the per-class [u, one-hot z] layer."""
     rng = np.random.default_rng(13)
-    kernel = models.init_transport_head(3, 4, 2, rng, feature_scale=0.7)
+    kernel = transport_head(3, 4, 2, rng, feature_scale=0.7)
     u = rng.normal(size=(7, 3))
     lam = models.kernel_matrices(kernel, u)
     layer = kernel.mlp.layers[0]

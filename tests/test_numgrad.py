@@ -162,7 +162,7 @@ def test_mlp_vjp_rejects_overflowed_hidden_pre_activation():
     with np.errstate(over="ignore"):
         assert np.isfinite(straightline_mlp(_OVERFLOWING_HIDDEN_LAYER, [[1.0]])).all()
     with pytest.raises(FloatingPointError, match="layer 1"):
-        models.mlp_vjp(params, [[1.0]])
+        models.mlp_vjp(params, np.array([[1.0]]))
 
 
 @pytest.mark.parametrize("forward", [models.embed, models.predict_source])

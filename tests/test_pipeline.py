@@ -13,10 +13,16 @@ from gapcraft.pipeline import PipelineConfig, RunLog, RunRecord, UndefinedCorrel
 from gapcraft.probs import softmax
 from gapcraft.synthtasks import Dataset, TaskSpec
 
-from oracles import finite_difference, params_vector, params_with_vector, relative_gradient_error
+from oracles import (
+    finite_difference,
+    params_vector,
+    params_with_vector,
+    relative_gradient_error,
+    transport_head,
+)
 
 
-SMALL = PipelineConfig(n0=20, n1=10, n2=2, pretrain_epochs=100, recalibrate=False)
+SMALL = PipelineConfig(n0=20, n1=10, n2=2, pretrain_epochs=100)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +60,7 @@ def test_pretrain_step_is_cross_entropy_gradient(rotated_bundle):
     theta1, head1, _ = pipeline.pretrain_source(rotated_bundle, cfg)
     before = models.MlpParams(theta0.layers + head0.layers)
     after = models.MlpParams(theta1.layers + head1.layers)
-    step = (params_vector(before) - params_vector(after)) / cfg.lr_pretrain
+    step = (params_vector(before) - params_vector(after)) / pipeline.LR_PRETRAIN
     x, y = rotated_bundle.source.x, rotated_bundle.source.y
 
     def cross_entropy(vec):
@@ -121,7 +127,7 @@ def test_stage1_reduces_alignment_loss_median_over_seeds():
     ratios = []
     for seed in range(5):
         bundle = synthtasks.generate(TaskSpec(family="rotated", seed=seed))
-        cfg = PipelineConfig(seed=seed, recalibrate=False)
+        cfg = PipelineConfig(seed=seed)
         theta, head = _pretrained(bundle, cfg)
         phi = models.init_mlp(
             [12, 16, 8], "tanh",
@@ -164,8 +170,8 @@ def test_stage2_aligned_labels_small_decrease():
     (kernel starts near-optimal) therefore needs a sharper identity init.
     """
     phi, head, target = _aligned_soft_setup()
-    kernel = models.init_transport_head(4, 3, 3, identity_boost=6.0)
-    cfg = PipelineConfig(n0=40, recalibrate=False, seed=6)
+    kernel = transport_head(4, 3, 3, identity_boost=6.0)
+    cfg = PipelineConfig(n0=40, seed=6)
     kernel, log = pipeline.stage2(phi, head, kernel, target, cfg)
     nlls = [r.train_nll for r in log.records]
     assert nlls[0] - min(nlls) < 1e-2
@@ -184,7 +190,7 @@ def test_stage2_learns_planted_permutation():
         label_noise=0.02, n_target=96,
     )
     bundle = synthtasks.generate(spec)
-    cfg = PipelineConfig(seed=7, recalibrate=False, n0=200)
+    cfg = PipelineConfig(seed=7, n0=200)
     theta, head = _pretrained(bundle, cfg)
     # undo the planted square rotation, then reuse the source embedder
     lift = np.array(bundle.meta["planted_map"])
@@ -215,7 +221,7 @@ def test_stage2_never_touches_embedder(rotated_bundle):
 def test_stage2_loss_nonincreasing_median_over_seeds(rotated_bundle):
     worst_increase = []
     for seed in range(5):
-        cfg = PipelineConfig(n0=30, recalibrate=False, seed=seed)
+        cfg = PipelineConfig(n0=30, seed=seed)
         theta, head = _pretrained(rotated_bundle, cfg)
         phi = models.init_mlp(
             [12, 16, 8], "tanh",
@@ -263,10 +269,15 @@ def test_stage2_rejects_kernel_of_other_source_classes(rotated_bundle):
 # ---------------------------------------------------------------------------
 
 
+def _run_pretrained(bundle, cfg):
+    """run_pipeline on a pretrained, not recalibrated, source model."""
+    return pipeline.run_pipeline(bundle, cfg, pipeline.pretrain_source(bundle, cfg))
+
+
 def test_structural_reductions_bit_identical(rotated_bundle):
     cfg = replace(SMALL, seed=9)
-    recraft_00 = pipeline.run_pipeline(rotated_bundle, replace(cfg, n1=0, n2=0))
-    nft = pipeline.run_pipeline(rotated_bundle, replace(cfg, baseline="nft"))
+    recraft_00 = _run_pretrained(rotated_bundle, replace(cfg, n1=0, n2=0))
+    nft = _run_pretrained(rotated_bundle, replace(cfg, baseline="nft"))
     assert recraft_00.holdout_error == nft.holdout_error
     assert recraft_00.log.comparable() == nft.log.comparable()
     assert all(
@@ -274,8 +285,8 @@ def test_structural_reductions_bit_identical(rotated_bundle):
         for a, b in zip(recraft_00.kernel.mlp.layers, nft.kernel.mlp.layers)
     )
 
-    recraft_n20 = pipeline.run_pipeline(rotated_bundle, replace(cfg, n2=0))
-    fa_only = pipeline.run_pipeline(rotated_bundle, replace(cfg, baseline="fa_only"))
+    recraft_n20 = _run_pretrained(rotated_bundle, replace(cfg, n2=0))
+    fa_only = _run_pretrained(rotated_bundle, replace(cfg, baseline="fa_only"))
     assert recraft_n20.holdout_error == fa_only.holdout_error
     assert recraft_n20.log.comparable() == fa_only.log.comparable()
     assert all(
@@ -286,15 +297,15 @@ def test_structural_reductions_bit_identical(rotated_bundle):
 
 def test_run_pipeline_deterministic(rotated_bundle):
     cfg = replace(SMALL, seed=10)
-    a = pipeline.run_pipeline(rotated_bundle, cfg)
-    b = pipeline.run_pipeline(rotated_bundle, cfg)
+    a = _run_pretrained(rotated_bundle, cfg)
+    b = _run_pretrained(rotated_bundle, cfg)
     assert a.holdout_error == b.holdout_error
     assert a.log.comparable() == b.log.comparable()
 
 
 def test_runlog_jsonl_roundtrip(tmp_path, rotated_bundle):
     cfg = replace(SMALL, n1=2, n2=1, n0=2, seed=11)
-    result = pipeline.run_pipeline(rotated_bundle, cfg)
+    result = _run_pretrained(rotated_bundle, cfg)
     path = tmp_path / "runlog.jsonl"
     result.log.to_jsonl(path)
     loaded = RunLog.from_jsonl(path)
@@ -378,7 +389,7 @@ def test_run_pipeline_regression_labels_scores_nrmse():
         bundle.meta,
     )
     cfg = replace(SMALL, n1=4, n2=1, n0=10, seed=3)
-    result = pipeline.run_pipeline(reg_bundle, cfg)
+    result = _run_pretrained(reg_bundle, cfg)
     assert np.isfinite(result.holdout_error)
     assert result.holdout_error >= 0.0
 

@@ -75,9 +75,18 @@ def test_validators_clip_small_negatives_and_keep_values():
 def test_validators_use_the_given_name_and_tolerance():
     with pytest.raises(ValueError, match="^source conditional sums to"):
         as_distribution([0.5, 0.4], "source conditional")
-    assert as_distribution([0.5, 0.4], atol=0.2).sum() == pytest.approx(0.9)
+    # the sum may miss 1, and an entry fall below 0, by up to 1e-8
+    assert np.array_equal(as_distribution([0.5, 0.5 + 5e-9]), [0.5, 0.5 + 5e-9])
+    assert np.array_equal(as_distribution([1.0 + 5e-9, -5e-9]), [1.0 + 5e-9, 0.0])
+    with pytest.raises(ValueError, match="sums to"):
+        as_distribution([0.5, 0.5 + 2e-8])
+    with pytest.raises(ValueError, match="negative entries"):
+        as_distribution([1.0 + 2e-8, -2e-8])
     with pytest.raises(ValueError, match="^kernel row 0 sums to"):
         as_conditional([[0.5, 0.4]], "kernel")
+    assert as_conditional([[0.5, 0.5 + 5e-9]]).shape == (1, 2)
+    with pytest.raises(ValueError, match="^conditional row 0 sums to"):
+        as_conditional([[0.5, 0.5 + 2e-8]])
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +120,8 @@ def _special_values(shape, rng):
 @pytest.mark.parametrize("lead", [(1000,), (40, 25), (6, 5)])
 def test_fold_last_equals_reduce_bit_for_bit(op, k, lead):
     """Folds (k < 8 on 1000 rows) and the reduce fallback (k >= 8, or 30
-    rows) alike, with signed zeros, infinities and NaN in the input."""
+    rows, or logical_and, which has no fold) alike, with signed zeros,
+    infinities and NaN in the input."""
     ufunc = FOLD_OPS[op]
     rng = np.random.default_rng(k + 10 * len(lead))
     x = _special_values(lead + (k,), rng)
