@@ -15,7 +15,6 @@ constrained convex program.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,17 +23,13 @@ import numpy as np
 
 from . import transport
 from .distortion import TransportKernel, fld_exact
+from .numgrad import GapcraftError
 from .probs import LOG_FLOOR, as_conditional, as_distribution, xlogx
-
-# the smallest normal float64: a ratio p / q of probabilities can overflow
-# only for q below it
-_MIN_NORMAL = np.finfo(np.float64).tiny
 
 __all__ = [
     "DiscreteInstance",
     "BoundReport",
     "ProofTerms",
-    "TfResult",
     "InfeasibilityError",
     "generalized_errors",
     "source_loss_values",
@@ -46,7 +41,7 @@ __all__ = [
 ]
 
 
-class InfeasibilityError(ValueError):
+class InfeasibilityError(GapcraftError, ValueError):
     """A fitting-term constraint set is inconsistent with its inputs."""
 
 
@@ -114,9 +109,6 @@ class BoundReport:
             "relative_gap": self.relative_gap,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 @dataclass(frozen=True, slots=True)
 class ProofTerms:
@@ -124,12 +116,6 @@ class ProofTerms:
     term_a_rhs: float
     term_b_lhs: float
     term_b_rhs: float
-
-
-@dataclass(frozen=True, slots=True)
-class TfResult:
-    tf: float
-    realized_plan: np.ndarray
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
@@ -174,16 +160,15 @@ def fa_exact(inst: DiscreteInstance) -> float:
     return tau * w1
 
 
-def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> TfResult:
+def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> float:
     """Fitting term in closed form: KL(target conditional || prediction).
 
-    The minimizing plan is plus_plan rescaled columnwise by prediction over
-    conditional; columns the conditional never visits, and columns whose
-    ratio overflows (a subnormal conditional mass), are completed with the
-    constant prediction column (objective-neutral), so the plan's mixture
-    under the source conditional reproduces the prediction exactly.
-    The rescaled rows are generally not normalized: the program constrains
-    only nonnegativity and the mixture.
+    This is the minimum, over nonnegative plans whose mixture under the
+    source conditional is the prediction, of the source-weighted KL from
+    plus_plan's rows.  The plan that attains it, plus_plan rescaled
+    columnwise by prediction over conditional, is not built here
+    (``tests/oracles.py`` keeps it).  A plus_plan with mass on a class the
+    conditional never emits makes the program infeasible.
     """
     q = as_distribution(target_cond, "target conditional")
     p = as_distribution(p_target, "target prediction")
@@ -191,8 +176,7 @@ def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> TfResul
     if lam.shape[1] != q.size or q.size != p.size:
         raise ValueError("plan, conditional, and prediction class counts differ")
     live = q > 0.0
-    plain = q.min() >= _MIN_NORMAL  # every class live, no ratio p_j / q_j overflows
-    if not plain:
+    if not live.all():
         col_mass = lam[:, ~live].max(axis=0, initial=0.0)
         if (col_mass > 1e-9).any():
             j = int(np.flatnonzero(~live)[col_mass.argmax()])
@@ -203,15 +187,8 @@ def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> TfResul
     # classes q lives on
     q_live, p_live = q[live], p[live]
     if (p_live <= 0.0).any():
-        tf = math.inf
-    else:
-        tf = float(-(q_live * np.log(p_live)).sum()) - float(-(q_live * np.log(q_live)).sum())
-    if plain:
-        return TfResult(tf, lam * (p / q))
-    with np.errstate(over="ignore"):
-        ratio = np.divide(p, q, out=np.full(p.shape, np.inf), where=live)
-    plan = np.broadcast_to(p, lam.shape).copy()
-    return TfResult(tf, np.multiply(lam, ratio, out=plan, where=ratio < np.inf))
+        return math.inf
+    return float(-(q_live * np.log(p_live)).sum()) - float(-(q_live * np.log(q_live)).sum())
 
 
 def evaluate_bound(inst: DiscreteInstance) -> BoundReport:
@@ -235,7 +212,7 @@ def evaluate_bound(inst: DiscreteInstance) -> BoundReport:
         except (ValueError, InfeasibilityError) as exc:
             raise type(exc)(f"at support point {i}: {exc}") from exc
         e_fld += weight * res.fld
-        e_tf += weight * tf.tf
+        e_tf += weight * tf
     rhs = err_s + fa + e_fld + e_tf
     gap = rhs - err_tau
     relative = gap / rhs if rhs > 0.0 else 0.0

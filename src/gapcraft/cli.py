@@ -20,14 +20,15 @@ from pathlib import Path
 
 from . import bound, lipschitz, models, pipeline, synthtasks
 from .lipschitz import LipschitzConfig
+from .numgrad import GapcraftError
 from .pipeline import PipelineConfig, RunLog
 from .synthtasks import TaskSpec
-from .transport import SinkhornConfig, SolverError
+from .transport import SinkhornConfig
 
 log = logging.getLogger("gapcraft")
 
 
-class DomainError(RuntimeError):
+class DomainError(GapcraftError, RuntimeError):
     """Invalid inputs or a failed run; maps to exit code 1."""
 
 
@@ -482,10 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         _write_resolved_config(args, out)
     except SystemExit as exc:  # argparse reports usage errors on stderr
         return 2 if exc.code not in (0, None) else 0
-    except (
-        DomainError, ValueError, OSError, FloatingPointError,
-        lipschitz.DivergenceError, SolverError,
-    ) as exc:
+    except (GapcraftError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -67,14 +67,6 @@ class TransportKernel:
         if not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-10:
             raise ValueError("kernel rows must sum to 1 within 1e-10")
 
-    @property
-    def z_classes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def zprime_classes(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class JointLabelStats:

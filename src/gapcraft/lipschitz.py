@@ -27,7 +27,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import as_conditional, fold_last, softmax
+from .probs import _shifted_exp, as_conditional, fold_last, softmax
 
 __all__ = [
     "LipschitzConfig",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(ng.GapcraftError, RuntimeError):
     """Recalibration objective rose for several consecutive epochs."""
 
 
@@ -154,11 +154,8 @@ def _recalibration_loss_and_grad(
     """
     n = h.shape[0]
     threshold = cfg.omega * cfg.enforcement_margin
-    logits = h @ w + b
     # softmax and log-softmax, sharing one shift, exp and sum
-    shifted = logits - fold_last(np.maximum, logits)
-    e = np.exp(shifted)
-    total = fold_last(np.add, e)
+    shifted, e, total = _shifted_exp(h @ w + b)
     p = e / total
     r = p - d
     g_u = r @ w.T

@@ -83,9 +83,6 @@ class MlpParams:
     def output_dim(self) -> int:
         return self.layers[-1].w.shape[1]
 
-    def n_parameters(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers)
-
 
 @dataclass(frozen=True)
 class TransportHeadParams:

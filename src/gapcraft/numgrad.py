@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "Matrix",
     "Tape",
+    "GapcraftError",
     "DimensionError",
     "as_matrix",
     "freeze",
@@ -22,7 +23,11 @@ __all__ = [
 Matrix = np.ndarray
 
 
-class DimensionError(ValueError):
+class GapcraftError(Exception):
+    """Base of the errors gapcraft raises; each also keeps a builtin base."""
+
+
+class DimensionError(GapcraftError, ValueError):
     """Operand shapes are incompatible."""
 
 

@@ -35,7 +35,7 @@ from . import distortion, lipschitz, models, transport
 from . import numgrad as ng
 from .lipschitz import LipschitzConfig
 from .models import MlpParams, TransportHeadParams
-from .numgrad import DimensionError
+from .numgrad import DimensionError, GapcraftError
 from .probs import softmax
 from .synthtasks import Dataset, Discretizer, TaskBundle, discretize
 from .transport import SinkhornConfig
@@ -66,7 +66,7 @@ VARIANTS = ("recraft", "nft", "fa_only")
 LR_PRETRAIN = 0.5  # source pretraining step size
 
 
-class UndefinedCorrelationError(ValueError):
+class UndefinedCorrelationError(GapcraftError, ValueError):
     """Too few distinct checkpoints to define a correlation."""
 
 

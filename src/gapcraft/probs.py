@@ -102,8 +102,17 @@ def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the row maximum."""
-    e = np.exp(logits - fold_last(np.maximum, logits))
-    return e / fold_last(np.add, e)
+    _, e, total = _shifted_exp(logits)
+    return e / total
+
+
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(shifted, exp(shifted), its row sum) with ``shifted`` the logits less
+    their row maximum: the softmax is e / total, the log-softmax
+    shifted - log(total)."""
+    shifted = logits - fold_last(np.maximum, logits)
+    e = np.exp(shifted)
+    return shifted, e, fold_last(np.add, e)
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:

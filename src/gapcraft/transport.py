@@ -38,11 +38,11 @@ EXACT_MAX_SIDE = 64
 _PIVOT_GUARD = 8
 
 
-class CapabilityError(ValueError):
+class CapabilityError(ng.GapcraftError, ValueError):
     """Instance exceeds the size this exact solver is rated for."""
 
 
-class SolverError(RuntimeError):
+class SolverError(ng.GapcraftError, RuntimeError):
     """An exact solver failed to certify its result."""
 
 
@@ -86,6 +86,11 @@ class SinkhornResult:
 
 def cost_matrix(u, v) -> np.ndarray:
     """Pairwise Euclidean distances between feature rows of u and v."""
+    return _pairwise(u, v)[1]
+
+
+def _pairwise(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The checked differences u_i - v_j, shape (n, m, d), and their norms."""
     u = ng.as_matrix(u, "target features")
     v = ng.as_matrix(v, "source features")
     if u.shape[1] != v.shape[1]:
@@ -93,7 +98,7 @@ def cost_matrix(u, v) -> np.ndarray:
             f"cost_matrix: feature dims differ, {u.shape[1]} vs {v.shape[1]}"
         )
     diff = u[:, None, :] - v[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    return diff, np.sqrt((diff * diff).sum(axis=2))
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -418,14 +423,13 @@ def fa_loss_and_grad(
     u, pullback = models.mlp_vjp(phi, target_batch)
     v = models.embed(theta, source_batch)
     n, m = u.shape[0], v.shape[0]
-    c = cost_matrix(u, v)
+    diff, c = _pairwise(u, v)
     result = sinkhorn(c, np.full(n, 1.0 / n), np.full(m, 1.0 / m), cfg)
     loss = omega * result.w1_estimate
 
     # Cotangent on the embeddings under the fixed plan; coincident pairs
     # (zero distance) contribute a zero subgradient.
     pi = result.coupling.pi
-    diff = u[:, None, :] - v[None, :, :]
     safe = np.where(c > 0.0, c, 1.0)
     g_u = omega * np.einsum("ij,ijd->id", pi / safe * (c > 0.0), diff)
     return loss, pullback(g_u), result

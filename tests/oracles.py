@@ -6,16 +6,16 @@ straight-line numpy re-evaluations for forward passes, HiGHS for the
 transportation LP, and integer leaf-peeling for spanning-tree bases.
 Reference code that checks the library and that the library itself never
 calls lives here too: the flat parameter vector finite differences
-perturb (``params_vector``, ``params_with_vector``), the head's per-row
-cross-entropy (``pointwise_losses``), ``cross_entropy`` and
-``kl_divergence``, every vertex of a coupling polytope
-(``enumerate_polytope_vertices``), the fitting term by an SLSQP solve
-(``tf_convex_oracle``), the true source label conditional of a
-synthetic task (``exact_source_conditional``), the hard pseudo-label
-counts whose expectation the library's soft counts are
-(``hard_pseudo_label_joint``), and transport heads with a random feature
-block or another identity boost than the library's initial kernel
-(``transport_head``).
+perturb (``params_vector``, ``params_with_vector``, ``n_parameters``),
+the head's per-row cross-entropy (``pointwise_losses``),
+``cross_entropy`` and ``kl_divergence``, every vertex of a coupling
+polytope (``enumerate_polytope_vertices``), the fitting term by an SLSQP
+solve (``tf_convex_oracle``) and the plan that attains its minimum
+(``realized_plan``), the true source label conditional of a synthetic
+task (``exact_source_conditional``), the hard pseudo-label counts whose
+expectation the library's soft counts are (``hard_pseudo_label_joint``),
+and transport heads with a random feature block or another identity
+boost than the library's initial kernel (``transport_head``).
 Reference implementations that a faster library path must match bit for
 bit keep the earlier arithmetic: the recalibration step with an explicit
 identity Jacobian and separate softmax and log-softmax, the greedy
@@ -48,8 +48,12 @@ def params_vector(params: MlpParams) -> np.ndarray:
     return np.concatenate([np.concatenate([l.w.ravel(), l.b.ravel()]) for l in params.layers])
 
 
+def n_parameters(params: MlpParams) -> int:
+    return sum(l.w.size + l.b.size for l in params.layers)
+
+
 def params_with_vector(params: MlpParams, vec: np.ndarray) -> MlpParams:
-    needed = params.n_parameters()
+    needed = n_parameters(params)
     if vec.size != needed:
         raise DimensionError(f"vector has {vec.size} entries, params need {needed}")
     layers = []
@@ -180,6 +184,36 @@ def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float
             raise transport.SolverError(f"convex oracle failed on column {j}: {res.message}")
         total += float(res.fun)
     return total
+
+
+# the smallest normal float64: a ratio p / q of probabilities can overflow
+# only for q below it
+_MIN_NORMAL = np.finfo(np.float64).tiny
+
+
+def realized_plan(plus_plan: TransportKernel, target_cond, p_target) -> np.ndarray:
+    """The plan at which ``bound.tf_closed_form``'s program attains its
+    minimum: plus_plan rescaled columnwise by prediction over conditional.
+
+    Columns the conditional never visits, and columns whose ratio
+    overflows (a subnormal conditional mass), are completed with the
+    constant prediction column (objective-neutral).  The plan's mixture
+    under the source conditional reproduces the prediction on those
+    columns and on every column whose kernel mixture reproduces the
+    conditional; a kernel column that carries a tiny conditional mass with
+    absolute rounding misses it.  The rescaled rows are generally not
+    normalized: the program constrains only nonnegativity and the mixture.
+    """
+    q = as_distribution(target_cond, "target conditional")
+    p = as_distribution(p_target, "target prediction")
+    lam = plus_plan.matrix
+    if q.min() >= _MIN_NORMAL:  # every class live, no ratio p_j / q_j overflows
+        return lam * (p / q)
+    live = q > 0.0
+    with np.errstate(over="ignore"):
+        ratio = np.divide(p, q, out=np.full(p.shape, np.inf), where=live)
+    plan = np.broadcast_to(p, lam.shape).copy()
+    return np.multiply(lam, ratio, out=plan, where=ratio < np.inf)
 
 
 def exact_source_conditional(meta: dict, x) -> np.ndarray:

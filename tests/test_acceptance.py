@@ -101,7 +101,7 @@ def test_criterion_04_tf_closed_form_vs_convex_oracle():
         q = rng.dirichlet(np.ones(kt))
         p_tau = rng.dirichlet(np.ones(kt) * 2)
         plus = distortion.fld_exact(w, q).plan
-        closed = bound.tf_closed_form(plus, q, p_tau).tf
+        closed = bound.tf_closed_form(plus, q, p_tau)
         oracle = tf_convex_oracle(plus, w, p_tau)
         worst = max(worst, abs(closed - oracle))
     _verdict(4, worst <= 1e-4, f"worst |closed-oracle|={worst:.2e} (<=1e-4)")

@@ -1,0 +1,64 @@
+"""What the benchmark in ``perfbench/`` relies on in the package.
+
+The traced benchmark wraps gapcraft functions by the names in
+``run.py``'s ``SPAN_STATS`` and in each workload's ``expected`` spans, and
+its hooks read arguments by position.  A refactor that renames or moves
+one of them breaks the traced runs, which Tier-1 does not execute; these
+tests read the benchmark's files, without changing them, and check each
+name and position against the package.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from gapcraft import distortion, pipeline, transport
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    key = f"perfbench_{name}"
+    if key not in sys.modules:  # a dataclass looks its module up there
+        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
+
+
+def _spans() -> list[str]:
+    names = set(_load("run").SPAN_STATS)
+    for workload in _load("workloads").WORKLOADS.values():
+        names |= set(workload.expected)
+    return sorted(names)
+
+
+def test_span_names_found():
+    assert {"bound.tf_closed_form", "numgrad.backward", "pipeline.stage1"} <= set(_spans())
+
+
+@pytest.mark.parametrize("span", _spans())
+def test_every_span_resolves_to_a_gapcraft_attribute(span):
+    """``<module>.<name>`` is a function of ``gapcraft.<module>``; the one
+    method, ``numgrad.backward``, is ``Tape.backward``."""
+    module, name = span.split(".")
+    owner = importlib.import_module(f"gapcraft.{module}")
+    if span == "numgrad.backward":
+        owner = owner.Tape
+    assert callable(getattr(owner, name, None)), span
+
+
+def test_hooked_arguments_sit_where_the_tracer_reads_them():
+    """The stage-1 hook reads ``cfg`` as the sixth argument and calls its
+    ``effective_epochs``, the fld_exact hook reads ``(w, q)`` first, and the
+    Sinkhorn hook reads ``converged`` and ``n_iter`` from the result."""
+    stage1 = list(inspect.signature(pipeline.stage1).parameters)
+    assert stage1[5] == "cfg"
+    assert callable(getattr(pipeline.PipelineConfig, "effective_epochs", None))
+    assert list(inspect.signature(distortion.fld_exact).parameters)[:2] == ["w", "q"]
+    fields = transport.SinkhornResult.__dataclass_fields__
+    assert {"converged", "n_iter"} <= set(fields)

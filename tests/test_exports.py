@@ -1,5 +1,6 @@
 """Every name a gapcraft module exports in ``__all__`` exists and has a
-caller in the program, every defaulted option has a setter there, and the
+caller in the program, every defaulted option has a setter there, every
+public class member is read there, every error shares one base, and the
 package imports and runs without scipy."""
 
 import ast
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gapcraft
+from gapcraft.numgrad import GapcraftError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gapcraft.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,17 +76,27 @@ KEPT_OPTIONS = {
 }
 
 
-def _callee(call: ast.Call) -> str | None:
-    f = call.func
-    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-
-
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     for d in cls.decorator_list:
         d = d.func if isinstance(d, ast.Call) else d
         if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
             return True
     return False
+
+
+def _program() -> tuple[dict[str, ast.Module], dict[str, ast.Module]]:
+    """The parsed package modules, and those plus the benchmark's (not its
+    smoke test), each by module name."""
+    sources = {
+        p.stem: ast.parse(p.read_text(), str(p))
+        for p in sorted((ROOT / "src" / "gapcraft").glob("*.py"))
+    }
+    bench = {
+        p.stem: ast.parse(p.read_text(), str(p))
+        for p in sorted((ROOT / "perfbench").glob("*.py"))
+        if p.name != "test_smoke.py"
+    }
+    return sources, {**sources, **bench}
 
 
 def _defaulted(fn: ast.FunctionDef, bound: int):
@@ -101,12 +113,13 @@ def _defaulted(fn: ast.FunctionDef, bound: int):
 
 
 def _options(tree: ast.Module):
-    """(callee, key, name, position, is_field) of every defaulted parameter
-    of a public function or method, and of every defaulted dataclass field."""
+    """(callee, is_method, key, name, position, is_field) of every defaulted
+    parameter of a public function or method, and of every defaulted
+    dataclass field."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             for name, pos in _defaulted(node, 0):
-                yield node.name, f"{node.name}({name})", name, pos, False
+                yield node.name, False, f"{node.name}({name})", name, pos, False
         elif isinstance(node, ast.ClassDef):
             if _is_dataclass(node):
                 fields = [
@@ -115,7 +128,8 @@ def _options(tree: ast.Module):
                 ]
                 for i, f in enumerate(fields):
                     if f.value is not None:
-                        yield node.name, f"{node.name}.{f.target.id}", f.target.id, i, True
+                        key = f"{node.name}.{f.target.id}"
+                        yield node.name, False, key, f.target.id, i, True
             for fn in node.body:
                 if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                     static = any(
@@ -123,7 +137,45 @@ def _options(tree: ast.Module):
                         for d in fn.decorator_list
                     )
                     for name, pos in _defaulted(fn, 0 if static else 1):
-                        yield fn.name, f"{node.name}.{fn.name}({name})", name, pos, False
+                        yield fn.name, True, f"{node.name}.{fn.name}({name})", name, pos, False
+
+
+def _calls(tree: ast.Module, module: str):
+    """(owner, callee, call) of every call in a module.  ``owner`` is the
+    module whose function or class is called, resolved from the module's
+    imports and top-level definitions (``m.f(...)`` with ``m`` an imported
+    module, ``f(...)`` with ``f`` imported from a module or defined here);
+    it is None for a call it cannot place: a method, a builtin, a local."""
+    modules: dict[str, str] = {}  # name -> module it is bound to
+    members: dict[str, str] = {}  # name -> module it was imported from
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                # ``import m.n as x`` binds n to x, ``import m.n`` binds m
+                name = a.name.rsplit(".", 1)[-1] if a.asname else a.name.split(".")[0]
+                modules[a.asname or name] = name
+        elif isinstance(node, ast.ImportFrom):
+            # ``from . import m`` and ``from gapcraft import m`` import modules
+            package = node.module in (None, "gapcraft")
+            for a in node.names:
+                bound = a.asname or a.name
+                if package:
+                    modules[bound] = a.name
+                else:
+                    members[bound] = node.module.rsplit(".", 1)[-1]
+    local = {
+        n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute):
+            owner = modules.get(f.value.id) if isinstance(f.value, ast.Name) else None
+            yield owner, f.attr, node
+        elif isinstance(f, ast.Name):
+            owner = members.get(f.id, module if f.id in local else None)
+            yield owner, f.id, node
 
 
 def _sets(call: ast.Call, name: str, pos: int | None) -> bool:
@@ -137,31 +189,122 @@ def _sets(call: ast.Call, name: str, pos: int | None) -> bool:
     return pos is not None and pos < len(call.args)
 
 
+def _unset_options(sources: dict[str, ast.Module], program: dict[str, ast.Module]) -> set[str]:
+    """Keys of the defaulted options in ``sources`` that no call in
+    ``program`` sets.  A call counts for a function or a class of module
+    ``m`` when it is placed in ``m`` or cannot be placed, and for a method
+    only when it cannot be placed; any ``replace(...)`` keyword counts for
+    every dataclass field of its name."""
+    calls: dict[str, list[tuple[str | None, ast.Call]]] = {}
+    for module, tree in program.items():
+        for owner, callee, call in _calls(tree, module):
+            calls.setdefault(callee, []).append((owner, call))
+    replaced = {k.arg for _, c in calls.get("replace", []) for k in c.keywords}
+    unset = set()
+    for module, tree in sources.items():
+        for callee, is_method, key, name, pos, is_field in _options(tree):
+            if is_field and name in replaced:
+                continue
+            owners = (None,) if is_method else (None, module)
+            if not any(
+                owner in owners and _sets(c, name, pos) for owner, c in calls.get(callee, [])
+            ):
+                unset.add(key)
+    return unset
+
+
 def test_every_option_has_a_setter():
     """Each defaulted parameter of a public gapcraft function or method, and
     each defaulted dataclass field, is set by some call in the package or
     the benchmark (a keyword to ``replace`` sets a field), or is in
-    KEPT_OPTIONS; an option nothing sets is a constant."""
-    sources = sorted((ROOT / "src" / "gapcraft").glob("*.py"))
-    program = sources + sorted(
-        p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_smoke.py"
-    )
-    trees = {p: ast.parse(p.read_text(), str(p)) for p in program}
-    calls: dict[str, list[ast.Call]] = {}
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                calls.setdefault(_callee(node), []).append(node)
-    replaced = {k.arg for c in calls.get("replace", []) for k in c.keywords}
-    unset = set()
-    for path in sources:
-        for callee, key, name, pos, is_field in _options(trees[path]):
-            if is_field and name in replaced:
-                continue
-            if not any(_sets(c, name, pos) for c in calls.get(callee, [])):
-                unset.add(key)
+    KEPT_OPTIONS; an option nothing sets is a constant.  A call written
+    ``m.f(...)`` or ``f(...)`` after ``from m import f`` sets only module
+    ``m``'s ``f``."""
+    sources, program = _program()
+    unset = _unset_options(sources, program)
     assert sorted(unset - set(KEPT_OPTIONS)) == []
     assert sorted(set(KEPT_OPTIONS) - unset) == [], "KEPT_OPTIONS that are gone or now set"
+
+
+def test_setter_of_another_modules_function_does_not_count():
+    """A call to a same-named function in another module does not set an
+    option; an unplaced call of that name still does."""
+    code = "def run(x, seed=0):\n    return x\n"
+    program = {"alpha": ast.parse(code), "beta": ast.parse(code)}
+    callers = {
+        "from gapcraft import beta\nbeta.run(1, seed=2)\n": {"run(seed)"},
+        "from . import beta as b\nb.run(1, seed=2)\n": {"run(seed)"},
+        "from gapcraft.beta import run\nrun(1, 2)\n": {"run(seed)"},
+        "from . import alpha as a\na.run(1, seed=2)\n": set(),
+        "from gapcraft.alpha import run\nrun(1, 2)\n": set(),
+        "run = pick()\nrun(1, seed=2)\n": set(),
+    }
+    for caller, expected in callers.items():
+        main = {"main": ast.parse(caller)}
+        assert _unset_options({"alpha": program["alpha"]}, {**program, **main}) == expected, caller
+
+
+# public members no program path reads, each kept for a stated reason
+KEPT_MEMBERS = {
+    "RunRecord.wall_time": "RunLog.to_jsonl writes it to the run log through __dict__",
+    "PipelineResult.kernel": "the trained predictor that run_pipeline returns",
+    "SinkhornResult.violation": "the solver diagnostics planned for the stage-1 run log",
+    "SinkhornResult.potential_f": "the row potentials of the planned certified W1 bracket",
+    "SinkhornResult.potential_g": "the column potentials of the planned certified W1 bracket",
+}
+
+
+def _members(tree: ast.Module):
+    """(key, name) of every public method, property and dataclass field of
+    a class in a module."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        dataclass = _is_dataclass(node)
+        for s in node.body:
+            if isinstance(s, ast.FunctionDef):
+                name = s.name
+            elif dataclass and isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name):
+                name = s.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                yield f"{node.name}.{name}", name
+
+
+def test_every_member_is_read():
+    """Each public method, property and dataclass field of a gapcraft class
+    is read somewhere in the package or the benchmark, by an attribute load
+    of its name or a string constant equal to it (``getattr``, loops over
+    field names), or is in KEPT_MEMBERS; a member only tests read belongs
+    in tests/oracles.py.  Matching is by name alone, so an attribute of the
+    same name on any object counts as a read."""
+    sources, program = _program()
+    read = set()
+    for tree in program.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = {key for tree in sources.values() for key, name in _members(tree) if name not in read}
+    unkept = sorted(unread - set(KEPT_MEMBERS))
+    assert unkept == [], f"unread members {sorted(unread)}, of which not kept: {unkept}"
+    assert sorted(set(KEPT_MEMBERS) - unread) == [], "KEPT_MEMBERS that are gone or now read"
+
+
+def test_every_error_derives_from_the_package_base():
+    """Every ``*Error`` class of the package is a GapcraftError, so the CLI
+    maps all of them to exit 1 by catching the base."""
+    errors = {
+        obj
+        for name in MODULES
+        for obj in vars(importlib.import_module(f"gapcraft.{name}")).values()
+        if isinstance(obj, type) and obj.__name__.endswith("Error")
+        and obj.__module__.startswith("gapcraft.") and obj is not GapcraftError
+    }
+    assert len(errors) == 7
+    assert sorted(e.__name__ for e in errors if not issubclass(e, GapcraftError)) == []
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:

@@ -8,6 +8,7 @@ from gapcraft import numgrad as ng
 
 from oracles import (
     finite_difference,
+    n_parameters,
     params_vector,
     params_with_vector,
     relative_gradient_error,
@@ -183,7 +184,7 @@ def test_mlp_vjp_matches_fd_three_layers(acts):
             for l, act in zip(models.init_mlp(dims, "tanh", rng).layers, acts)
         )
     )
-    params = params_with_vector(shape, rng.normal(size=shape.n_parameters()))
+    params = params_with_vector(shape, rng.normal(size=n_parameters(shape)))
     x = rng.normal(size=(6, 3))
     g = rng.normal(size=(6, 2))
     out, pullback = models.mlp_vjp(params, x)
