@@ -22,27 +22,22 @@ from pathlib import Path
 import numpy as np
 
 from . import transport
-from .distortion import TransportKernel, fld_exact
-from .numgrad import GapcraftError
+from .distortion import fld_exact
 from .probs import LOG_FLOOR, as_conditional, as_distribution, xlogx
 
 __all__ = [
     "DiscreteInstance",
     "BoundReport",
     "ProofTerms",
-    "InfeasibilityError",
     "generalized_errors",
     "source_loss_values",
     "fa_exact",
     "tf_closed_form",
     "evaluate_bound",
+    "proof_terms",
     "verify_proof_terms",
     "reports_to_bars_csv",
 ]
-
-
-class InfeasibilityError(GapcraftError, ValueError):
-    """A fitting-term constraint set is inconsistent with its inputs."""
 
 
 @dataclass(frozen=True)
@@ -160,29 +155,22 @@ def fa_exact(inst: DiscreteInstance) -> float:
     return tau * w1
 
 
-def tf_closed_form(plus_plan: TransportKernel, target_cond, p_target) -> float:
+def tf_closed_form(target_cond, p_target) -> float:
     """Fitting term in closed form: KL(target conditional || prediction).
 
     This is the minimum, over nonnegative plans whose mixture under the
     source conditional is the prediction, of the source-weighted KL from
-    plus_plan's rows.  The plan that attains it, plus_plan rescaled
-    columnwise by prediction over conditional, is not built here
-    (``tests/oracles.py`` keeps it).  A plus_plan with mass on a class the
-    conditional never emits makes the program infeasible.
+    the rows of the FLD optimum's kernel.  The minimum is the same for
+    every kernel that puts no mass on a class the conditional never emits,
+    and :func:`distortion.fld_exact`'s coupling is zero on every such
+    column, so no kernel is taken.  ``tests/oracles.py`` builds the kernel
+    and the plan that attains the minimum.
     """
     q = as_distribution(target_cond, "target conditional")
     p = as_distribution(p_target, "target prediction")
-    lam = plus_plan.matrix
-    if lam.shape[1] != q.size or q.size != p.size:
-        raise ValueError("plan, conditional, and prediction class counts differ")
+    if q.size != p.size:
+        raise ValueError("conditional and prediction class counts differ")
     live = q > 0.0
-    if not live.all():
-        col_mass = lam[:, ~live].max(axis=0, initial=0.0)
-        if (col_mass > 1e-9).any():
-            j = int(np.flatnonzero(~live)[col_mass.argmax()])
-            raise InfeasibilityError(
-                f"plan puts mass on target class {j} which the conditional never emits"
-            )
     # KL(q || p) as cross-entropy minus entropy, each summed over the
     # classes q lives on
     q_live, p_live = q[live], p[live]
@@ -208,8 +196,8 @@ def evaluate_bound(inst: DiscreteInstance) -> BoundReport:
             continue
         try:
             res = fld_exact(inst.source_cond[i], inst.target_cond[i])
-            tf = tf_closed_form(res.plan, inst.target_cond[i], inst.p_target[i])
-        except (ValueError, InfeasibilityError) as exc:
+            tf = tf_closed_form(inst.target_cond[i], inst.p_target[i])
+        except ValueError as exc:
             raise type(exc)(f"at support point {i}: {exc}") from exc
         e_fld += weight * res.fld
         e_tf += weight * tf
@@ -220,14 +208,20 @@ def evaluate_bound(inst: DiscreteInstance) -> BoundReport:
 
 
 def verify_proof_terms(inst: DiscreteInstance) -> ProofTerms:
+    """:func:`proof_terms` of ``inst`` read from its own evaluation."""
+    return proof_terms(inst, evaluate_bound(inst))
+
+
+def proof_terms(inst: DiscreteInstance, report: BoundReport) -> ProofTerms:
     """The two intermediate inequalities behind the decomposition.
 
     The error difference splits exactly into A + B, where A compares the
     target error against the source conditional's entropy on target atoms
     and B compares that entropy term against the source error; A is
     bounded by the expected distortion-plus-fitting, B by the alignment.
+    ``report`` is :func:`evaluate_bound` of ``inst``, so a caller that
+    holds it evaluates the instance once.
     """
-    report = evaluate_bound(inst)
     h_source_on_target = float(inst.target_marginal @ -xlogx(inst.source_cond).sum(axis=1))
     term_a_lhs = report.err_tau - h_source_on_target
     term_b_lhs = h_source_on_target - report.err_s

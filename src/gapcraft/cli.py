@@ -218,7 +218,7 @@ def cmd_verify_theorem(args, out: Path) -> int:
         worst_gap = min(worst_gap, report.gap)
         if report.gap < -1e-9:
             violations.append(seed)
-        terms = bound.verify_proof_terms(inst)
+        terms = bound.proof_terms(inst, report)
         if (
             terms.term_a_lhs > terms.term_a_rhs + 1e-9
             or terms.term_b_lhs > terms.term_b_rhs + 1e-9

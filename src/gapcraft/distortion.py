@@ -35,7 +35,6 @@ from .transport import CapabilityError
 
 __all__ = [
     "MAX_LABEL_CLASSES",
-    "TransportKernel",
     "JointLabelStats",
     "FldExact",
     "fld_exact",
@@ -49,23 +48,6 @@ MAX_LABEL_CLASSES = 5
 
 # (cells, index_t, forms) per label shape, built on first use; see _cut_table
 _CUT_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-@dataclass(frozen=True)
-class TransportKernel:
-    """Row-stochastic conditional over target labels given source labels."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2:
-            raise ValueError(f"kernel must be 2-D, got shape {m.shape}")
-        if (m < -1e-10).any():
-            raise ValueError(f"kernel has negative entries (min {m.min():.3e})")
-        # written so that a NaN row sum (a NaN entry) fails it too
-        if not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-10:
-            raise ValueError("kernel rows must sum to 1 within 1e-10")
 
 
 @dataclass(frozen=True)
@@ -89,7 +71,6 @@ class JointLabelStats:
 @dataclass(frozen=True)
 class FldExact:
     fld: float
-    plan: TransportKernel
     coupling: np.ndarray
 
 
@@ -223,19 +204,14 @@ def fld_exact(w, q) -> FldExact:
     """Minimum expected kernel entropy carrying w onto q, in nats.
 
     Returns the optimum H(pi) - H(w) over couplings with marginals (w, q),
-    attained at a transportation-polytope vertex, together with the
-    row-normalized kernel of the optimal coupling.  The search is
-    exhaustive over the spanning trees of the active (nonzero) classes:
-    the cached cut-form table gives every tree's basic solution as one
-    column of a single gather through its intp index, the feasible
+    attained at a transportation-polytope vertex, together with that
+    optimal coupling as an (n, m) array.  The coupling is exactly 0.0 on
+    every row where w is zero and every column where q is zero.  The
+    search is exhaustive over the spanning trees of the active (nonzero)
+    classes: the cached cut-form table gives every tree's basic solution
+    as one column of a single gather through its intp index, the feasible
     columns (no value below -1e-12) are scored by entropy, and ties go to
-    the first tree in enumeration order.  Each kernel row is its coupling
-    row over that row's own sum, not over w_i: the basic values carry
-    rounding of the order of the whole unit mass, which divided by a tiny
-    w_i would leave the row's sum off 1.  Rows of zero coupling mass (zero
-    source mass, or a source mass lost below that rounding) carry no
-    entropy weight; they are reported as q itself so the kernel still
-    averages back to q.
+    the first tree in enumeration order.
     """
     w = as_distribution(w, "source conditional")
     q = as_distribution(q, "target conditional")
@@ -258,13 +234,7 @@ def fld_exact(w, q) -> FldExact:
 
     fld = max(0.0, entropy(pi_a) - entropy(wa))
     pi = pi_a if n == w.size and m == q.size else _embed(pi_a, ri, ci, (w.size, q.size))
-    mass = pi.sum(axis=1, keepdims=True)
-    if mass.all():
-        return FldExact(fld, TransportKernel(pi / mass), pi)
-    lam = np.empty_like(pi)
-    lam[:] = q
-    np.divide(pi, mass, out=lam, where=mass > 0.0)
-    return FldExact(fld, TransportKernel(lam), pi)
+    return FldExact(fld, pi)
 
 
 def _embed(pi_a: np.ndarray, ri: np.ndarray, ci: np.ndarray, shape) -> np.ndarray:

@@ -149,9 +149,6 @@ class RunLog:
                 raise ValueError("run log records must be strictly ordered")
         self.records.append(record)
 
-    def phase(self, name: str) -> list[RunRecord]:
-        return [r for r in self.records if r.phase == name]
-
     def comparable(self) -> list[tuple]:
         """Everything except wall time, for bit-level reproducibility checks."""
         return [r.comparable() for r in self.records]
@@ -278,26 +275,25 @@ def pretrain_source(
 def induced_predictor_error(
     phi: MlpParams,
     source_head: MlpParams,
-    target_train: Dataset,
-    target_eval: Dataset,
-    n_target_classes: int,
+    stats: distortion.JointLabelStats,
+    eval_x: np.ndarray,
+    eval_labels: np.ndarray,
 ) -> float:
     """Held-out 0-1 error of the pseudo-label-induced predictor.
 
     The soft joint's row-normalized kernel composed with the source head is
     the natural label-transfer predictor available before stage 2 runs.
+    ``stats`` is :func:`distortion.pseudo_label_stats` of ``phi`` on the
+    training set, and ``eval_labels`` are the class labels of ``eval_x``
+    under the training set's binning.
     """
-    train_labels, disc = _labels_as_classes(target_train)
-    stats = distortion.pseudo_label_stats(
-        phi, source_head, target_train.x, train_labels, n_target_classes
-    )
     rows = stats.joint.sum(axis=1, keepdims=True)
     lam = np.where(
-        rows > 0.0, stats.joint / np.maximum(rows, 1e-300), 1.0 / n_target_classes
+        rows > 0.0, stats.joint / np.maximum(rows, 1e-300), 1.0 / stats.joint.shape[1]
     )
-    p_eval = models.predict_source(source_head, models.embed(phi, target_eval.x)) @ lam
+    p_eval = models.predict_source(source_head, models.embed(phi, eval_x)) @ lam
     pred = np.argmax(p_eval, axis=1)
-    return float(np.mean(pred != _labels_binned_as(target_eval, disc)))
+    return float(np.mean(pred != eval_labels))
 
 
 def _minibatches(
@@ -344,21 +340,31 @@ def stage1(
     ``target_eval``.  ``n_target_classes`` is :func:`target_class_count` of
     the task.
     """
-    target_labels, _ = _labels_as_classes(target)
+    target_labels, disc = _labels_as_classes(target)
+    if target_eval is not None:
+        eval_labels = _labels_binned_as(target_eval, disc)
     n1, n2, _ = cfg.effective_epochs()
     rng = _rng_for(cfg.seed, 2)
     source_features = models.embed(theta, proxy.x)
     log = RunLog()
     start = time.perf_counter()
 
-    def checkpoint(epoch: int, phase: str, l_fa: float, l_fld: float) -> None:
-        err = (
-            induced_predictor_error(
-                phi, source_head, target, target_eval, n_target_classes
-            )
-            if target_eval is not None
-            else float("nan")
+    def joint() -> distortion.JointLabelStats:
+        return distortion.pseudo_label_stats(
+            phi, source_head, target.x, target_labels, n_target_classes
         )
+
+    def checkpoint(
+        epoch: int, phase: str, l_fa: float, l_fld: float,
+        stats: distortion.JointLabelStats | None,
+    ) -> None:
+        """Append the epoch's record; ``stats`` is the epoch's joint if it
+        has one, built here only when the induced error needs it."""
+        err = float("nan")
+        if target_eval is not None:
+            if stats is None:
+                stats = joint()
+            err = induced_predictor_error(phi, source_head, stats, target_eval.x, eval_labels)
         log.append(
             RunRecord(
                 epoch,
@@ -380,10 +386,8 @@ def stage1(
             )
             phi = models.sgd_update(phi, grads, cfg.lr_fa)
             losses.append(loss)
-        stats = distortion.pseudo_label_stats(
-            phi, source_head, target.x, target_labels, n_target_classes
-        )
-        checkpoint(epoch, "fa", float(np.mean(losses)), distortion.fld_surrogate(stats))
+        stats = joint()
+        checkpoint(epoch, "fa", float(np.mean(losses)), distortion.fld_surrogate(stats), stats)
 
     for epoch in range(1, n2 + 1):
         losses = []
@@ -396,7 +400,7 @@ def stage1(
         l_fa = _fa_loss_value(
             phi, source_features, target.x, cfg.lipschitz.omega, cfg.sinkhorn
         )
-        checkpoint(epoch, "fld", l_fa, float(np.mean(losses)))
+        checkpoint(epoch, "fld", l_fa, float(np.mean(losses)), None)
 
     return phi, log
 

@@ -22,7 +22,6 @@ from .probs import as_distribution
 __all__ = [
     "CapabilityError",
     "SolverError",
-    "Coupling",
     "SinkhornConfig",
     "SinkhornResult",
     "cost_matrix",
@@ -60,22 +59,8 @@ class SinkhornConfig:
 
 
 @dataclass(frozen=True)
-class Coupling:
-    """Nonnegative plan with prescribed row/column marginals."""
-
-    pi: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-
-    def marginal_violation(self) -> float:
-        row_err = float(np.max(np.abs(self.pi.sum(axis=1) - self.row_marginal)))
-        col_err = float(np.max(np.abs(self.pi.sum(axis=0) - self.col_marginal)))
-        return max(row_err, col_err)
-
-
-@dataclass(frozen=True)
 class SinkhornResult:
-    coupling: Coupling
+    coupling: np.ndarray
     w1_estimate: float
     converged: bool
     n_iter: int
@@ -162,13 +147,12 @@ def sinkhorn(cost, mu, nu, cfg: SinkhornConfig = SinkhornConfig()) -> SinkhornRe
         plan, violation = _plan_and_violation(f, g, c, eps, mu_a, nu_a)
     full = np.zeros((n, m))
     full[np.ix_(ri, ci)] = plan
-    coupling = Coupling(full, mu, nu)
     w1 = float((full * cost).sum())
     ff = np.full(n, -np.inf)
     gg = np.full(m, -np.inf)
     ff[ri] = f
     gg[ci] = g
-    return SinkhornResult(coupling, w1, violation <= cfg.tol, it, violation, ff, gg)
+    return SinkhornResult(full, w1, violation <= cfg.tol, it, violation, ff, gg)
 
 
 def _plan_and_violation(
@@ -176,14 +160,18 @@ def _plan_and_violation(
 ) -> tuple[np.ndarray, float]:
     """The plan at potentials (f, g) and its marginal violation."""
     plan = np.exp((f[:, None] + g[None, :] - c) / eps)
-    violation = max(
-        float(np.max(np.abs(plan.sum(axis=1) - mu))),
-        float(np.max(np.abs(plan.sum(axis=0) - nu))),
+    return plan, _marginal_violation(plan, mu, nu)
+
+
+def _marginal_violation(pi: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
+    """The largest deviation of a row or column sum of ``pi`` from its marginal."""
+    return max(
+        float(np.max(np.abs(pi.sum(axis=1) - mu))),
+        float(np.max(np.abs(pi.sum(axis=0) - nu))),
     )
-    return plan, violation
 
 
-def exact_w1(cost, mu, nu) -> tuple[Coupling, float]:
+def exact_w1(cost, mu, nu) -> tuple[np.ndarray, float]:
     """Exact W1 by the transportation simplex; the plan is a polytope vertex.
 
     Zero-mass atoms are dropped and reinserted as empty rows/columns.  The
@@ -210,14 +198,13 @@ def exact_w1(cost, mu, nu) -> tuple[Coupling, float]:
     else:
         pi = np.zeros((n, m))
         pi[np.ix_(ri, ci)] = _transport_simplex(cost[np.ix_(ri, ci)], mu[ri], nu[ci])
-    coupling = Coupling(pi, mu, nu)
-    violation = coupling.marginal_violation()
+    violation = _marginal_violation(pi, mu, nu)
     if violation > 1e-12 + abs(float(mu.sum() - nu.sum())) or pi.min() < 0.0:
         raise SolverError(
             f"transportation simplex plan misses its marginals by {violation:.3e}"
             f" or has negative mass (min {pi.min():.3e})"
         )
-    return coupling, float((pi * cost).sum())
+    return pi, float((pi * cost).sum())
 
 
 def _transport_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -429,7 +416,6 @@ def fa_loss_and_grad(
 
     # Cotangent on the embeddings under the fixed plan; coincident pairs
     # (zero distance) contribute a zero subgradient.
-    pi = result.coupling.pi
     safe = np.where(c > 0.0, c, 1.0)
-    g_u = omega * np.einsum("ij,ijd->id", pi / safe * (c > 0.0), diff)
+    g_u = omega * np.einsum("ij,ijd->id", result.coupling / safe * (c > 0.0), diff)
     return loss, pullback(g_u), result

@@ -9,8 +9,9 @@ calls lives here too: the flat parameter vector finite differences
 perturb (``params_vector``, ``params_with_vector``, ``n_parameters``),
 the head's per-row cross-entropy (``pointwise_losses``),
 ``cross_entropy`` and ``kl_divergence``, every vertex of a coupling
-polytope (``enumerate_polytope_vertices``), the fitting term by an SLSQP
-solve (``tf_convex_oracle``) and the plan that attains its minimum
+polytope (``enumerate_polytope_vertices``), the row-normalized kernel of
+an FLD coupling (``fld_kernel``), the fitting term by an SLSQP solve
+(``tf_convex_oracle``) and the plan that attains its minimum
 (``realized_plan``), the true source label conditional of a synthetic
 task (``exact_source_conditional``), the hard pseudo-label counts whose
 expectation the library's soft counts are (``hard_pseudo_label_joint``),
@@ -37,7 +38,6 @@ from scipy.special import log_softmax, softmax
 
 from gapcraft import bound, distortion, models, probs, transport
 from gapcraft import numgrad as ng
-from gapcraft.distortion import TransportKernel
 from gapcraft.models import Layer, MlpParams
 from gapcraft.numgrad import DimensionError, freeze
 from gapcraft.probs import LOG_FLOOR, as_conditional, as_distribution, entropy
@@ -128,7 +128,28 @@ def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
     return list(seen.values())
 
 
-def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float:
+def fld_kernel(coupling: np.ndarray, q) -> np.ndarray:
+    """The FLD optimum's kernel: ``distortion.fld_exact``'s coupling
+    row-normalized, a conditional over target labels given source labels.
+
+    Each kernel row is its coupling row over that row's own sum, not over
+    w_i: the basic values carry rounding of the order of the whole unit
+    mass, which divided by a tiny w_i would leave the row's sum off 1.
+    Rows of zero coupling mass (zero source mass, or a source mass lost
+    below that rounding) carry no entropy weight; they are reported as q
+    itself so the kernel still averages back to q.
+    """
+    q = as_distribution(q, "target conditional")
+    mass = coupling.sum(axis=1, keepdims=True)
+    if mass.all():
+        return coupling / mass
+    lam = np.empty_like(coupling)
+    lam[:] = q
+    np.divide(coupling, mass, out=lam, where=mass > 0.0)
+    return lam
+
+
+def tf_convex_oracle(plus: np.ndarray, source_cond, p_target) -> float:
     """Fitting term by a generic constrained convex solve; closed-form-free.
 
     Minimizes sum_z w(z) KL(plus(.|z) || lam(.|z)) over nonnegative plans
@@ -140,7 +161,6 @@ def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float
     """
     w = as_distribution(source_cond, "source conditional")
     p = as_distribution(p_target, "target prediction")
-    plus = plus_plan.matrix
     if plus.shape[0] != w.size or plus.shape[1] != p.size:
         raise ValueError("plan shape disagrees with conditional/prediction sizes")
     if w.size > 5 or p.size > 5:
@@ -191,9 +211,10 @@ def tf_convex_oracle(plus_plan: TransportKernel, source_cond, p_target) -> float
 _MIN_NORMAL = np.finfo(np.float64).tiny
 
 
-def realized_plan(plus_plan: TransportKernel, target_cond, p_target) -> np.ndarray:
+def realized_plan(lam: np.ndarray, target_cond, p_target) -> np.ndarray:
     """The plan at which ``bound.tf_closed_form``'s program attains its
-    minimum: plus_plan rescaled columnwise by prediction over conditional.
+    minimum: the FLD kernel ``lam`` (:func:`fld_kernel`) rescaled
+    columnwise by prediction over conditional.
 
     Columns the conditional never visits, and columns whose ratio
     overflows (a subnormal conditional mass), are completed with the
@@ -206,7 +227,6 @@ def realized_plan(plus_plan: TransportKernel, target_cond, p_target) -> np.ndarr
     """
     q = as_distribution(target_cond, "target conditional")
     p = as_distribution(p_target, "target prediction")
-    lam = plus_plan.matrix
     if q.min() >= _MIN_NORMAL:  # every class live, no ratio p_j / q_j overflows
         return lam * (p / q)
     live = q > 0.0

@@ -21,6 +21,7 @@ from gapcraft.transport import SinkhornConfig
 from oracles import (
     exact_source_conditional,
     finite_difference,
+    fld_kernel,
     params_vector,
     params_with_vector,
     pointwise_losses,
@@ -100,8 +101,8 @@ def test_criterion_04_tf_closed_form_vs_convex_oracle():
         w = rng.dirichlet(np.ones(kz))
         q = rng.dirichlet(np.ones(kt))
         p_tau = rng.dirichlet(np.ones(kt) * 2)
-        plus = distortion.fld_exact(w, q).plan
-        closed = bound.tf_closed_form(plus, q, p_tau)
+        plus = fld_kernel(distortion.fld_exact(w, q).coupling, q)
+        closed = bound.tf_closed_form(q, p_tau)
         oracle = tf_convex_oracle(plus, w, p_tau)
         worst = max(worst, abs(closed - oracle))
     _verdict(4, worst <= 1e-4, f"worst |closed-oracle|={worst:.2e} (<=1e-4)")
@@ -153,7 +154,7 @@ def test_criterion_06_gradient_integrity():
         loss, grads, res = transport.fa_loss_and_grad(
             phi, theta, target, source, omega, SinkhornConfig(0.1, 2000)
         )
-        pi = res.coupling.pi
+        pi = res.coupling
         v = models.embed(theta, source)
 
         def fa_objective(vec):

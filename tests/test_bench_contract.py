@@ -5,7 +5,8 @@ The traced benchmark wraps gapcraft functions by the names in
 its hooks read arguments by position.  A refactor that renames or moves
 one of them breaks the traced runs, which Tier-1 does not execute; these
 tests read the benchmark's files, without changing them, and check each
-name and position against the package.
+name and position against the package.  The workloads also read fields of
+the results they get back, which a refactor must keep.
 """
 
 import importlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from gapcraft import distortion, pipeline, transport
+from gapcraft import bound, distortion, pipeline, transport
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,3 +63,14 @@ def test_hooked_arguments_sit_where_the_tracer_reads_them():
     assert list(inspect.signature(distortion.fld_exact).parameters)[:2] == ["w", "q"]
     fields = transport.SinkhornResult.__dataclass_fields__
     assert {"converged", "n_iter"} <= set(fields)
+
+
+def test_result_fields_the_workloads_read_exist():
+    """``fld_wide`` reads ``fld`` and ``coupling`` from ``fld_exact``;
+    ``bound_verify`` reads the gap and six terms of a BoundReport and the
+    four proof terms."""
+    assert {"fld", "coupling"} <= set(distortion.FldExact.__dataclass_fields__)
+    report = {"err_s", "err_tau", "fa", "e_fld", "e_tf", "rhs", "gap"}
+    assert report <= set(bound.BoundReport.__dataclass_fields__)
+    terms = {"term_a_lhs", "term_a_rhs", "term_b_lhs", "term_b_rhs"}
+    assert terms <= set(bound.ProofTerms.__dataclass_fields__)

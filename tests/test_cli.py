@@ -55,6 +55,22 @@ def test_verify_theorem_1000_instances_pins_worst_gap(tmp_path, capsys):
     assert summary["worst_gap"] == 0.017963728713937588
 
 
+def test_verify_theorem_evaluates_each_instance_once(tmp_path, monkeypatch, capsys):
+    # the proof terms are read from the report the gap comes from
+    seen = []
+
+    def counted(inst):
+        seen.append(inst)
+        return evaluate(inst)
+
+    evaluate = bound.evaluate_bound
+    monkeypatch.setattr(bound, "evaluate_bound", counted)
+    out = tmp_path / "vt"
+    assert main(["verify-theorem", "--instances", "7", "--seed", "3", "--out", str(out)]) == 0
+    assert len(seen) == 7
+    assert len({id(inst) for inst in seen}) == 7
+
+
 def test_gen_writes_bundle(tmp_path):
     out = tmp_path / "data"
     assert main(["gen", "--family", "rotated", "--seed", "4", "--out", str(out)]) == 0
@@ -377,7 +393,7 @@ def test_resolved_config_follows_every_return(tmp_path, monkeypatch, capsys, cas
         argv = ["correlate", "--runlog", _write_runlog(tmp_path / "log.jsonl", [0.1, 0.3, 0.2])]
     if case == "verify-theorem-violated":
         monkeypatch.setattr(
-            bound, "verify_proof_terms", lambda inst: bound.ProofTerms(1.0, 0.0, 0.0, 0.0)
+            bound, "proof_terms", lambda inst, report: bound.ProofTerms(1.0, 0.0, 0.0, 0.0)
         )
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out), "--seed", "5"]) == code

@@ -7,7 +7,7 @@ import pytest
 
 from dataclasses import replace
 
-from gapcraft import models, pipeline, synthtasks
+from gapcraft import distortion, models, pipeline, synthtasks
 from gapcraft.numgrad import DimensionError
 from gapcraft.pipeline import PipelineConfig, RunLog, RunRecord, UndefinedCorrelationError
 from gapcraft.probs import softmax
@@ -108,17 +108,27 @@ def test_stage1_zero_epochs_is_noop(rotated_bundle):
     assert log.records == []
 
 
-def test_stage1_log_counts_phases(rotated_bundle):
+def test_stage1_log_counts_phases(rotated_bundle, monkeypatch):
     cfg = replace(SMALL, n1=3, n2=2, seed=5)
     theta, head = _pretrained(rotated_bundle, cfg)
     phi = models.init_mlp([12, 16, 8], "tanh", np.random.default_rng(1))
+    joints = []
+
+    def counted(*args):
+        joints.append(args)
+        return build(*args)
+
+    build = distortion.pseudo_label_stats
+    monkeypatch.setattr(distortion, "pseudo_label_stats", counted)
     _, log = pipeline.stage1(
         phi, theta, head, rotated_bundle.proxy, rotated_bundle.target, cfg,
         rotated_bundle.target_test, 3,
     )
-    assert len(log.phase("fa")) == 3
-    assert len(log.phase("fld")) == 2
+    assert [r.phase for r in log.records] == ["fa"] * 3 + ["fld"] * 2
     assert all(np.isfinite(r.semantic_gap) for r in log.records)
+    # one pseudo-label joint per epoch: an alignment epoch's serves both its
+    # distortion value and its induced error
+    assert len(joints) == 5
 
 
 def test_stage1_reduces_alignment_loss_median_over_seeds():
@@ -137,7 +147,7 @@ def test_stage1_reduces_alignment_loss_median_over_seeds():
             phi, theta, head, bundle.proxy, bundle.target, cfg, None,
             pipeline.target_class_count(bundle),
         )
-        fa = [r.l_fa for r in log.phase("fa")]
+        fa = [r.l_fa for r in log.records if r.phase == "fa"]
         ratios.append(fa[-1] / fa[0])
     assert np.median(ratios) <= 0.5
 

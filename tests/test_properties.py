@@ -13,7 +13,7 @@ from gapcraft import bound, distortion
 from gapcraft.bound import DiscreteInstance
 from gapcraft.probs import entropy
 
-from oracles import enumerate_polytope_vertices, realized_plan
+from oracles import enumerate_polytope_vertices, fld_kernel, realized_plan
 
 PROPERTY = settings(
     derandomize=True,
@@ -78,10 +78,22 @@ def instances(draw):
 @given(distributions(), distributions())
 def test_fld_kernel_marginals_and_range(w, q):
     res = distortion.fld_exact(w, q)
-    assert np.abs(res.plan.matrix.sum(axis=1) - 1.0).max() <= 1e-10
+    assert np.abs(fld_kernel(res.coupling, q).sum(axis=1) - 1.0).max() <= 1e-10
     assert np.abs(res.coupling.sum(axis=1) - w).max() <= 1e-11
     assert np.abs(res.coupling.sum(axis=0) - q).max() <= 1e-11
     assert 0.0 <= res.fld <= entropy(q) + 1e-12
+
+
+@settings(PROPERTY, max_examples=150)
+@given(distributions(), distributions())
+def test_fld_coupling_is_exactly_zero_off_the_support(w, q):
+    """Zero on every dead row and column, so the FLD kernel puts no mass on
+    a class q never emits: the condition under which the fitting term's
+    closed form is its program's minimum."""
+    pi = distortion.fld_exact(w, q).coupling
+    assert pi.shape == (w.size, q.size)
+    assert (pi[w == 0.0] == 0.0).all()
+    assert (pi[:, q == 0.0] == 0.0).all()
 
 
 @settings(PROPERTY, max_examples=150)
@@ -111,10 +123,10 @@ def test_tf_realized_plan_is_finite_and_reproduces_prediction(kz, kt, data):
     w = data.draw(distributions(kz, kz))
     q = data.draw(distributions(kt, kt))
     p = data.draw(distributions(kt, kt))
-    kernel = distortion.fld_exact(w, q).plan
+    kernel = fld_kernel(distortion.fld_exact(w, q).coupling, q)
     plan = realized_plan(kernel, q, p)
     assert np.isfinite(plan).all()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         completed = ~np.isfinite(p / q)
-    faithful = np.abs(w @ kernel.matrix - q) <= 1e-9 * q
+    faithful = np.abs(w @ kernel - q) <= 1e-9 * q
     assert np.abs(w @ plan - p)[completed | faithful].max(initial=0.0) <= 1e-9
