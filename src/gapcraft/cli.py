@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bound, lipschitz, models, pipeline, synthtasks
@@ -58,12 +57,16 @@ def _require(path, what: str) -> Path:
     return p
 
 
+def _target_dim(family: str, source_dim: int, target_dim: int) -> int:
+    # gap_dial keeps the input space; ignore a conflicting target size
+    return source_dim if family == "gap_dial" else target_dim
+
+
 def _task_spec(args) -> TaskSpec:
     return TaskSpec(
         family=args.family,
         source_dim=args.source_dim,
-        # gap_dial keeps the input space; ignore a conflicting target size
-        target_dim=args.source_dim if args.family == "gap_dial" else args.target_dim,
+        target_dim=_target_dim(args.family, args.source_dim, args.target_dim),
         n_classes=args.classes,
         n_target_classes=args.target_classes or args.classes,
         n_source=args.n_source,
@@ -86,7 +89,7 @@ def _pipeline_config(args) -> PipelineConfig:
         lr_predictor=args.lr_predictor,
         batch_size=args.batch_size,
         sinkhorn=SinkhornConfig(args.epsilon, args.sinkhorn_iters, args.sinkhorn_tol),
-        lipschitz=replace(PipelineConfig().lipschitz, omega=args.omega),
+        lipschitz=LipschitzConfig(omega=args.omega),
         seed=args.seed,
         baseline=args.baseline,
         scale=args.scale,
@@ -209,6 +212,8 @@ def cmd_stage2(args, out: Path) -> int:
 
 
 def cmd_verify_theorem(args, out: Path) -> int:
+    if args.instances < 1:
+        raise DomainError(f"--instances must be at least 1, got {args.instances}")
     violations = []
     proof_violations = []
     worst_gap = float("inf")
@@ -231,8 +236,9 @@ def cmd_verify_theorem(args, out: Path) -> int:
         "proof_term_violations": len(proof_violations),
         "worst_gap": worst_gap,
     }
-    (out / "verify_theorem.json").write_text(json.dumps(summary, indent=2))
-    print(json.dumps(summary, indent=2))
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    (out / "verify_theorem.json").write_text(text)
+    print(text)
     return 0 if not violations and not proof_violations else 1
 
 
@@ -282,16 +288,14 @@ def cmd_sweep_omega(args, out: Path) -> int:
 
 
 def cmd_baseline(args, out: Path) -> int:
+    default = TaskSpec()
     specs = {}
     for family in args.families.split(","):
         family = family.strip()
-        spec = TaskSpec(family=family)
-        if family in ("permuted_labels", "gap_dial"):
-            spec = replace(
-                spec,
-                target_dim=spec.source_dim if family == "gap_dial" else spec.target_dim,
-            )
-        specs[family] = spec
+        specs[family] = TaskSpec(
+            family=family,
+            target_dim=_target_dim(family, default.source_dim, default.target_dim),
+        )
     cfg = _pipeline_config(args)
     rows = pipeline.run_baseline(specs, cfg, seeds=range(args.seeds))
     pipeline.baseline_table_to_csv(rows, out / "baseline.csv")
@@ -319,8 +323,8 @@ def cmd_correlate(args, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-# every default below is the library's: TaskSpec, PipelineConfig and its
-# LipschitzConfig are the one home of each setting
+# every default below is the library's: TaskSpec, PipelineConfig,
+# SinkhornConfig and LipschitzConfig are the one home of each setting
 
 
 def _add_task_args(p: argparse.ArgumentParser) -> None:
@@ -358,7 +362,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_recalibrate_args(p: argparse.ArgumentParser, with_omega: bool = True) -> None:
-    lip = PipelineConfig().lipschitz
+    lip = LipschitzConfig()
     if with_omega:
         p.add_argument("--omega", type=float, default=lip.omega)
     p.add_argument("--penalty-weight", type=float, default=lip.penalty_weight)
@@ -447,22 +451,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser):
-    """Parse argv, letting a --config JSON provide defaults for its subcommand."""
+    """Parse argv, letting a --config JSON provide defaults for its subcommand.
+
+    The stored values are parsed as flags ahead of argv, so argparse checks
+    each against its flag's type and choices, and a flag given in argv,
+    abbreviated or not, comes later and wins.  A null (or a false switch)
+    leaves its flag at the default.
+    """
     args = parser.parse_args(argv)
-    if args.config:
-        path = _require(args.config, "config file")
-        try:
-            stored = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise DomainError(f"config file {path} is not readable JSON: {exc}") from exc
-        if not isinstance(stored, dict):
-            raise DomainError(f"config file {path} must hold a JSON object")
-        stored.pop("subcommand", None)
-        explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-        for key, value in stored.items():
-            if key not in explicit and hasattr(args, key):
-                setattr(args, key, value)
-    return args
+    if not args.config:
+        return args
+    path = _require(args.config, "config file")
+    try:
+        stored = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"config file {path} is not readable JSON: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise DomainError(f"config file {path} must hold a JSON object")
+    stored.pop("subcommand", None)
+    flags = []
+    for key, value in stored.items():
+        flag = "--" + key.replace("_", "-")
+        if value is None or value is False:
+            continue
+        if value is True:
+            flags.append(flag)
+        elif isinstance(value, (str, int, float)):
+            flags.append(f"{flag}={value}")
+        else:
+            raise DomainError(f"config file {path}: {key} holds {value!r}, not a flag value")
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,7 +35,6 @@ from .transport import CapabilityError
 
 __all__ = [
     "MAX_LABEL_CLASSES",
-    "JointLabelStats",
     "FldExact",
     "fld_exact",
     "random_vertex_entropies",
@@ -48,24 +47,6 @@ MAX_LABEL_CLASSES = 5
 
 # (cells, index_t, forms) per label shape, built on first use; see _cut_table
 _CUT_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-@dataclass(frozen=True)
-class JointLabelStats:
-    """Empirical joint over (pseudo source label, target label)."""
-
-    joint: np.ndarray
-    kappa: int
-
-    def __post_init__(self):
-        if self.joint.ndim != 2:
-            raise ValueError("joint must be 2-D")
-        if np.any(self.joint < -1e-12):
-            raise ValueError("joint has negative entries")
-        if abs(float(self.joint.sum()) - 1.0) > 1e-10:
-            raise ValueError(f"joint mass {self.joint.sum():.12f}, expected 1")
-        if self.kappa < 1:
-            raise ValueError("kappa must be positive")
 
 
 @dataclass(frozen=True)
@@ -293,13 +274,14 @@ def pseudo_label_stats(
     target_x,
     target_labels,
     n_target_classes: int,
-) -> JointLabelStats:
+) -> np.ndarray:
     """Joint (pseudo source label, target label) soft counts on a target set.
 
-    Each point contributes the head's full predictive row at its embedded
-    feature to its target label's column, over kappa points: exactly the
-    expectation of the hard counts C(z, z')/kappa that sample one source
-    label per point.
+    Returns the (source classes, target classes) joint.  Each point
+    contributes the head's full predictive row at its embedded feature to
+    its target label's column, over kappa points: exactly the expectation
+    of the hard counts C(z, z')/kappa that sample one source label per
+    point.
     """
     x = ng.as_matrix(target_x, "target batch")
     labels = np.asarray(target_labels, dtype=np.int64).ravel()
@@ -317,14 +299,17 @@ def pseudo_label_stats(
     joint = np.zeros((p.shape[1], n_target_classes))
     np.add.at(joint.T, labels, p)
     joint /= kappa
-    return JointLabelStats(joint, kappa)
+    return joint
 
 
-def fld_surrogate(stats: JointLabelStats) -> float:
-    """H[Z',Z] - H[Z] in nats: the pseudo-label conditional entropy."""
-    h_joint = entropy(stats.joint)
-    h_rows = entropy(stats.joint.sum(axis=1))
-    return max(0.0, h_joint - h_rows)
+def fld_surrogate(joint) -> float:
+    """H[Z',Z] - H[Z] in nats: the pseudo-label conditional entropy of a
+    (source classes, target classes) joint distribution."""
+    joint = np.asarray(joint, dtype=np.float64)
+    if joint.ndim != 2:
+        raise ng.DimensionError(f"fld_surrogate: joint must be 2-D, got shape {joint.shape}")
+    joint = as_distribution(joint.ravel(), "pseudo-label joint").reshape(joint.shape)
+    return max(0.0, entropy(joint) - entropy(joint.sum(axis=1)))
 
 
 def fld_loss_and_grad(

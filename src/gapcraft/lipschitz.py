@@ -48,7 +48,7 @@ class DivergenceError(ng.GapcraftError, RuntimeError):
 @dataclass(frozen=True)
 class LipschitzConfig:
     omega: float = 0.3  # 0.3 suits 2D-style synthetic tasks, 0.5 the 1D-style ones
-    penalty_weight: float = 1.0
+    penalty_weight: float = 10.0
     epochs: int = 300
     lr: float = 0.1
     grad_clip: float = 5.0  # SGD survives the initial penalty cliff
@@ -56,7 +56,7 @@ class LipschitzConfig:
     # quadratic hinge equilibrates slightly above its threshold, so
     # enforcing against a small inner margin lands the realized norms at
     # the nominal bound; evaluation always reports against omega itself.
-    enforcement_margin: float = 1.0
+    enforcement_margin: float = 0.8
 
     def __post_init__(self):
         if self.omega <= 0.0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -80,12 +80,10 @@ class PipelineConfig:
     lr_fld: float = 0.1
     lr_predictor: float = 0.5
     batch_size: int | None = None  # None: full batch
-    sinkhorn: SinkhornConfig = field(default_factory=lambda: SinkhornConfig(0.1, 500, 1e-6))
+    sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
     # its omega is the paper's one Lipschitz constant: the bound that
     # recalibration enforces and the weight of W1 in the alignment loss
-    lipschitz: LipschitzConfig = field(
-        default_factory=lambda: LipschitzConfig(0.3, 10.0, 300, 0.1, enforcement_margin=0.8)
-    )
+    lipschitz: LipschitzConfig = field(default_factory=LipschitzConfig)
     seed: int = 0
     baseline: str = "recraft"
     scale: float = 1.0  # shrinks epoch counts for fast runs
@@ -113,28 +111,17 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One epoch of a run; None marks a value the epoch did not measure.
+    Equality ignores ``wall_time``: equal records are a reproduced run."""
+
     epoch: int
     phase: str
-    l_fa: float
-    l_fld: float
-    semantic_gap: float
-    holdout_error: float
-    train_nll: float
-    wall_time: float
-
-    def comparable(self) -> tuple:
-        # NaN placeholders become None so tuple equality behaves
-        clean = tuple(
-            None if isinstance(v, float) and np.isnan(v) else v
-            for v in (
-                self.l_fa,
-                self.l_fld,
-                self.semantic_gap,
-                self.holdout_error,
-                self.train_nll,
-            )
-        )
-        return (self.epoch, self.phase, *clean)
+    l_fa: float | None
+    l_fld: float | None
+    semantic_gap: float | None
+    holdout_error: float | None
+    train_nll: float | None
+    wall_time: float = field(compare=False)
 
 
 @dataclass
@@ -149,29 +136,22 @@ class RunLog:
                 raise ValueError("run log records must be strictly ordered")
         self.records.append(record)
 
-    def comparable(self) -> list[tuple]:
-        """Everything except wall time, for bit-level reproducibility checks."""
-        return [r.comparable() for r in self.records]
-
     def to_jsonl(self, path) -> None:
-        """Strict JSON lines: NaN placeholders are written as null."""
+        """Strict JSON lines, one record per line; None is written as null."""
         with Path(path).open("w") as fh:
             for r in self.records:
-                row = {
-                    k: None if isinstance(v, float) and np.isnan(v) else v
-                    for k, v in r.__dict__.items()
-                }
-                fh.write(json.dumps(row, allow_nan=False) + "\n")
+                fh.write(json.dumps(asdict(r), allow_nan=False) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "RunLog":
         log = cls()
         with Path(path).open() as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 row = json.loads(line)
-                log.records.append(
-                    RunRecord(**{k: float("nan") if v is None else v for k, v in row.items()})
-                )
+                try:
+                    log.records.append(RunRecord(**row))
+                except TypeError as exc:
+                    raise ValueError(f"{path}:{lineno}: not a run-log record: {exc}") from exc
         return log
 
     def merged(self, other: "RunLog") -> "RunLog":
@@ -275,7 +255,7 @@ def pretrain_source(
 def induced_predictor_error(
     phi: MlpParams,
     source_head: MlpParams,
-    stats: distortion.JointLabelStats,
+    joint: np.ndarray,
     eval_x: np.ndarray,
     eval_labels: np.ndarray,
 ) -> float:
@@ -283,14 +263,12 @@ def induced_predictor_error(
 
     The soft joint's row-normalized kernel composed with the source head is
     the natural label-transfer predictor available before stage 2 runs.
-    ``stats`` is :func:`distortion.pseudo_label_stats` of ``phi`` on the
+    ``joint`` is :func:`distortion.pseudo_label_stats` of ``phi`` on the
     training set, and ``eval_labels`` are the class labels of ``eval_x``
     under the training set's binning.
     """
-    rows = stats.joint.sum(axis=1, keepdims=True)
-    lam = np.where(
-        rows > 0.0, stats.joint / np.maximum(rows, 1e-300), 1.0 / stats.joint.shape[1]
-    )
+    rows = joint.sum(axis=1, keepdims=True)
+    lam = np.where(rows > 0.0, joint / np.maximum(rows, 1e-300), 1.0 / joint.shape[1])
     p_eval = models.predict_source(source_head, models.embed(phi, eval_x)) @ lam
     pred = np.argmax(p_eval, axis=1)
     return float(np.mean(pred != eval_labels))
@@ -336,7 +314,7 @@ def stage1(
     Runs the configured alignment epochs first (coupling recomputed every
     step, gradient under the fixed coupling), then the distortion epochs on
     the soft pseudo-label surrogate, exactly in that order.  One record per
-    epoch lands in the log; the induced error in it is NaN without
+    epoch lands in the log; the induced error in it is None without
     ``target_eval``.  ``n_target_classes`` is :func:`target_class_count` of
     the task.
     """
@@ -349,34 +327,23 @@ def stage1(
     log = RunLog()
     start = time.perf_counter()
 
-    def joint() -> distortion.JointLabelStats:
+    def pseudo_joint() -> np.ndarray:
         return distortion.pseudo_label_stats(
             phi, source_head, target.x, target_labels, n_target_classes
         )
 
     def checkpoint(
-        epoch: int, phase: str, l_fa: float, l_fld: float,
-        stats: distortion.JointLabelStats | None,
+        epoch: int, phase: str, l_fa: float, l_fld: float, joint: np.ndarray | None
     ) -> None:
-        """Append the epoch's record; ``stats`` is the epoch's joint if it
-        has one, built here only when the induced error needs it."""
-        err = float("nan")
+        """Append the epoch's record; ``joint`` is the epoch's pseudo-label
+        joint if it has one, built here only when the induced error needs it."""
+        err = None
         if target_eval is not None:
-            if stats is None:
-                stats = joint()
-            err = induced_predictor_error(phi, source_head, stats, target_eval.x, eval_labels)
-        log.append(
-            RunRecord(
-                epoch,
-                phase,
-                l_fa,
-                l_fld,
-                l_fa + l_fld,
-                err,
-                float("nan"),
-                time.perf_counter() - start,
-            )
-        )
+            if joint is None:
+                joint = pseudo_joint()
+            err = induced_predictor_error(phi, source_head, joint, target_eval.x, eval_labels)
+        elapsed = time.perf_counter() - start
+        log.append(RunRecord(epoch, phase, l_fa, l_fld, l_fa + l_fld, err, None, elapsed))
 
     for epoch in range(1, n1 + 1):
         losses = []
@@ -386,8 +353,8 @@ def stage1(
             )
             phi = models.sgd_update(phi, grads, cfg.lr_fa)
             losses.append(loss)
-        stats = joint()
-        checkpoint(epoch, "fa", float(np.mean(losses)), distortion.fld_surrogate(stats), stats)
+        joint = pseudo_joint()
+        checkpoint(epoch, "fa", float(np.mean(losses)), distortion.fld_surrogate(joint), joint)
 
     for epoch in range(1, n2 + 1):
         losses = []
@@ -443,12 +410,14 @@ def stage2(
     target: Dataset,
     cfg: PipelineConfig,
     target_eval: Dataset | None = None,
-    frozen_gap: tuple[float, float] = (float("nan"), float("nan")),
+    frozen_gap: tuple[float, float] | None = None,
 ) -> tuple[TransportHeadParams, RunLog]:
     """Fit the transport-head predictor on the frozen embedder.
 
     Maximizes the likelihood of the target labels under the composed
-    predictor; only the kernel parameters move.
+    predictor; only the kernel parameters move.  ``frozen_gap`` is the
+    embedder's (FA, FLD) for the records; without it they hold None, as
+    does their error without ``target_eval``.
     """
     if source_head.output_dim != kernel.n_source_classes:
         raise DimensionError(
@@ -471,7 +440,8 @@ def stage2(
     rng = _rng_for(cfg.seed, 3)
     log = RunLog()
     start = time.perf_counter()
-    l_fa, l_fld = frozen_gap
+    l_fa, l_fld = frozen_gap or (None, None)
+    gap = None if frozen_gap is None else l_fa + l_fld
     for epoch in range(1, n0 + 1):
         nlls = []
         for idx in _minibatches(len(target), cfg.batch_size, rng):
@@ -490,19 +460,9 @@ def stage2(
             pred = np.argmax(np.einsum("nz,nzt->nt", p_eval, lam), axis=1)
             err = float(np.mean(pred != eval_labels))
         else:
-            err = float("nan")
-        log.append(
-            RunRecord(
-                epoch,
-                "predictor",
-                l_fa,
-                l_fld,
-                l_fa + l_fld,
-                err,
-                float(np.mean(nlls)),
-                time.perf_counter() - start,
-            )
-        )
+            err = None
+        nll, elapsed = float(np.mean(nlls)), time.perf_counter() - start
+        log.append(RunRecord(epoch, "predictor", l_fa, l_fld, gap, err, nll, elapsed))
     return kernel, log
 
 
@@ -519,10 +479,10 @@ def frozen_gap(
         phi, models.embed(theta, bundle.proxy.x), bundle.target.x,
         cfg.lipschitz.omega, cfg.sinkhorn,
     )
-    stats = distortion.pseudo_label_stats(
+    joint = distortion.pseudo_label_stats(
         phi, source_head, bundle.target.x, labels, target_class_count(bundle)
     )
-    return l_fa, distortion.fld_surrogate(stats)
+    return l_fa, distortion.fld_surrogate(joint)
 
 
 def run_pipeline(
@@ -585,6 +545,8 @@ def run_baseline(specs: dict, cfg: PipelineConfig, seeds: Sequence[int]) -> list
     """
     from .synthtasks import generate
 
+    if len(seeds) == 0:
+        raise ValueError("run_baseline needs at least one seed")
     rows = []
     for task_name, spec in specs.items():
         per_variant: dict[str, list[float]] = {v: [] for v in VARIANTS}
@@ -644,8 +606,8 @@ def correlate_gap_error(log: RunLog) -> tuple[float, list[dict]]:
         r
         for r in log.records
         if r.phase in ("fa", "fld")
-        and np.isfinite(r.semantic_gap)
-        and np.isfinite(r.holdout_error)
+        and r.semantic_gap is not None
+        and r.holdout_error is not None
     ]
     pairs = {(r.semantic_gap, r.holdout_error) for r in records}
     gaps = np.array([r.semantic_gap for r in records])

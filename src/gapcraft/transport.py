@@ -48,8 +48,8 @@ class SolverError(ng.GapcraftError, RuntimeError):
 @dataclass(frozen=True)
 class SinkhornConfig:
     epsilon: float = 0.1
-    max_iter: int = 1000
-    tol: float = 1e-7
+    max_iter: int = 500
+    tol: float = 1e-6
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -391,7 +391,7 @@ def fa_loss_and_grad(
     source_batch,
     omega: float,
     cfg: SinkhornConfig = SinkhornConfig(),
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]], SinkhornResult | None]:
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]], SinkhornResult]:
     """Alignment loss omega * W1(target features, source features) and its
     gradient with respect to the target embedder.
 
@@ -403,9 +403,6 @@ def fa_loss_and_grad(
     source_batch = ng.as_matrix(source_batch, "source batch")
     if target_batch.shape[0] == 0 or source_batch.shape[0] == 0:
         raise ValueError("fa_loss_and_grad: batches must be nonempty")
-    zero = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in phi.layers]
-    if omega == 0.0:
-        return 0.0, zero, None
 
     u, pullback = models.mlp_vjp(phi, target_batch)
     v = models.embed(theta, source_batch)

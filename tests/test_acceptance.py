@@ -77,9 +77,8 @@ def test_criterion_03_fld_oracle_consistency():
         w = rng.dirichlet(np.ones(kz))
         q = rng.dirichlet(np.ones(kt))
         exact = distortion.fld_exact(w, q).fld
-        stats_independent = distortion.JointLabelStats(np.outer(w, q), kappa=1)
         ok = (
-            exact <= distortion.fld_surrogate(stats_independent) + 1e-9
+            exact <= distortion.fld_surrogate(np.outer(w, q)) + 1e-9
             and exact <= entropy(q) + 1e-9
         )
         # hardest shapes get the full search budget; smaller polytopes have
@@ -152,7 +151,7 @@ def test_criterion_06_gradient_integrity():
         phi, theta, target, source = _fa_config(rng)
         omega = float(rng.uniform(0.2, 1.5))
         loss, grads, res = transport.fa_loss_and_grad(
-            phi, theta, target, source, omega, SinkhornConfig(0.1, 2000)
+            phi, theta, target, source, omega, SinkhornConfig(0.1, 2000, 1e-7)
         )
         pi = res.coupling
         v = models.embed(theta, source)
@@ -174,8 +173,8 @@ def test_criterion_06_gradient_integrity():
         _, grads = distortion.fld_loss_and_grad(phi, head, x, y, 3)
 
         def fld_objective(vec):
-            stats = distortion.pseudo_label_stats(params_with_vector(phi, vec), head, x, y, 3)
-            return distortion.fld_surrogate(stats)
+            joint = distortion.pseudo_label_stats(params_with_vector(phi, vec), head, x, y, 3)
+            return distortion.fld_surrogate(joint)
 
         fd = finite_difference(fld_objective, params_vector(phi))
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
@@ -341,7 +340,7 @@ def test_criterion_10_structural_reductions():
     b = run(baseline="nft")
     nft_ok = (
         a.holdout_error == b.holdout_error
-        and a.log.comparable() == b.log.comparable()
+        and a.log.records == b.log.records
         and all(
             np.array_equal(x.w, y.w) and np.array_equal(x.b, y.b)
             for x, y in zip(a.kernel.mlp.layers, b.kernel.mlp.layers)
@@ -351,7 +350,7 @@ def test_criterion_10_structural_reductions():
     d = run(baseline="fa_only")
     fa_ok = (
         c.holdout_error == d.holdout_error
-        and c.log.comparable() == d.log.comparable()
+        and c.log.records == d.log.records
         and all(
             np.array_equal(x.w, y.w) and np.array_equal(x.b, y.b)
             for x, y in zip(c.phi.layers, d.phi.layers)

@@ -215,7 +215,7 @@ def test_stage1_cli_matches_library(cli_workspace, tmp_path):
         for a, b in zip(cli_phi.layers, lib_phi.layers)
     )
     cli_log = RunLog.from_jsonl(out / "runlog.jsonl")
-    assert cli_log.comparable() == lib_log.comparable()
+    assert cli_log.records == lib_log.records
 
 
 def test_stage1_stage2_cli_on_float_labels(cli_workspace, tmp_path):
@@ -249,7 +249,7 @@ def test_stage1_stage2_cli_on_float_labels(cli_workspace, tmp_path):
         np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
         for a, b in zip(cli_phi.layers, lib_phi.layers)
     )
-    assert RunLog.from_jsonl(s1 / "runlog.jsonl").comparable() == lib_log.comparable()
+    assert RunLog.from_jsonl(s1 / "runlog.jsonl").records == lib_log.records
 
     s2 = tmp_path / "s2"
     assert main(["stage2", *common, "--phi", str(s1 / "phi.json"), "--out", str(s2)]) == 0
@@ -280,7 +280,7 @@ def test_resolved_config_replay_bitwise(cli_workspace, tmp_path):
     assert (out1 / "phi.json").read_text() == (out2 / "phi.json").read_text()
     a = RunLog.from_jsonl(out1 / "runlog.jsonl")
     b = RunLog.from_jsonl(out2 / "runlog.jsonl")
-    assert a.comparable() == b.comparable()
+    assert a.records == b.records
 
 
 def test_stage2_and_correlate_cli(cli_workspace, tmp_path):
@@ -307,7 +307,7 @@ def test_stage2_and_correlate_cli(cli_workspace, tmp_path):
         bundle.target, cfg, bundle.target_test, gap,
     )
     cli_log = RunLog.from_jsonl(s2 / "runlog.jsonl")
-    assert cli_log.comparable() == lib_log.comparable()
+    assert cli_log.records == lib_log.records
     assert all(r.semantic_gap == gap[0] + gap[1] for r in cli_log.records)
     assert main(["correlate", "--runlog", str(s1 / "runlog.jsonl"), "--out", str(corr)]) == 0
     r = json.loads((corr / "correlation.json").read_text())["pearson_r"]
@@ -319,7 +319,7 @@ def test_stage2_and_correlate_cli(cli_workspace, tmp_path):
 def test_correlate_undefined_is_domain_error(tmp_path, capsys):
     log = RunLog()
     for i in range(1, 6):
-        log.append(RunRecord(i, "fa", 1.0, 0.0, 1.0, 0.25, float("nan"), 0.0))
+        log.append(RunRecord(i, "fa", 1.0, 0.0, 1.0, 0.25, None, 0.0))
     path = tmp_path / "flat.jsonl"
     log.to_jsonl(path)
     assert main(["correlate", "--runlog", str(path), "--out", str(tmp_path / "o")]) == 1
@@ -372,7 +372,7 @@ def test_omega_flag_sets_the_one_omega(tmp_path):
 def _write_runlog(path, errors) -> str:
     log = RunLog()
     for i, err in enumerate(errors, start=1):
-        log.append(RunRecord(i, "fa", float(i), 0.0, float(i), err, float("nan"), 0.0))
+        log.append(RunRecord(i, "fa", float(i), 0.0, float(i), err, None, 0.0))
     log.to_jsonl(path)
     return str(path)
 
@@ -413,3 +413,70 @@ def test_no_resolved_config_after_a_raised_error(tmp_path, capsys, case):
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert out.is_dir() and not (out / "resolved_config.json").exists()
+
+
+def test_baseline_runs_gap_dial(tmp_path, capsys):
+    """gap_dial keeps the input space: baseline builds its spec by the rule
+    ``gen`` applies, so the default target size does not reject it."""
+    out = tmp_path / "bl"
+    assert main(["baseline", "--families", "gap_dial", "--seeds", "1", "--scale", "0.05",
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / "baseline.json").read_text())
+    assert [r["variant"] for r in rows] == list(pipeline.VARIANTS)
+    assert all(r["task"] == "gap_dial" and r["n_seeds"] == 1 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["baseline", "--seeds", "0"], "run_baseline needs at least one seed"),
+     (["verify-theorem", "--instances", "0"], "--instances must be at least 1, got 0")],
+    ids=["baseline-no-seeds", "verify-theorem-no-instances"],
+)
+def test_counts_below_one_exit_1(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("row", ['{"epoch": 1}', "[1, 2]"], ids=["partial", "list"])
+def test_correlate_rejects_a_row_that_is_not_a_record(tmp_path, capsys, row):
+    path = tmp_path / "log.jsonl"
+    _write_runlog(path, [0.1, 0.3, 0.2])
+    path.write_text(path.read_text() + row + "\n")
+    assert main(["correlate", "--runlog", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4: not a run-log record")
+    assert "Traceback" not in err
+
+
+def test_config_replay_abbreviated_flag_wins(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"instances": 3, "seed": 4}))
+    out = tmp_path / "o"
+    assert main(["verify-theorem", "--config", str(config), "--inst", "2", "--out", str(out)]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["instances"] == 2 and resolved["seed"] == 4
+    assert json.loads((out / "verify_theorem.json").read_text())["instances"] == 2
+
+
+@pytest.mark.parametrize(
+    "stored",
+    [{"instances": "abc"}, {"instances": 2.5}, {"instances": [1, 2]}, {"instances": True}],
+    ids=["string", "float", "list", "bool"],
+)
+def test_config_replay_type_checks_stored_values(tmp_path, capsys, stored):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(stored))
+    out = tmp_path / "o"
+    assert main(["verify-theorem", "--config", str(config), "--out", str(out)]) in (1, 2)
+    err = capsys.readouterr().err
+    assert "instances" in err and "Traceback" not in err
+    assert not (out / "verify_theorem.json").exists()
+
+
+def test_config_replay_checks_choices(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"family": "spiral"}))
+    assert main(["gen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "--family" in capsys.readouterr().err

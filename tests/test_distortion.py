@@ -5,7 +5,7 @@ import pytest
 
 from gapcraft import distortion, models, synthtasks, transport
 from gapcraft import numgrad as ng
-from gapcraft.distortion import JointLabelStats, fld_exact, fld_surrogate
+from gapcraft.distortion import fld_exact, fld_surrogate
 from gapcraft.probs import entropy
 
 from oracles import (
@@ -311,7 +311,7 @@ def test_stats_hard_equals_soft_for_deterministic_head():
     p = models.predict_source(head, models.embed(phi, x))
     hard = hard_pseudo_label_joint(p, y, 2, seed=0)
     soft = distortion.pseudo_label_stats(phi, head, x, y, 2)
-    assert np.allclose(hard, soft.joint, atol=1e-12)
+    assert np.allclose(hard, soft, atol=1e-12)
 
 
 def test_stats_uniform_head_balanced_targets():
@@ -323,7 +323,7 @@ def test_stats_uniform_head_balanced_targets():
         (models.Layer(np.zeros((3, 2)), np.zeros((1, 2)), "linear"),)
     )
     soft = distortion.pseudo_label_stats(phi, zero_head, x, y, 2)
-    assert np.allclose(soft.joint, 0.25)
+    assert np.allclose(soft, 0.25)
 
 
 def test_stats_hard_concentrates_to_soft():
@@ -334,11 +334,11 @@ def test_stats_hard_concentrates_to_soft():
     head = models.init_mlp([3, 3], "tanh", rng)
     soft = distortion.pseudo_label_stats(phi, head, x, y, 3)
     p = models.predict_source(head, models.embed(phi, x))
-    acc = np.zeros_like(soft.joint)
+    acc = np.zeros_like(soft)
     n_rounds = 10_000
     for s in range(n_rounds):
         acc += hard_pseudo_label_joint(p, y, 3, seed=s)
-    assert np.max(np.abs(acc / n_rounds - soft.joint)) < 0.02
+    assert np.max(np.abs(acc / n_rounds - soft)) < 0.02
 
 
 def test_stats_hard_last_class_takes_cumsum_shortfall():
@@ -370,28 +370,41 @@ def test_stats_rejects_empty_and_out_of_range():
 def test_surrogate_independent_joint_is_target_entropy():
     w = np.array([0.3, 0.7])
     q = np.array([0.2, 0.5, 0.3])
-    stats = JointLabelStats(np.outer(w, q), kappa=10)
-    assert fld_surrogate(stats) == pytest.approx(entropy(q), abs=1e-12)
+    assert fld_surrogate(np.outer(w, q)) == pytest.approx(entropy(q), abs=1e-12)
 
 
 def test_surrogate_diagonal_joint_is_zero():
-    stats = JointLabelStats(np.diag([0.25, 0.35, 0.4]), kappa=10)
-    assert fld_surrogate(stats) == 0.0
+    assert fld_surrogate(np.diag([0.25, 0.35, 0.4])) == 0.0
 
 
 def test_surrogate_reference_value():
-    stats = JointLabelStats(np.array([[0.4, 0.1], [0.1, 0.4]]), kappa=4)
+    joint = np.array([[0.4, 0.1], [0.1, 0.4]])
     expected = entropy_mp([0.4, 0.1, 0.1, 0.4]) - entropy_mp([0.5, 0.5])
     assert expected == pytest.approx(0.5004, abs=5e-5)
-    assert fld_surrogate(stats) == pytest.approx(expected, abs=1e-12)
+    assert fld_surrogate(joint) == pytest.approx(expected, abs=1e-12)
 
 
 def test_surrogate_range():
     rng = np.random.default_rng(10)
     for _ in range(50):
         j = rng.dirichlet(np.ones(6)).reshape(2, 3)
-        val = fld_surrogate(JointLabelStats(j, kappa=5))
+        val = fld_surrogate(j)
         assert 0.0 <= val <= np.log(3) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [
+        [[0.5, 0.25], [0.25, 0.25]],  # mass 1.25
+        [[0.6, -0.1], [0.25, 0.25]],  # negative entry
+        [[np.nan, 0.5], [0.25, 0.25]],
+        [0.5, 0.5],  # not 2-D
+    ],
+    ids=["mass", "negative", "nan", "one_dim"],
+)
+def test_surrogate_rejects_a_joint_that_is_not_a_distribution(joint):
+    with pytest.raises(ValueError):
+        fld_surrogate(joint)
 
 
 def test_surrogate_dominates_exact_on_random_instances():
@@ -408,7 +421,7 @@ def test_surrogate_dominates_exact_on_random_instances():
         )
         # surrogate stats marginalize u away before measuring entropy
         joint = (u_marg[:, None, None] * conds_w[:, :, None] * conds_q[:, None, :]).sum(0)
-        assert e_exact <= fld_surrogate(JointLabelStats(joint, kappa=1)) + 1e-9
+        assert e_exact <= fld_surrogate(joint) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +460,7 @@ def test_fld_grad_matches_fd():
 
     def f(vec):
         p = params_with_vector(phi, vec)
-        stats = distortion.pseudo_label_stats(p, head, x, y, 3)
-        return fld_surrogate(stats)
+        return fld_surrogate(distortion.pseudo_label_stats(p, head, x, y, 3))
 
     x0 = params_vector(phi)
     assert loss == pytest.approx(f(x0), abs=1e-12)

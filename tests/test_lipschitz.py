@@ -267,7 +267,7 @@ def test_penalty_zero_when_norms_below_omega():
 
 def test_recalibrate_inactive_constraint_is_noop():
     x, y, theta, head = _blob_task()
-    cfg = LipschitzConfig(omega=1e9, epochs=10, lr=0.1)
+    cfg = LipschitzConfig(omega=1e9, penalty_weight=1.0, epochs=10, lr=0.1, enforcement_margin=1.0)
     result = lipschitz.recalibrate_head(head, theta, x, y, cfg)
     assert result.head is head
     assert result.final_penalty == 0.0
@@ -279,7 +279,9 @@ def test_recalibrate_reduces_penalty_and_touches_only_last_layer():
     sharp = models.MlpParams(
         (models.Layer(head.layers[0].w * 40.0, head.layers[0].b, "linear"),)
     )
-    cfg = LipschitzConfig(omega=0.3, epochs=120, lr=0.2)
+    cfg = LipschitzConfig(
+        omega=0.3, penalty_weight=1.0, epochs=120, lr=0.2, enforcement_margin=1.0
+    )
     result = lipschitz.recalibrate_head(sharp, theta, x, y, cfg)
     assert result.initial_penalty > 0.0
     assert result.final_penalty < result.initial_penalty
@@ -295,7 +297,9 @@ def test_recalibrate_multilayer_freezes_lower_stack():
         head.layers[:-1]
         + (models.Layer(head.layers[-1].w * 60.0, head.layers[-1].b, "linear"),)
     )
-    cfg = LipschitzConfig(omega=0.3, epochs=60, lr=0.2)
+    cfg = LipschitzConfig(
+        omega=0.3, penalty_weight=1.0, epochs=60, lr=0.2, enforcement_margin=1.0
+    )
     result = lipschitz.recalibrate_head(sharp, theta, x, y, cfg)
     for before, after in zip(sharp.layers[:-1], result.head.layers[:-1]):
         assert before.w is after.w and before.b is after.b
@@ -311,7 +315,9 @@ def test_recalibrate_history_is_penalty_after_each_epoch():
         head.layers[:-1]
         + (models.Layer(head.layers[-1].w * 60.0, head.layers[-1].b, "linear"),)
     )
-    cfg = LipschitzConfig(omega=0.3, epochs=6, lr=0.2)
+    cfg = LipschitzConfig(
+        omega=0.3, penalty_weight=1.0, epochs=6, lr=0.2, enforcement_margin=1.0
+    )
     result = lipschitz.recalibrate_head(sharp, theta, x, y, cfg)
     assert len(result.penalty_history) == cfg.epochs + 1
     for t in range(cfg.epochs + 1):
@@ -370,7 +376,8 @@ def test_recalibrate_rejects_empty_proxy():
 def test_sweep_single_candidate():
     x, y, theta, head = _blob_task(seed=9)
     rows = lipschitz.sweep_omega(
-        [0.4], theta, head, x, y, LipschitzConfig(epochs=30, lr=0.2)
+        [0.4], theta, head, x, y,
+        LipschitzConfig(penalty_weight=1.0, epochs=30, lr=0.2, enforcement_margin=1.0),
     )
     assert len(rows) == 1
     assert set(rows[0]) == {"omega", "proxy_error", "penalty_residual"}
@@ -383,7 +390,9 @@ def test_sweep_keeps_every_config_field_but_omega():
     sharp = models.MlpParams(
         (models.Layer(head.layers[0].w * 40.0, head.layers[0].b, "linear"),)
     )
-    cfg = LipschitzConfig(epochs=30, lr=0.2, grad_clip=2.0, enforcement_margin=0.5)
+    cfg = LipschitzConfig(
+        penalty_weight=1.0, epochs=30, lr=0.2, grad_clip=2.0, enforcement_margin=0.5
+    )
     (row,) = lipschitz.sweep_omega([0.4], theta, sharp, x, y, cfg, seed=3)
     order = np.random.default_rng(3).permutation(len(y))
     train = order[round(0.25 * len(y)):]
@@ -426,7 +435,7 @@ def test_sweep_proxy_error_nonincreasing_in_omega():
         means, x, y, theta, head = _pretrained_blob_head(seed=30 + seed, n=400)
         rows = lipschitz.sweep_omega(
             candidates, theta, head, x, y,
-            LipschitzConfig(penalty_weight=10.0, epochs=150, lr=0.1),
+            LipschitzConfig(penalty_weight=10.0, epochs=150, lr=0.1, enforcement_margin=1.0),
             seed=seed,
         )
         for row in rows:

@@ -187,6 +187,17 @@ def test_stage2_aligned_labels_small_decrease():
     assert nlls[0] - min(nlls) < 1e-2
 
 
+def test_stage2_without_gap_or_eval_records_none():
+    """A value stage 2 did not measure is None in its records, not NaN."""
+    phi, head, target = _aligned_soft_setup()
+    kernel = transport_head(4, 3, 3, identity_boost=6.0)
+    _, log = pipeline.stage2(phi, head, kernel, target, PipelineConfig(n0=2, seed=6))
+    assert len(log.records) == 2
+    for r in log.records:
+        assert (r.l_fa, r.l_fld, r.semantic_gap, r.holdout_error) == (None,) * 4
+        assert isinstance(r.train_nll, float)
+
+
 def test_stage2_learns_planted_permutation():
     """A label-only kernel recovers the planted permutation.
 
@@ -289,7 +300,7 @@ def test_structural_reductions_bit_identical(rotated_bundle):
     recraft_00 = _run_pretrained(rotated_bundle, replace(cfg, n1=0, n2=0))
     nft = _run_pretrained(rotated_bundle, replace(cfg, baseline="nft"))
     assert recraft_00.holdout_error == nft.holdout_error
-    assert recraft_00.log.comparable() == nft.log.comparable()
+    assert recraft_00.log.records == nft.log.records
     assert all(
         np.array_equal(a.w, b.w)
         for a, b in zip(recraft_00.kernel.mlp.layers, nft.kernel.mlp.layers)
@@ -298,7 +309,7 @@ def test_structural_reductions_bit_identical(rotated_bundle):
     recraft_n20 = _run_pretrained(rotated_bundle, replace(cfg, n2=0))
     fa_only = _run_pretrained(rotated_bundle, replace(cfg, baseline="fa_only"))
     assert recraft_n20.holdout_error == fa_only.holdout_error
-    assert recraft_n20.log.comparable() == fa_only.log.comparable()
+    assert recraft_n20.log.records == fa_only.log.records
     assert all(
         np.array_equal(a.w, b.w)
         for a, b in zip(recraft_n20.phi.layers, fa_only.phi.layers)
@@ -310,7 +321,7 @@ def test_run_pipeline_deterministic(rotated_bundle):
     a = _run_pretrained(rotated_bundle, cfg)
     b = _run_pretrained(rotated_bundle, cfg)
     assert a.holdout_error == b.holdout_error
-    assert a.log.comparable() == b.log.comparable()
+    assert a.log.records == b.log.records
 
 
 def test_runlog_jsonl_roundtrip(tmp_path, rotated_bundle):
@@ -319,15 +330,15 @@ def test_runlog_jsonl_roundtrip(tmp_path, rotated_bundle):
     path = tmp_path / "runlog.jsonl"
     result.log.to_jsonl(path)
     loaded = RunLog.from_jsonl(path)
-    assert loaded.comparable() == result.log.comparable()
+    assert loaded.records == result.log.records
 
 
 def test_runlog_jsonl_is_strict_json(tmp_path):
-    """NaN placeholders (stage-1 train_nll, a stage-2 run without a frozen
-    gap) are written as null and read back as NaN."""
+    """Unmeasured values (stage-1 train_nll, a stage-2 run without a frozen
+    gap) are None, written as null and read back as None."""
     log = RunLog()
-    log.append(RunRecord(1, "fa", 0.5, 0.25, 0.75, 0.1, float("nan"), 0.0))
-    log.append(RunRecord(1, "predictor", float("nan"), float("nan"), float("nan"), 0.2, 0.9, 0.1))
+    log.append(RunRecord(1, "fa", 0.5, 0.25, 0.75, 0.1, None, 0.0))
+    log.append(RunRecord(1, "predictor", None, None, None, 0.2, 0.9, 0.1))
     path = tmp_path / "runlog.jsonl"
     log.to_jsonl(path)
 
@@ -337,8 +348,8 @@ def test_runlog_jsonl_is_strict_json(tmp_path):
     rows = [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
     assert rows[0]["train_nll"] is None and rows[1]["l_fa"] is None
     loaded = RunLog.from_jsonl(path)
-    assert loaded.comparable() == log.comparable()
-    assert np.isnan(loaded.records[1].semantic_gap)
+    assert loaded.records == log.records
+    assert loaded.records[1].semantic_gap is None
 
 
 def test_runlog_rejects_out_of_order_records():
@@ -356,7 +367,7 @@ def test_runlog_rejects_out_of_order_records():
 def _synthetic_log(gaps, errs):
     log = RunLog()
     for i, (g, e) in enumerate(zip(gaps, errs), start=1):
-        log.append(RunRecord(i, "fa", g, 0.0, g, e, float("nan"), 0.0))
+        log.append(RunRecord(i, "fa", g, 0.0, g, e, None, 0.0))
     return log
 
 

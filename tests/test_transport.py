@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gapcraft import models
 from gapcraft import numgrad as ng
 from gapcraft import transport
-from gapcraft.transport import CapabilityError, SinkhornConfig, SolverError
+from gapcraft.transport import CapabilityError, SinkhornConfig, SinkhornResult, SolverError
 
 from oracles import (
     enumerate_polytope_vertices,
@@ -263,7 +263,8 @@ def test_sinkhorn_self_distance_near_zero():
     pts = rng.normal(size=(8, 2))
     cost = transport.cost_matrix(pts, pts)
     res = transport.sinkhorn(
-        cost, np.full(8, 1 / 8), np.full(8, 1 / 8), SinkhornConfig(epsilon=0.01)
+        cost, np.full(8, 1 / 8), np.full(8, 1 / 8),
+        SinkhornConfig(epsilon=0.01, max_iter=1000, tol=1e-7),
     )
     assert res.w1_estimate <= 0.02 * float(cost.mean())
 
@@ -274,7 +275,7 @@ def test_sinkhorn_two_point_line():
     v = np.array([[0.0], [2.0]])
     cost = transport.cost_matrix(u, v)
     res = transport.sinkhorn(
-        cost, [0.5, 0.5], [0.5, 0.5], SinkhornConfig(epsilon=0.01, max_iter=5000)
+        cost, [0.5, 0.5], [0.5, 0.5], SinkhornConfig(epsilon=0.01, max_iter=5000, tol=1e-7)
     )
     _, w1 = transport.exact_w1(cost, [0.5, 0.5], [0.5, 0.5])
     assert w1 == pytest.approx(0.5, abs=1e-9)
@@ -288,7 +289,7 @@ def test_sinkhorn_16x16_marginals_and_upper_bound():
     cost = transport.cost_matrix(u, v)
     mu = random_simplex(rng, 16)
     nu = random_simplex(rng, 16)
-    res = transport.sinkhorn(cost, mu, nu, SinkhornConfig(epsilon=0.1, max_iter=5000))
+    res = transport.sinkhorn(cost, mu, nu, SinkhornConfig(epsilon=0.1, max_iter=5000, tol=1e-7))
     assert res.converged
     assert transport._marginal_violation(res.coupling, mu, nu) < 1e-7
     _, w1 = transport.exact_w1(cost, mu, nu)
@@ -316,7 +317,7 @@ def test_sinkhorn_nonconvergence_flag():
     cost = rng.random((12, 12))
     mu = random_simplex(rng, 12)
     nu = random_simplex(rng, 12)
-    res = transport.sinkhorn(cost, mu, nu, SinkhornConfig(epsilon=0.004, max_iter=2))
+    res = transport.sinkhorn(cost, mu, nu, SinkhornConfig(epsilon=0.004, max_iter=2, tol=1e-7))
     assert not res.converged
     assert np.all(np.isfinite(res.coupling))
 
@@ -325,7 +326,8 @@ def test_sinkhorn_log_domain_small_epsilon_no_nan():
     u = np.array([[0.0], [10.0], [20.0]])
     cost = transport.cost_matrix(u, u + 0.5)
     res = transport.sinkhorn(
-        cost, np.full(3, 1 / 3), np.full(3, 1 / 3), SinkhornConfig(epsilon=0.004, max_iter=50000)
+        cost, np.full(3, 1 / 3), np.full(3, 1 / 3),
+        SinkhornConfig(epsilon=0.004, max_iter=50000, tol=1e-7),
     )
     assert np.all(np.isfinite(res.coupling))
     assert res.converged
@@ -383,7 +385,9 @@ def test_dual_lower_bound_never_exceeds_exact():
         cost = transport.cost_matrix(u, v)
         mu = random_simplex(rng, 6)
         nu = random_simplex(rng, 7)
-        res = transport.sinkhorn(cost, mu, nu, SinkhornConfig(epsilon=0.05, max_iter=5000))
+        res = transport.sinkhorn(
+            cost, mu, nu, SinkhornConfig(epsilon=0.05, max_iter=5000, tol=1e-7)
+        )
         _, w1 = transport.exact_w1(cost, mu, nu)
         lb = transport.dual_lower_bound(cost, mu, nu, res.potential_g)
         assert lb <= w1 + 1e-9
@@ -406,7 +410,8 @@ def test_fa_aligned_case():
     phi, _ = _toy_embedders()
     batch = rng.normal(size=(10, 3))
     loss, grads, res = transport.fa_loss_and_grad(
-        phi, phi, batch, batch, omega=1.0, cfg=SinkhornConfig(epsilon=0.01, max_iter=5000)
+        phi, phi, batch, batch, omega=1.0,
+        cfg=SinkhornConfig(epsilon=0.01, max_iter=5000, tol=1e-7),
     )
     # identical clouds: loss is only the entropic bias, gradient nearly flat
     assert loss < 0.05
@@ -418,10 +423,11 @@ def test_fa_omega_zero():
     rng = np.random.default_rng(3)
     phi, theta = _toy_embedders()
     loss, grads, res = transport.fa_loss_and_grad(
-        phi, theta, rng.normal(size=(5, 3)), rng.normal(size=(6, 3)), omega=0.0
+        phi, theta, rng.normal(size=(5, 3)), rng.normal(size=(6, 3)), omega=0.0,
+        cfg=SinkhornConfig(epsilon=0.1, max_iter=1000, tol=1e-7),
     )
     assert loss == 0.0
-    assert res is None
+    assert isinstance(res, SinkhornResult)
     assert all(np.all(gw == 0.0) and np.all(gb == 0.0) for gw, gb in grads)
 
 
@@ -431,7 +437,7 @@ def test_fa_fixed_coupling_gradient_matches_fd():
     target = rng.normal(size=(6, 3))
     source = rng.normal(size=(7, 3))
     omega = 0.7
-    cfg = SinkhornConfig(epsilon=0.1, max_iter=2000)
+    cfg = SinkhornConfig(epsilon=0.1, max_iter=2000, tol=1e-7)
     loss, grads, res = transport.fa_loss_and_grad(phi, theta, target, source, omega, cfg)
     pi = res.coupling
     v = models.embed(theta, source)
