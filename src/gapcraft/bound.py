@@ -92,18 +92,6 @@ class BoundReport:
     gap: float
     relative_gap: float
 
-    def to_dict(self) -> dict:
-        return {
-            "err_s": self.err_s,
-            "err_tau": self.err_tau,
-            "fa": self.fa,
-            "e_fld": self.e_fld,
-            "e_tf": self.e_tf,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "relative_gap": self.relative_gap,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ProofTerms:

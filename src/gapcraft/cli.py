@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bound, lipschitz, models, pipeline, synthtasks
@@ -87,7 +88,6 @@ def _pipeline_config(args) -> PipelineConfig:
         lr_fa=args.lr_fa,
         lr_fld=args.lr_fld,
         lr_predictor=args.lr_predictor,
-        batch_size=args.batch_size,
         sinkhorn=SinkhornConfig(args.epsilon, args.sinkhorn_iters, args.sinkhorn_tol),
         lipschitz=LipschitzConfig(omega=args.omega),
         seed=args.seed,
@@ -243,11 +243,13 @@ def cmd_verify_theorem(args, out: Path) -> int:
 
 
 def cmd_bound_report(args, out: Path) -> int:
+    if args.tasks < 1:
+        raise DomainError(f"--tasks must be at least 1, got {args.tasks}")
     reports = {}
     for i in range(args.tasks):
         inst = synthtasks.random_discrete_instance(args.seed + i)
         reports[f"task_{args.seed + i}"] = bound.evaluate_bound(inst)
-    payload = {name: r.to_dict() for name, r in reports.items()}
+    payload = {name: asdict(r) for name, r in reports.items()}
     (out / "bound_report.json").write_text(json.dumps(payload, indent=2))
     if args.bars:
         bound.reports_to_bars_csv(reports, out / "bars.csv")
@@ -351,7 +353,6 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr-fa", type=float, default=cfg.lr_fa)
     p.add_argument("--lr-fld", type=float, default=cfg.lr_fld)
     p.add_argument("--lr-predictor", type=float, default=cfg.lr_predictor)
-    p.add_argument("--batch-size", type=int, default=cfg.batch_size)
     # the one omega: recalibration's bound and the alignment loss's weight
     p.add_argument("--omega", type=float, default=cfg.lipschitz.omega)
     p.add_argument("--epsilon", type=float, default=cfg.sinkhorn.epsilon)

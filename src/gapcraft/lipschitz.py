@@ -1,19 +1,15 @@
 """Source-head recalibration: hinge-squared gradient-norm penalty and sweeps.
 
 The feature-space loss at u is the cross-entropy of the source prediction
-against the task conditional.  Recalibration retrains only the head's last
-layer so the empirical norm of the feature gradient of that loss stays
-near a target bound omega, while a proxy cross-entropy term (weight 1:1)
+against the task conditional.  Recalibration retrains the one-layer head
+so the empirical norm of the feature gradient of that loss stays near a
+target bound omega, while a proxy cross-entropy term (weight 1:1)
 keeps predictive performance from collapsing.
 
-Only first-order machinery is needed: with the lower head layers frozen,
-the feature gradient is jac_lower(u)^T W (p - d), an explicit expression
-in the trainable last layer (W, b), so the penalty and its gradient in
-(W, b) have a closed form instead of differentiating through a gradient.
-The lower stack is read once per recalibration from the tape of one
-:func:`models.mlp_apply` forward, which checks every pre-activation.  A
-one-layer head has none: its Jacobian is the identity, so no Jacobian
-product is formed.
+Only first-order machinery is needed: the head is one softmax layer
+(W, b), so the feature gradient is W (p - d), an explicit expression in
+the trainable layer, and the penalty and its gradient in (W, b) have a
+closed form instead of differentiating through a gradient.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import _shifted_exp, as_conditional, fold_last, softmax
+from .probs import _shifted_exp, as_conditional, fold_last
 
 __all__ = [
     "LipschitzConfig",
@@ -80,47 +76,24 @@ def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
     return np.eye(k)[labels]
 
 
-def _lower_stack(tape: ng.Tape) -> tuple[np.ndarray, np.ndarray | None]:
-    """Hidden activations and per-sample Jacobians d h / d u of all layers
-    below the trainable last layer, from the tape of one head forward.
-
-    The activations and their derivatives are read from the record of
-    :func:`models.mlp_apply`, which computed and checked every
-    pre-activation.  A one-layer head has an empty lower stack: h is u
-    itself and the Jacobian, the identity, comes back as None so that
-    callers use the last layer's feature gradient as it is instead of
-    multiplying by it.
-    """
-    h = tape.layers[-1][2]  # the last layer's input
-    if len(tape.layers) == 1:
-        return h, None
-    n, d_in = tape.layers[0][2].shape
-    jac = np.broadcast_to(np.eye(d_in), (n, d_in, d_in)).copy()
-    for w, act, _, out in tape.layers[:-1]:
-        if act == "tanh":
-            dact = 1.0 - out * out
-        elif act == "relu":
-            dact = (out > 0.0).astype(np.float64)  # out > 0 exactly where pre > 0
-        else:
-            dact = np.ones_like(out)
-        jac = dact[:, :, None] * np.einsum("io,niu->nou", w, jac)
-    return h, jac
+def _last_layer(head: MlpParams) -> models.Layer:
+    """The head's one layer; a deeper head has no closed-form recalibration here."""
+    if len(head.layers) != 1:
+        raise ng.DimensionError(
+            f"recalibration needs a one-layer source head, got {len(head.layers)} layers"
+        )
+    return head.layers[0]
 
 
 def feature_gradients(head: MlpParams, u, conditional) -> np.ndarray:
     """Analytic gradient of the pointwise loss with respect to the feature.
 
-    grad_u = jac_lower(u)^T W (p - d) with p the head's prediction and d
-    the conditional; exact for softmax heads of any depth.  One forward
-    gives both p and the lower stack.
+    grad_u = W (p - d) with p the one-layer head's prediction and d the
+    conditional.
     """
-    u = ng.as_matrix(u, "feature batch")
+    w = _last_layer(head).w
     d = as_conditional(conditional, "task conditional")
-    tape = ng.Tape()
-    p = softmax(models._head_logits(head, u, tape))
-    _, jac = _lower_stack(tape)
-    grad_h = (p - d) @ head.layers[-1].w.T
-    return grad_h if jac is None else np.einsum("nh,nhu->nu", grad_h, jac)
+    return (models.predict_source(head, u) - d) @ w.T
 
 
 def _hinge_penalty(norms: np.ndarray, threshold: float) -> float:
@@ -137,30 +110,25 @@ def penalty_value(head: MlpParams, u, conditional, omega: float) -> float:
 def _recalibration_loss_and_grad(
     w: np.ndarray,
     b: np.ndarray,
-    h: np.ndarray,
-    jac: np.ndarray | None,
+    u: np.ndarray,
     d: np.ndarray,
     cfg: LipschitzConfig,
 ) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """penalty_weight * penalty + proxy cross-entropy in the last layer (W, b).
+    """penalty_weight * penalty + proxy cross-entropy in the head's (W, b).
 
-    ``h`` and ``jac`` are the frozen lower stack's activations and
-    Jacobians (:func:`_lower_stack`; ``jac`` is None for an empty stack).
-    Returns the objective, the per-row feature-gradient norms at this layer
-    and the (W, b) gradient.  With r = p - d and g_u = jac^T W r, the
+    Returns the objective, the per-row feature-gradient norms at the
+    features ``u`` and the (W, b) gradient.  With r = p - d and g_u = W r, the
     penalty's cotangent on g_u is 2 hinge g_u / (n |g_u|); it reaches W
     once through W r and once through the softmax, where the cross-entropy
     adds r / n (rows of d sum to one).
     """
-    n = h.shape[0]
+    n = u.shape[0]
     threshold = cfg.omega * cfg.enforcement_margin
     # softmax and log-softmax, sharing one shift, exp and sum
-    shifted, e, total = _shifted_exp(h @ w + b)
+    shifted, e, total = _shifted_exp(u @ w + b)
     p = e / total
     r = p - d
     g_u = r @ w.T
-    if jac is not None:
-        g_u = np.einsum("nh,nhu->nu", g_u, jac)
     norms = np.sqrt((g_u * g_u).sum(axis=1))  # np.linalg.norm(g_u, axis=1)
     hinge = np.maximum(norms - threshold, 0.0)
     objective = cfg.penalty_weight * float((hinge**2).sum() / n) - float(
@@ -168,12 +136,10 @@ def _recalibration_loss_and_grad(
     )
     # hinge > 0 only where norms > threshold > 0, so the division is safe
     coef = (2.0 * cfg.penalty_weight / n) * hinge / np.maximum(norms, threshold)
-    g_h = coef[:, None] * g_u
-    if jac is not None:
-        g_h = np.einsum("nhu,nu->nh", jac, g_h)
-    g_r = g_h @ w
+    g_gu = coef[:, None] * g_u
+    g_r = g_gu @ w
     g_logits = p * (g_r - fold_last(np.add, g_r * p)) + r / n
-    gw = h.T @ g_logits + g_h.T @ r
+    gw = u.T @ g_logits + g_gu.T @ r
     gb = g_logits.sum(axis=0, keepdims=True)
     if not (np.isfinite(objective) and np.isfinite(gw).all() and np.isfinite(gb).all()):
         raise FloatingPointError("recalibration objective or gradient is not finite")
@@ -188,13 +154,14 @@ def recalibrate_head(
     cfg: LipschitzConfig,
     conditional: np.ndarray | None = None,
 ) -> RecalibrationResult:
-    """Retrain the head's last layer to push feature-gradient norms under omega.
+    """Retrain the one-layer head to push feature-gradient norms under omega.
 
     The proxy conditional defaults to the observed one-hot labels
-    (empirical mode); pass an explicit matrix for exact mode.  Lower head
-    layers and the embedder are never touched.  If the penalty is already
-    zero the constraint is inactive and the head is returned unchanged.
+    (empirical mode); pass an explicit matrix for exact mode.  The embedder
+    is never touched.  If the penalty is already zero the constraint is
+    inactive and the head is returned unchanged.
     """
+    last = _last_layer(head)
     x = ng.as_matrix(proxy_x, "proxy batch")
     if x.shape[0] == 0:
         raise ValueError("recalibrate_head: proxy dataset is empty")
@@ -204,14 +171,9 @@ def recalibrate_head(
         if conditional is None
         else as_conditional(conditional, "proxy conditional")
     )
-    # the lower stack is frozen: evaluate it once; the first step's norms
-    # are the initial penalty's
-    tape = ng.Tape()
-    models.mlp_apply(head, u, tape)
-    h, jac = _lower_stack(tape)
-    last = head.layers[-1]
     w, b = last.w, last.b
-    step = _recalibration_loss_and_grad(w, b, h, jac, d, cfg)
+    # the first step's norms are the initial penalty's
+    step = _recalibration_loss_and_grad(w, b, u, d, cfg)
     initial = _hinge_penalty(step[1], cfg.omega)
     if initial == 0.0:
         return RecalibrationResult(head, 0.0, 0.0, (0.0,))
@@ -221,7 +183,7 @@ def recalibrate_head(
     rising = 0
     for epoch in range(cfg.epochs):
         if epoch:
-            step = _recalibration_loss_and_grad(w, b, h, jac, d, cfg)
+            step = _recalibration_loss_and_grad(w, b, u, d, cfg)
         objective, norms, (gw, gb) = step
         history.append(_hinge_penalty(norms, cfg.omega))
         # Divergence is judged on the optimized joint objective; the penalty
@@ -244,8 +206,7 @@ def recalibrate_head(
         w = w - cfg.lr * gw
         b = b - cfg.lr * gb
     if cfg.epochs:
-        last = models.Layer(ng.freeze(w), ng.freeze(b), last.act)
-        head = models.MlpParams(head.layers[:-1] + (last,))
+        head = MlpParams((models.Layer(ng.freeze(w), ng.freeze(b), last.act),))
     history.append(penalty_value(head, u, d, cfg.omega))
     return RecalibrationResult(head, initial, history[-1], tuple(history))
 

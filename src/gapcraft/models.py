@@ -169,16 +169,12 @@ def embed(params: MlpParams, x) -> Matrix:
 
 def predict_source(head: MlpParams, u) -> Matrix:
     """Per-row distribution over source classes at features u."""
-    return softmax(_head_logits(head, ng.as_matrix(u, "feature batch")))
-
-
-def _head_logits(head: MlpParams, u: Matrix, tape: Tape | None = None) -> Matrix:
-    """The head's logits at the feature matrix u, recorded on ``tape`` if given."""
+    u = ng.as_matrix(u, "feature batch")
     if u.shape[1] != head.input_dim:
         raise DimensionError(
             f"predict_source: features have {u.shape[1]} columns, head expects {head.input_dim}"
         )
-    return mlp_apply(head, u, tape)
+    return softmax(mlp_apply(head, u))
 
 
 def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:

@@ -24,6 +24,7 @@ transferable the current embedder is.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -79,7 +80,6 @@ class PipelineConfig:
     lr_fa: float = 0.2
     lr_fld: float = 0.1
     lr_predictor: float = 0.5
-    batch_size: int | None = None  # None: full batch
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
     # its omega is the paper's one Lipschitz constant: the bound that
     # recalibration enforces and the weight of W1 in the alignment loss
@@ -124,6 +124,24 @@ class RunRecord:
     wall_time: float = field(compare=False)
 
 
+def _record_from_row(row) -> RunRecord:
+    """A parsed run-log line as a record, its field types checked."""
+    try:
+        record = RunRecord(**row)
+    except TypeError as exc:
+        raise TypeError(f"not a run-log record: {exc}") from exc
+    if type(record.epoch) is not int:
+        raise TypeError(f"not a run-log record: epoch {record.epoch!r} is not an int")
+    if record.phase not in PHASES:
+        raise ValueError(f"not a run-log record: phase {record.phase!r} is not one of {PHASES}")
+    for name, value in row.items():
+        if name in ("epoch", "phase") or value is None:
+            continue
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise TypeError(f"not a run-log record: {name} {value!r} is not a number or null")
+    return record
+
+
 @dataclass
 class RunLog:
     records: list[RunRecord] = field(default_factory=list)
@@ -144,14 +162,14 @@ class RunLog:
 
     @classmethod
     def from_jsonl(cls, path) -> "RunLog":
+        """The log a run-log file holds; ValueError names the first bad line."""
         log = cls()
         with Path(path).open() as fh:
             for lineno, line in enumerate(fh, 1):
-                row = json.loads(line)
                 try:
-                    log.records.append(RunRecord(**row))
-                except TypeError as exc:
-                    raise ValueError(f"{path}:{lineno}: not a run-log record: {exc}") from exc
+                    log.append(_record_from_row(json.loads(line)))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return log
 
     def merged(self, other: "RunLog") -> "RunLog":
@@ -274,16 +292,6 @@ def induced_predictor_error(
     return float(np.mean(pred != eval_labels))
 
 
-def _minibatches(
-    n: int, batch_size: int | None, rng: np.random.Generator
-) -> list[np.ndarray | slice]:
-    # a full batch is every row in order: a slice, so indexing makes views
-    if batch_size is None or batch_size >= n:
-        return [slice(None)]
-    order = rng.permutation(n)
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
 def _fa_loss_value(
     phi: MlpParams, source_features: np.ndarray, target_x: np.ndarray,
     omega: float, cfg: SinkhornConfig,
@@ -322,7 +330,6 @@ def stage1(
     if target_eval is not None:
         eval_labels = _labels_binned_as(target_eval, disc)
     n1, n2, _ = cfg.effective_epochs()
-    rng = _rng_for(cfg.seed, 2)
     source_features = models.embed(theta, proxy.x)
     log = RunLog()
     start = time.perf_counter()
@@ -346,28 +353,22 @@ def stage1(
         log.append(RunRecord(epoch, phase, l_fa, l_fld, l_fa + l_fld, err, None, elapsed))
 
     for epoch in range(1, n1 + 1):
-        losses = []
-        for idx in _minibatches(len(target), cfg.batch_size, rng):
-            loss, grads, _ = transport.fa_loss_and_grad(
-                phi, theta, target.x[idx], proxy.x, cfg.lipschitz.omega, cfg.sinkhorn
-            )
-            phi = models.sgd_update(phi, grads, cfg.lr_fa)
-            losses.append(loss)
+        loss, grads, _ = transport.fa_loss_and_grad(
+            phi, theta, target.x, proxy.x, cfg.lipschitz.omega, cfg.sinkhorn
+        )
+        phi = models.sgd_update(phi, grads, cfg.lr_fa)
         joint = pseudo_joint()
-        checkpoint(epoch, "fa", float(np.mean(losses)), distortion.fld_surrogate(joint), joint)
+        checkpoint(epoch, "fa", loss, distortion.fld_surrogate(joint), joint)
 
     for epoch in range(1, n2 + 1):
-        losses = []
-        for idx in _minibatches(len(target), cfg.batch_size, rng):
-            loss, grads = distortion.fld_loss_and_grad(
-                phi, source_head, target.x[idx], target_labels[idx], n_target_classes
-            )
-            phi = models.sgd_update(phi, grads, cfg.lr_fld)
-            losses.append(loss)
+        loss, grads = distortion.fld_loss_and_grad(
+            phi, source_head, target.x, target_labels, n_target_classes
+        )
+        phi = models.sgd_update(phi, grads, cfg.lr_fld)
         l_fa = _fa_loss_value(
             phi, source_features, target.x, cfg.lipschitz.omega, cfg.sinkhorn
         )
-        checkpoint(epoch, "fld", l_fa, float(np.mean(losses)), None)
+        checkpoint(epoch, "fld", l_fa, loss, None)
 
     return phi, log
 
@@ -437,23 +438,17 @@ def stage2(
         u_eval = models._kernel_features(kernel, u_eval)
         eval_labels = _labels_binned_as(target_eval, disc)
     _, _, n0 = cfg.effective_epochs()
-    rng = _rng_for(cfg.seed, 3)
     log = RunLog()
     start = time.perf_counter()
     l_fa, l_fld = frozen_gap or (None, None)
     gap = None if frozen_gap is None else l_fa + l_fld
     for epoch in range(1, n0 + 1):
-        nlls = []
-        for idx in _minibatches(len(target), cfg.batch_size, rng):
-            loss, grads = _stage2_loss_and_grad(
-                kernel, u[idx], p_source[idx], target_labels[idx], onehot[idx]
-            )
-            kernel = TransportHeadParams(
-                models.sgd_update(kernel.mlp, grads, cfg.lr_predictor),
-                kernel.n_source_classes,
-                kernel.n_target_classes,
-            )
-            nlls.append(loss)
+        nll, grads = _stage2_loss_and_grad(kernel, u, p_source, target_labels, onehot)
+        kernel = TransportHeadParams(
+            models.sgd_update(kernel.mlp, grads, cfg.lr_predictor),
+            kernel.n_source_classes,
+            kernel.n_target_classes,
+        )
         if target_eval is not None:
             # models.predict_target with its source half precomputed
             lam = models._kernel_forward(kernel, u_eval)
@@ -461,7 +456,7 @@ def stage2(
             err = float(np.mean(pred != eval_labels))
         else:
             err = None
-        nll, elapsed = float(np.mean(nlls)), time.perf_counter() - start
+        elapsed = time.perf_counter() - start
         log.append(RunRecord(epoch, "predictor", l_fa, l_fld, gap, err, nll, elapsed))
     return kernel, log
 

@@ -1,5 +1,7 @@
 """Exact decomposition terms, the closed-form fitting term, proof terms."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -301,7 +303,7 @@ def test_bound_and_proof_terms_match_reference_bitwise():
         inst = synthtasks.random_discrete_instance(seed)
         report = bound.evaluate_bound(inst)
         expected = reference_bound(inst)
-        assert _bits(report.to_dict().values()) == _bits(expected), seed
+        assert _bits(asdict(report).values()) == _bits(expected), seed
         terms = bound.verify_proof_terms(inst)
         got = (terms.term_a_lhs, terms.term_a_rhs, terms.term_b_lhs, terms.term_b_rhs)
         assert _bits(got) == _bits(entropy_loop_proof_terms(inst)), seed
@@ -327,7 +329,7 @@ def test_training_p_target_toward_conditional_reduces_tf():
 def test_report_json_and_bars_csv(tmp_path):
     inst = _self_transfer_instance()
     report = bound.evaluate_bound(inst)
-    data = report.to_dict()
+    data = asdict(report)
     assert set(data) == {
         "err_s", "err_tau", "fa", "e_fld", "e_tf", "rhs", "gap", "relative_gap"
     }

@@ -170,12 +170,21 @@ MALFORMED_INPUT_MESSAGES = {
     "config_json_list": "must hold a JSON object",
     "checkpoint_without_layers": "not a parameter checkpoint: KeyError('layers')",
     "checkpoint_layer_without_w": "not a parameter checkpoint: KeyError('w')",
+    "checkpoint_two_layer_head": "recalibration needs a one-layer source head, got 2 layers",
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUT_MESSAGES))
 def test_malformed_input_files_exit_1(cli_workspace, tmp_path, capsys, case):
-    if case.startswith("checkpoint"):
+    if case == "checkpoint_two_layer_head":
+        mdir = tmp_path / "d"
+        mdir.mkdir()
+        theta, _ = models.load_params(cli_workspace / "m1" / "theta.json")
+        head = models.init_mlp([theta.output_dim, 6, 3], "tanh", np.random.default_rng(0))
+        models.save_params(theta, mdir / "theta.json", role="source_embedder")
+        models.save_params(head, mdir / "source_head.json", role="source_head")
+        argv = ["recalibrate", "--data", str(cli_workspace / "data"), "--models", str(mdir)]
+    elif case.startswith("checkpoint"):
         mdir = tmp_path / "d"
         mdir.mkdir()
         theta = '{"meta": {}}' if case == "checkpoint_without_layers" else '{"layers": [{}]}'
@@ -281,6 +290,34 @@ def test_resolved_config_replay_bitwise(cli_workspace, tmp_path):
     a = RunLog.from_jsonl(out1 / "runlog.jsonl")
     b = RunLog.from_jsonl(out2 / "runlog.jsonl")
     assert a.records == b.records
+
+
+def test_config_with_a_null_batch_size_replays_bitwise(cli_workspace, tmp_path):
+    """Configs written while stage 1 had a --batch-size flag hold
+    "batch_size": null; the null is skipped, so they replay the same run."""
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert main(["stage1", "--data", str(cli_workspace / "data"), "--models",
+                 str(cli_workspace / "m2"), "--seed", "3", "--scale", "0.2",
+                 "--out", str(out1)]) == 0
+    config = json.loads((out1 / "resolved_config.json").read_text())
+    assert "batch_size" not in config
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**config, "batch_size": None}))
+    assert main(["stage1", "--config", str(old), "--out", str(out2)]) == 0
+    assert (out1 / "phi.json").read_bytes() == (out2 / "phi.json").read_bytes()
+    a = RunLog.from_jsonl(out1 / "runlog.jsonl")
+    b = RunLog.from_jsonl(out2 / "runlog.jsonl")
+    assert a.records == b.records
+
+
+def test_config_with_a_batch_size_exits_2(tmp_path, capsys):
+    """Every epoch is one full-batch step: a stored batch size is a flag
+    that no longer exists."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"subcommand": "stage1", "batch_size": 16}))
+    assert main(["stage1", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "unrecognized arguments: --batch-size=16" in capsys.readouterr().err
 
 
 def test_stage2_and_correlate_cli(cli_workspace, tmp_path):
@@ -429,8 +466,9 @@ def test_baseline_runs_gap_dial(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [(["baseline", "--seeds", "0"], "run_baseline needs at least one seed"),
-     (["verify-theorem", "--instances", "0"], "--instances must be at least 1, got 0")],
-    ids=["baseline-no-seeds", "verify-theorem-no-instances"],
+     (["verify-theorem", "--instances", "0"], "--instances must be at least 1, got 0"),
+     (["bound-report", "--tasks", "0"], "--tasks must be at least 1, got 0")],
+    ids=["baseline-no-seeds", "verify-theorem-no-instances", "bound-report-no-tasks"],
 )
 def test_counts_below_one_exit_1(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
@@ -439,14 +477,28 @@ def test_counts_below_one_exit_1(tmp_path, capsys, argv, message):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("row", ['{"epoch": 1}', "[1, 2]"], ids=["partial", "list"])
-def test_correlate_rejects_a_row_that_is_not_a_record(tmp_path, capsys, row):
+def _fa_row(epoch, gap) -> str:
+    return json.dumps({"epoch": epoch, "phase": "fa", "l_fa": 1.0, "l_fld": 0.0,
+                       "semantic_gap": gap, "holdout_error": 0.2, "train_nll": None,
+                       "wall_time": 0.0})
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [('{"epoch": 1}', "not a run-log record"),
+     ("[1, 2]", "not a run-log record"),
+     (_fa_row(1, 1.0), "run log records must be strictly ordered"),
+     (_fa_row(4, "x1"), "not a run-log record: semantic_gap 'x1' is not a number or null"),
+     (_fa_row(4, 10**400), "int too large to convert to float")],
+    ids=["partial", "list", "out_of_order", "string_gap", "huge_int"],
+)
+def test_correlate_rejects_a_row_that_is_not_a_record(tmp_path, capsys, row, message):
     path = tmp_path / "log.jsonl"
     _write_runlog(path, [0.1, 0.3, 0.2])
     path.write_text(path.read_text() + row + "\n")
     assert main(["correlate", "--runlog", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:4: not a run-log record")
+    assert err.startswith(f"error: {path}:4: {message}")
     assert "Traceback" not in err
 
 

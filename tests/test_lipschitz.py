@@ -7,7 +7,7 @@ import pytest
 
 from gapcraft import lipschitz, models
 from gapcraft.lipschitz import LipschitzConfig
-from gapcraft.numgrad import Tape
+from gapcraft.numgrad import DimensionError
 from gapcraft.probs import softmax
 
 from oracles import (
@@ -17,13 +17,6 @@ from oracles import (
     recalibration_lower_stack,
     relative_gradient_error,
 )
-
-
-def _lower_stack(head, u):
-    """The lower stack of ``head`` at ``u``, read from one recorded forward."""
-    tape = Tape()
-    models.mlp_apply(head, u, tape)
-    return lipschitz._lower_stack(tape)
 
 
 def _blob_task(seed=0, n=120, k=3, d=4):
@@ -84,15 +77,14 @@ def test_loss_clamps_and_flags_zero_predictions():
 
 def test_feature_gradients_match_fd_in_u():
     rng = np.random.default_rng(2)
-    for depth in ([4, 3], [4, 6, 3]):
-        head = models.init_mlp(depth, "tanh", rng)
-        u0 = rng.normal(size=4)
-        d = rng.dirichlet(np.ones(3))
-        analytic = lipschitz.feature_gradients(head, u0[None, :], d[None, :])[0]
-        fd = finite_difference(
-            lambda v: float(pointwise_losses(head, v[None, :], d[None, :])[0][0]), u0
-        )
-        assert relative_gradient_error(analytic, fd) < 1e-4
+    head = models.init_mlp([4, 3], "tanh", rng)
+    u0 = rng.normal(size=4)
+    d = rng.dirichlet(np.ones(3))
+    analytic = lipschitz.feature_gradients(head, u0[None, :], d[None, :])[0]
+    fd = finite_difference(
+        lambda v: float(pointwise_losses(head, v[None, :], d[None, :])[0][0]), u0
+    )
+    assert relative_gradient_error(analytic, fd) < 1e-4
 
 
 def test_penalty_matches_linear_head_closed_form():
@@ -109,42 +101,7 @@ def test_penalty_matches_linear_head_closed_form():
     assert lipschitz.penalty_value(head, u, d, omega) == pytest.approx(expected, abs=1e-12)
 
 
-def test_recalibration_gradient_matches_fd_through_lower_stack():
-    """Closed-form (W, b) gradient of penalty_weight * penalty + proxy
-    cross-entropy for a two-layer head (non-identity lower Jacobians) at an
-    inner enforcement margin, against central differences."""
-    rng = np.random.default_rng(14)
-    head = models.init_mlp([4, 5, 3], "tanh", rng)
-    last = models.Layer(head.layers[-1].w * 8.0, rng.normal(size=(1, 3)), "linear")
-    head = models.MlpParams(head.layers[:-1] + (last,))
-    u = rng.normal(size=(12, 4))
-    d = np.eye(3)[rng.integers(0, 3, size=12)]
-    norms = np.sort(np.linalg.norm(lipschitz.feature_gradients(head, u, d), axis=1))
-    threshold = 0.5 * (norms[5] + norms[6])  # half the rows above, clear of kinks
-    cfg = LipschitzConfig(omega=threshold / 0.8, penalty_weight=10.0, enforcement_margin=0.8)
-    h, jac = _lower_stack(head, u)
-    objective, row_norms, (gw, gb) = lipschitz._recalibration_loss_and_grad(
-        last.w, last.b, h, jac, d, cfg
-    )
-
-    def f(vec):
-        patched = models.MlpParams(
-            head.layers[:-1]
-            + (models.Layer(vec[: last.w.size].reshape(last.w.shape),
-                            vec[last.w.size :].reshape(1, -1), "linear"),)
-        )
-        return 10.0 * lipschitz.penalty_value(patched, u, d, threshold) + float(
-            pointwise_losses(patched, u, d)[0].mean()
-        )
-
-    x0 = np.concatenate([last.w.ravel(), last.b.ravel()])
-    assert np.sort(row_norms) == pytest.approx(norms, abs=1e-14)
-    assert objective == pytest.approx(f(x0), abs=1e-12)
-    fd = finite_difference(f, x0)
-    assert relative_gradient_error(np.concatenate([gw.ravel(), gb.ravel()]), fd) < 1e-4
-
-
-REFERENCE_HEADS = {"one_layer": [4, 3], "two_layer_tanh": [4, 6, 3]}
+REFERENCE_HEADS = {"one_layer": [4, 3]}
 
 
 def _sharp_reference_setup(dims, seed):
@@ -158,50 +115,44 @@ def _sharp_reference_setup(dims, seed):
     return head, x, y, theta, models.embed(theta, x), np.eye(3)[y]
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_HEADS))
-def test_lower_stack_matches_reference_bitwise(name):
-    """The lower stack read from the forward's tape equals the reference's
-    recomputed activations and Jacobians; a one-layer head has no Jacobian
-    where the reference carries an explicit identity."""
-    head, _, _, _, u, _ = _sharp_reference_setup(REFERENCE_HEADS[name], seed=23)
-    h, jac = _lower_stack(head, u)
-    h_ref, jac_ref = recalibration_lower_stack([(l.w, l.b, l.act) for l in head.layers], u)
-    assert h.shape == h_ref.shape and h.tobytes() == h_ref.tobytes()
-    if len(head.layers) == 1:
-        assert jac is None
-        assert np.array_equal(jac_ref, np.broadcast_to(np.eye(u.shape[1]), jac_ref.shape))
-    else:
-        assert jac.shape == jac_ref.shape and jac.tobytes() == jac_ref.tobytes()
-
-
 def test_penalty_value_rejects_overflowed_hidden_pre_activation():
-    """Layer 1's pre-activation is 1e200 * 1e200 = inf; tanh would saturate
-    it, but the one head forward behind the penalty checks it."""
-    layers = (
-        models.Layer(np.array([[1e200]]), np.zeros((1, 1)), "linear"),
-        models.Layer(np.array([[1e200]]), np.zeros((1, 1)), "tanh"),
-        models.Layer(np.array([[1.0, -1.0]]), np.zeros((1, 2)), "linear"),
+    """The head's pre-activation is 1e200 * 1e200 = inf; the one head
+    forward behind the penalty checks it."""
+    head = models.MlpParams(
+        (models.Layer(np.array([[1e200, -1e200]]), np.zeros((1, 2)), "linear"),)
     )
-    head = models.MlpParams(layers)
-    with pytest.raises(FloatingPointError, match="layer 1"):
-        lipschitz.penalty_value(head, [[1.0]], [[1.0, 0.0]], 0.3)
+    with pytest.raises(FloatingPointError, match="layer 0"):
+        lipschitz.penalty_value(head, [[1e200]], [[1.0, 0.0]], 0.3)
+
+
+def test_two_layer_head_is_rejected():
+    """The closed form needs a one-layer head; a deeper one, say from a
+    hand-made checkpoint, is a DimensionError, not a wrong gradient."""
+    x, y, theta, _ = _blob_task(seed=6)
+    head = models.init_mlp([4, 6, 3], "tanh", np.random.default_rng(6))
+    u = models.embed(theta, x)
+    d = np.eye(3)[y]
+    with pytest.raises(DimensionError, match="one-layer"):
+        lipschitz.feature_gradients(head, u, d)
+    with pytest.raises(DimensionError, match="one-layer"):
+        lipschitz.penalty_value(head, u, d, 0.3)
+    with pytest.raises(DimensionError, match="one-layer"):
+        lipschitz.recalibrate_head(head, theta, x, y, LipschitzConfig())
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_HEADS))
 def test_recalibration_step_matches_reference_bitwise(name):
     """Objective, norms and (gw, gb) equal the reference step's bit for bit:
-    skipping the identity Jacobian of an empty lower stack and sharing one
+    leaving out the reference's explicit identity Jacobian and sharing one
     shift, exp and sum between softmax and log-softmax change no bit."""
-    dims = REFERENCE_HEADS[name]
-    head, _, _, _, u, d = _sharp_reference_setup(dims, seed=21)
+    head, _, _, _, u, d = _sharp_reference_setup(REFERENCE_HEADS[name], seed=21)
     cfg = LipschitzConfig(omega=0.3, penalty_weight=10.0, enforcement_margin=0.8)
-    h, jac = _lower_stack(head, u)
-    assert (jac is None) == (len(dims) == 2)
     h_ref, jac_ref = recalibration_lower_stack([(l.w, l.b, l.act) for l in head.layers], u)
-    assert h.tobytes() == h_ref.tobytes()
+    assert h_ref.tobytes() == u.tobytes()
+    assert np.array_equal(jac_ref, np.broadcast_to(np.eye(u.shape[1]), jac_ref.shape))
     last = head.layers[-1]
     objective, norms, (gw, gb) = lipschitz._recalibration_loss_and_grad(
-        last.w, last.b, h, jac, d, cfg
+        last.w, last.b, u, d, cfg
     )
     ref_objective, ref_norms, (ref_gw, ref_gb) = recalibration_loss_and_grad(
         last.w, last.b, h_ref, jac_ref, d, cfg.omega, cfg.penalty_weight, cfg.enforcement_margin
@@ -214,7 +165,7 @@ def test_recalibration_step_matches_reference_bitwise(name):
     assert gb.tobytes() == ref_gb.tobytes()
 
 
-@pytest.mark.parametrize("name, grad_clip", [("one_layer", 150.0), ("two_layer_tanh", 33.0)])
+@pytest.mark.parametrize("name, grad_clip", [("one_layer", 150.0)])
 def test_recalibrate_head_matches_reference_loop(name, grad_clip):
     """20 epochs of recalibrate_head equal a loop driven by the reference
     step: the same head bytes and the same penalty history."""
@@ -253,7 +204,6 @@ def test_recalibrate_head_matches_reference_loop(name, grad_clip):
     assert result.penalty_history == tuple(history)
     last = result.head.layers[-1]
     assert last.w.tobytes() == w.tobytes() and last.b.tobytes() == b.tobytes()
-    assert result.head.layers[:-1] == head.layers[:-1]
 
 
 def test_penalty_zero_when_norms_below_omega():
@@ -289,31 +239,12 @@ def test_recalibrate_reduces_penalty_and_touches_only_last_layer():
     assert not last.w.flags.writeable and not last.b.flags.writeable
 
 
-def test_recalibrate_multilayer_freezes_lower_stack():
-    x, y, theta, _ = _blob_task(seed=6)
-    rng = np.random.default_rng(6)
-    head = models.init_mlp([4, 6, 3], "tanh", rng)
-    sharp = models.MlpParams(
-        head.layers[:-1]
-        + (models.Layer(head.layers[-1].w * 60.0, head.layers[-1].b, "linear"),)
-    )
-    cfg = LipschitzConfig(
-        omega=0.3, penalty_weight=1.0, epochs=60, lr=0.2, enforcement_margin=1.0
-    )
-    result = lipschitz.recalibrate_head(sharp, theta, x, y, cfg)
-    for before, after in zip(sharp.layers[:-1], result.head.layers[:-1]):
-        assert before.w is after.w and before.b is after.b
-    assert result.final_penalty < result.initial_penalty
-    assert not np.array_equal(result.head.layers[-1].w, sharp.layers[-1].w)
-
-
 def test_recalibrate_history_is_penalty_after_each_epoch():
     """history[t] of an E-epoch run is the final penalty of the t-epoch run."""
     x, y, theta, _ = _blob_task(seed=6)
-    head = models.init_mlp([4, 6, 3], "tanh", np.random.default_rng(6))
+    head = models.init_mlp([4, 3], "tanh", np.random.default_rng(6))
     sharp = models.MlpParams(
-        head.layers[:-1]
-        + (models.Layer(head.layers[-1].w * 60.0, head.layers[-1].b, "linear"),)
+        (models.Layer(head.layers[0].w * 60.0, head.layers[0].b, "linear"),)
     )
     cfg = LipschitzConfig(
         omega=0.3, penalty_weight=1.0, epochs=6, lr=0.2, enforcement_margin=1.0
