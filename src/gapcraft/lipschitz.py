@@ -124,24 +124,29 @@ def _recalibration_loss_and_grad(
     """
     n = u.shape[0]
     threshold = cfg.omega * cfg.enforcement_margin
-    # softmax and log-softmax, sharing one shift, exp and sum
-    shifted, e, total = _shifted_exp(u @ w + b)
-    p = e / total
-    r = p - d
-    g_u = r @ w.T
-    norms = np.sqrt((g_u * g_u).sum(axis=1))  # np.linalg.norm(g_u, axis=1)
-    hinge = np.maximum(norms - threshold, 0.0)
-    objective = cfg.penalty_weight * float((hinge**2).sum() / n) - float(
-        (d * (shifted - np.log(total))).sum() / n
-    )
-    # hinge > 0 only where norms > threshold > 0, so the division is safe
-    coef = (2.0 * cfg.penalty_weight / n) * hinge / np.maximum(norms, threshold)
-    g_gu = coef[:, None] * g_u
-    g_r = g_gu @ w
-    g_logits = p * (g_r - fold_last(np.add, g_r * p)) + r / n
-    gw = u.T @ g_logits + g_gu.T @ r
-    gb = g_logits.sum(axis=0, keepdims=True)
+    # the check below raises on overflow; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = u @ w + b
+        # softmax and log-softmax, sharing one shift, exp and sum
+        shifted, e, total = _shifted_exp(logits)
+        p = e / total
+        r = p - d
+        g_u = r @ w.T
+        norms = np.sqrt((g_u * g_u).sum(axis=1))  # np.linalg.norm(g_u, axis=1)
+        hinge = np.maximum(norms - threshold, 0.0)
+        objective = cfg.penalty_weight * float((hinge**2).sum() / n) - float(
+            (d * (shifted - np.log(total))).sum() / n
+        )
+        # hinge > 0 only where norms > threshold > 0, so the division is safe
+        coef = (2.0 * cfg.penalty_weight / n) * hinge / np.maximum(norms, threshold)
+        g_gu = coef[:, None] * g_u
+        g_r = g_gu @ w
+        g_logits = p * (g_r - fold_last(np.add, g_r * p)) + r / n
+        gw = u.T @ g_logits + g_gu.T @ r
+        gb = g_logits.sum(axis=0, keepdims=True)
     if not (np.isfinite(objective) and np.isfinite(gw).all() and np.isfinite(gb).all()):
+        if not np.isfinite(logits).all():
+            raise FloatingPointError("layer 0 pre-activation has non-finite values")
         raise FloatingPointError("recalibration objective or gradient is not finite")
     return objective, norms, (gw, gb)
 

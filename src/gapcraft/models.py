@@ -51,7 +51,7 @@ __all__ = [
     "load_params",
 ]
 
-_ACTS = ("tanh", "relu", "linear")
+_ACTS = ("tanh", "linear")
 # diagonal logit boost of an initial kernel whose class counts match
 IDENTITY_BOOST = 2.0
 
@@ -152,8 +152,6 @@ def init_transport_head(
 def _activate(x: np.ndarray, act: str) -> np.ndarray:
     if act == "tanh":
         return np.tanh(x)
-    if act == "relu":
-        return np.maximum(x, 0.0)
     return x
 
 

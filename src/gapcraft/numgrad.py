@@ -69,8 +69,6 @@ class Tape:
             w, act, h_in, out = self.layers[i]
             if act == "tanh":
                 g = g * (1.0 - out * out)
-            elif act == "relu":
-                g = g * (out > 0.0)
             grads.append((h_in.T @ g, g.sum(axis=0, keepdims=True)))
             if i:  # the input below the first layer is a constant
                 g = g @ w.T

@@ -38,7 +38,7 @@ from .lipschitz import LipschitzConfig
 from .models import MlpParams, TransportHeadParams
 from .numgrad import DimensionError, GapcraftError
 from .probs import softmax
-from .synthtasks import Dataset, Discretizer, TaskBundle, discretize
+from .synthtasks import Dataset, TaskBundle
 from .transport import SinkhornConfig
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "correlate_gap_error",
     "induced_predictor_error",
     "baseline_table_to_csv",
-    "nrmse",
 ]
 
 PHASES = ("fa", "fld", "predictor")
@@ -191,28 +190,10 @@ def _rng_for(seed: int, *tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *tag]))
 
 
-def _labels_as_classes(ds: Dataset, n_bins: int = 10) -> tuple[np.ndarray, Discretizer | None]:
-    if np.issubdtype(ds.y.dtype, np.integer):
-        return ds.y.astype(np.int64), None
-    disc = Discretizer.fit(ds.y, n_bins)
-    return discretize(ds.y, disc), disc
-
-
-def _labels_binned_as(ds: Dataset, disc: Discretizer | None) -> np.ndarray:
-    """Class labels of ``ds`` under a training set's binning, if it has one."""
-    return discretize(ds.y, disc) if disc is not None else ds.y.astype(np.int64)
-
-
 def target_class_count(bundle: TaskBundle) -> int:
-    """Classes the target predictor is trained on.
-
-    Float labels are binned (the bin count); integer labels use the
-    bundle's declared count, else the largest label plus one.
-    """
-    labels, disc = _labels_as_classes(bundle.target)
-    if disc is not None:
-        return disc.n_bins
-    return int(bundle.meta.get("n_target_classes", 0)) or int(labels.max() + 1)
+    """Classes the target predictor is trained on: the bundle's declared
+    count, else the largest target label plus one."""
+    return int(bundle.meta.get("n_target_classes", 0)) or int(bundle.target.y.max() + 1)
 
 
 def init_target_embedder(bundle: TaskBundle, theta: MlpParams, seed: int) -> MlpParams:
@@ -220,14 +201,6 @@ def init_target_embedder(bundle: TaskBundle, theta: MlpParams, seed: int) -> Mlp
     return models.init_mlp(
         [bundle.target.x.shape[1], 16, theta.output_dim], "tanh", _rng_for(seed, 4)
     )
-
-
-def nrmse(predicted, actual) -> float:
-    """Root-mean-square error normalized by the targets' RMS magnitude."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    scale = float(np.sqrt(np.mean(actual**2)))
-    return float(np.sqrt(np.mean((predicted - actual) ** 2)) / max(scale, 1e-12))
 
 
 def pretrain_source(
@@ -282,8 +255,7 @@ def induced_predictor_error(
     The soft joint's row-normalized kernel composed with the source head is
     the natural label-transfer predictor available before stage 2 runs.
     ``joint`` is :func:`distortion.pseudo_label_stats` of ``phi`` on the
-    training set, and ``eval_labels`` are the class labels of ``eval_x``
-    under the training set's binning.
+    training set, and ``eval_labels`` are the class labels of ``eval_x``.
     """
     rows = joint.sum(axis=1, keepdims=True)
     lam = np.where(rows > 0.0, joint / np.maximum(rows, 1e-300), 1.0 / joint.shape[1])
@@ -326,9 +298,6 @@ def stage1(
     ``target_eval``.  ``n_target_classes`` is :func:`target_class_count` of
     the task.
     """
-    target_labels, disc = _labels_as_classes(target)
-    if target_eval is not None:
-        eval_labels = _labels_binned_as(target_eval, disc)
     n1, n2, _ = cfg.effective_epochs()
     source_features = models.embed(theta, proxy.x)
     log = RunLog()
@@ -336,7 +305,7 @@ def stage1(
 
     def pseudo_joint() -> np.ndarray:
         return distortion.pseudo_label_stats(
-            phi, source_head, target.x, target_labels, n_target_classes
+            phi, source_head, target.x, target.y, n_target_classes
         )
 
     def checkpoint(
@@ -348,7 +317,7 @@ def stage1(
         if target_eval is not None:
             if joint is None:
                 joint = pseudo_joint()
-            err = induced_predictor_error(phi, source_head, joint, target_eval.x, eval_labels)
+            err = induced_predictor_error(phi, source_head, joint, target_eval.x, target_eval.y)
         elapsed = time.perf_counter() - start
         log.append(RunRecord(epoch, phase, l_fa, l_fld, l_fa + l_fld, err, None, elapsed))
 
@@ -362,7 +331,7 @@ def stage1(
 
     for epoch in range(1, n2 + 1):
         loss, grads = distortion.fld_loss_and_grad(
-            phi, source_head, target.x, target_labels, n_target_classes
+            phi, source_head, target.x, target.y, n_target_classes
         )
         phi = models.sgd_update(phi, grads, cfg.lr_fld)
         l_fa = _fa_loss_value(
@@ -427,8 +396,7 @@ def stage2(
         )
     # the embedder and source head are frozen: everything but the kernel's
     # forward is computed, and checked, once
-    target_labels, disc = _labels_as_classes(target)
-    onehot = np.eye(kernel.n_target_classes)[target_labels]
+    onehot = np.eye(kernel.n_target_classes)[target.y]
     u = models.embed(phi, target.x)
     p_source = models.predict_source(source_head, u)
     u = models._kernel_features(kernel, u)
@@ -436,14 +404,13 @@ def stage2(
         u_eval = models.embed(phi, target_eval.x)
         p_eval = models.predict_source(source_head, u_eval)
         u_eval = models._kernel_features(kernel, u_eval)
-        eval_labels = _labels_binned_as(target_eval, disc)
     _, _, n0 = cfg.effective_epochs()
     log = RunLog()
     start = time.perf_counter()
     l_fa, l_fld = frozen_gap or (None, None)
     gap = None if frozen_gap is None else l_fa + l_fld
     for epoch in range(1, n0 + 1):
-        nll, grads = _stage2_loss_and_grad(kernel, u, p_source, target_labels, onehot)
+        nll, grads = _stage2_loss_and_grad(kernel, u, p_source, target.y, onehot)
         kernel = TransportHeadParams(
             models.sgd_update(kernel.mlp, grads, cfg.lr_predictor),
             kernel.n_source_classes,
@@ -453,7 +420,7 @@ def stage2(
             # models.predict_target with its source half precomputed
             lam = models._kernel_forward(kernel, u_eval)
             pred = np.argmax(np.einsum("nz,nzt->nt", p_eval, lam), axis=1)
-            err = float(np.mean(pred != eval_labels))
+            err = float(np.mean(pred != target_eval.y))
         else:
             err = None
         elapsed = time.perf_counter() - start
@@ -469,13 +436,12 @@ def frozen_gap(
     cfg: PipelineConfig,
 ) -> tuple[float, float]:
     """(FA, FLD) of the embedder stage 2 freezes, for its run-log records."""
-    labels, _ = _labels_as_classes(bundle.target)
     l_fa = _fa_loss_value(
         phi, models.embed(theta, bundle.proxy.x), bundle.target.x,
         cfg.lipschitz.omega, cfg.sinkhorn,
     )
     joint = distortion.pseudo_label_stats(
-        phi, source_head, bundle.target.x, labels, target_class_count(bundle)
+        phi, source_head, bundle.target.x, bundle.target.y, target_class_count(bundle)
     )
     return l_fa, distortion.fld_surrogate(joint)
 
@@ -516,20 +482,13 @@ def run_pipeline(
 def score_holdout(
     phi: MlpParams, source_head: MlpParams, kernel: TransportHeadParams, bundle: TaskBundle
 ) -> float:
-    """Held-out error of the trained target predictor on ``bundle.target_test``.
-
-    Classification scores 0-1 error; regression-labeled tasks train on
-    discretized labels and score normalized RMSE through the bin centers.
-    """
-    _, train_disc = _labels_as_classes(bundle.target)
+    """0-1 error of the trained target predictor on ``bundle.target_test``,
+    whose labels are integer class ids, as every :class:`Dataset`'s are."""
     pred = np.argmax(
         models.predict_target(source_head, kernel, models.embed(phi, bundle.target_test.x)),
         axis=1,
     )
-    if train_disc is None:
-        eval_labels, _ = _labels_as_classes(bundle.target_test)
-        return float(np.mean(pred != eval_labels))
-    return nrmse(train_disc.centers()[pred], bundle.target_test.y)
+    return float(np.mean(pred != bundle.target_test.y))
 
 
 def run_baseline(specs: dict, cfg: PipelineConfig, seeds: Sequence[int]) -> list[dict]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,16 +34,12 @@ __all__ = [
     "TaskSpec",
     "Dataset",
     "TaskBundle",
-    "Discretizer",
     "generate",
-    "discretize",
     "gap_dial_conditionals",
     "random_discrete_instance",
     "save_dataset",
     "load_dataset",
 ]
-
-log = logging.getLogger("gapcraft")
 
 FAMILIES = ("rotated", "permuted_labels", "gap_dial")
 MEAN_SCALE = 3.0
@@ -86,8 +81,15 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Input rows ``x`` and their labels ``y``, integer class ids."""
+
     x: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        dtype = np.asarray(self.y).dtype
+        if not np.issubdtype(dtype, np.integer):
+            raise ValueError(f"labels must be integer class ids, got dtype {dtype}")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -154,7 +156,9 @@ def gap_dial_conditionals(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Returns (atom marginal, source conditionals, target conditionals): the
     source conditional at atom c is one-hot at c, the target conditional
-    blends the permuted one-hot toward uniform with the knob.
+    blends the permuted one-hot toward uniform with the knob.  These are the
+    noise-free planted conditionals: :func:`generate` also flips each label
+    with probability ``label_noise``, which they leave out.
     """
     k = spec.n_classes
     perm = _permutation(spec)
@@ -266,50 +270,6 @@ def _bayes_error(spec: TaskSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Label discretization for regression-style tasks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Discretizer:
-    """Quantile (equal-mass) bin edges over continuous labels."""
-
-    edges: np.ndarray  # n_bins + 1 ascending values
-
-    @classmethod
-    def fit(cls, labels, n_bins: int = 10) -> "Discretizer":
-        labels = np.asarray(labels, dtype=np.float64).ravel()
-        if labels.size == 0:
-            raise ValueError("cannot fit a discretizer on no labels")
-        edges = np.quantile(labels, np.linspace(0.0, 1.0, n_bins + 1))
-        edges = np.unique(edges)
-        if edges.size == 1:  # single distinct label value
-            edges = np.array([edges[0], edges[0] + 1e-12])
-        return cls(edges)
-
-    @property
-    def n_bins(self) -> int:
-        return self.edges.size - 1
-
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-
-def discretize(labels, d: Discretizer) -> np.ndarray:
-    """Bin indices in [0, n_bins); half-open bins, edges belong to the right.
-
-    Labels outside the fitted range clamp into the boundary bins; the count
-    of clamped labels is logged as a warning.
-    """
-    labels = np.asarray(labels, dtype=np.float64).ravel()
-    outside = int(((labels < d.edges[0]) | (labels > d.edges[-1])).sum())
-    if outside:
-        log.warning("discretize: %d labels outside the fitted range, clamped", outside)
-    idx = np.searchsorted(d.edges[1:-1], labels, side="right")
-    return np.clip(idx, 0, d.n_bins - 1).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
 # Exact discrete instances
 # ---------------------------------------------------------------------------
 
@@ -382,12 +342,14 @@ def save_dataset(ds: Dataset, path, meta: dict | None = None) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(ds.x.shape[1])] + ["label"])
         for row, label in zip(ds.x, ds.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label) if np.issubdtype(ds.y.dtype, np.integer) else repr(float(label))])
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
     sidecar = path.with_suffix(".json")
     sidecar.write_text(json.dumps(meta or {}, indent=2))
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
+    """Read a :func:`save_dataset` file; ValueError names a file whose label
+    column is not integer class ids."""
     path = Path(path)
     with path.open() as fh:
         reader = csv.reader(fh)
@@ -395,11 +357,10 @@ def load_dataset(path) -> tuple[Dataset, dict]:
         rows = list(reader)
     n_features = len(header) - 1
     x = np.array([[float(v) for v in row[:n_features]] for row in rows])
-    raw = [row[n_features] for row in rows]
     try:
-        y = np.array([int(v) for v in raw], dtype=np.int64)
-    except ValueError:
-        y = np.array([float(v) for v in raw])
+        y = np.array([int(row[n_features]) for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: labels must be integer class ids: {exc}") from exc
     sidecar = path.with_suffix(".json")
     meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
     return Dataset(x, y), meta

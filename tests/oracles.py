@@ -302,8 +302,6 @@ def straightline_mlp(layers, x: np.ndarray) -> np.ndarray:
         h = h @ w + b
         if act == "tanh":
             h = np.tanh(h)
-        elif act == "relu":
-            h = np.maximum(h, 0.0)
     return h
 
 
@@ -395,9 +393,6 @@ def recalibration_lower_stack(layers, u: np.ndarray) -> tuple[np.ndarray, np.nda
         if act == "tanh":
             h = np.tanh(pre)
             dact = 1.0 - h * h
-        elif act == "relu":
-            h = np.maximum(pre, 0.0)
-            dact = (pre > 0.0).astype(np.float64)
         else:
             h = pre
             dact = np.ones_like(pre)

@@ -5,7 +5,6 @@ lines; each asserts its stated tolerance.
 """
 
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +27,6 @@ from oracles import (
     tf_convex_oracle,
     transport_head,
 )
-
-warnings.filterwarnings("ignore")
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

@@ -1,6 +1,7 @@
 """Exit codes, file outputs, resolved-config replay, golden-run parity."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -171,26 +172,48 @@ MALFORMED_INPUT_MESSAGES = {
     "checkpoint_without_layers": "not a parameter checkpoint: KeyError('layers')",
     "checkpoint_layer_without_w": "not a parameter checkpoint: KeyError('w')",
     "checkpoint_two_layer_head": "recalibration needs a one-layer source head, got 2 layers",
+    "checkpoint_relu_layer": "unknown activation 'relu'",
+    "checkpoint_overflowing_head": "layer 0 pre-activation has non-finite values",
+    "dataset_float_labels": "target.csv: labels must be integer class ids",
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUT_MESSAGES))
 def test_malformed_input_files_exit_1(cli_workspace, tmp_path, capsys, case):
+    data = cli_workspace / "data"
+    mdir = tmp_path / "d"
+    mdir.mkdir()
+    argv = ["recalibrate", "--data", str(data), "--models", str(mdir)]
+    theta, _ = models.load_params(cli_workspace / "m1" / "theta.json")
     if case == "checkpoint_two_layer_head":
-        mdir = tmp_path / "d"
-        mdir.mkdir()
-        theta, _ = models.load_params(cli_workspace / "m1" / "theta.json")
         head = models.init_mlp([theta.output_dim, 6, 3], "tanh", np.random.default_rng(0))
         models.save_params(theta, mdir / "theta.json", role="source_embedder")
         models.save_params(head, mdir / "source_head.json", role="source_head")
-        argv = ["recalibrate", "--data", str(cli_workspace / "data"), "--models", str(mdir)]
+    elif case == "checkpoint_relu_layer":
+        text = (cli_workspace / "m1" / "theta.json").read_text()
+        assert '"act": "tanh"' in text
+        (mdir / "theta.json").write_text(text.replace('"act": "tanh"', '"act": "relu"'))
+        shutil.copy(cli_workspace / "m1" / "source_head.json", mdir)
+    elif case == "checkpoint_overflowing_head":
+        # the embedder carries the first input coordinate to a feature near
+        # 1e200, and the head scales it by 1e200 again: its logits overflow
+        w_theta = np.zeros((theta.input_dim, 2))
+        w_theta[0, 0] = 1e200
+        w_head = np.array([[1e200, -1e200, 0.0], [0.0, 0.0, 0.0]])
+        for name, w in (("theta.json", w_theta), ("source_head.json", w_head)):
+            layer = models.Layer(w, np.zeros((1, w.shape[1])), "linear")
+            models.save_params(models.MlpParams((layer,)), mdir / name)
+    elif case == "dataset_float_labels":
+        data = tmp_path / "data"
+        shutil.copytree(cli_workspace / "data", data)
+        header, first, *rest = (data / "target.csv").read_text().splitlines()
+        first = first.rsplit(",", 1)[0] + ",0.5"
+        (data / "target.csv").write_text("\n".join([header, first, *rest]) + "\n")
+        argv = ["stage1", "--data", str(data), "--models", str(cli_workspace / "m2")]
     elif case.startswith("checkpoint"):
-        mdir = tmp_path / "d"
-        mdir.mkdir()
         theta = '{"meta": {}}' if case == "checkpoint_without_layers" else '{"layers": [{}]}'
         (mdir / "theta.json").write_text(theta)
         (mdir / "source_head.json").write_text(theta)
-        argv = ["recalibrate", "--data", str(cli_workspace / "data"), "--models", str(mdir)]
     else:
         config = tmp_path / "config.json"
         config.write_text("{not json" if case == "config_not_json" else "[1, 2]")
@@ -225,53 +248,6 @@ def test_stage1_cli_matches_library(cli_workspace, tmp_path):
     )
     cli_log = RunLog.from_jsonl(out / "runlog.jsonl")
     assert cli_log.records == lib_log.records
-
-
-def test_stage1_stage2_cli_on_float_labels(cli_workspace, tmp_path):
-    """Float target labels train on 10 label bins, as in run_pipeline, even
-    though the bundle metadata declares 3 target classes."""
-    data = tmp_path / "data"
-    data.mkdir()
-    rng = np.random.default_rng(0)
-    for name in ("source", "proxy", "target", "target_test"):
-        ds, meta = synthtasks.load_dataset(cli_workspace / "data" / f"{name}.csv")
-        if name.startswith("target"):
-            ds = synthtasks.Dataset(ds.x, ds.y + rng.uniform(0.0, 0.5, size=len(ds)))
-        synthtasks.save_dataset(ds, data / f"{name}.csv", meta)
-    common = ["--data", str(data), "--models", str(cli_workspace / "m2"),
-              "--seed", "3", "--scale", "0.2"]
-    s1 = tmp_path / "s1"
-    assert main(["stage1", *common, "--out", str(s1)]) == 0
-    cli_phi, _ = models.load_params(s1 / "phi.json")
-
-    bundle = cli._load_bundle(data)
-    assert bundle.meta["n_target_classes"] == 3
-    theta, _ = models.load_params(cli_workspace / "m2" / "theta.json")
-    head, _ = models.load_params(cli_workspace / "m2" / "source_head.json")
-    rng = np.random.default_rng(np.random.SeedSequence([3, 4]))
-    phi = models.init_mlp([12, 16, theta.output_dim], "tanh", rng)
-    lib_phi, lib_log = pipeline.stage1(
-        phi, theta, head, bundle.proxy, bundle.target, PipelineConfig(seed=3, scale=0.2),
-        bundle.target_test, 10,
-    )
-    assert all(
-        np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
-        for a, b in zip(cli_phi.layers, lib_phi.layers)
-    )
-    assert RunLog.from_jsonl(s1 / "runlog.jsonl").records == lib_log.records
-
-    s2 = tmp_path / "s2"
-    assert main(["stage2", *common, "--phi", str(s1 / "phi.json"), "--out", str(s2)]) == 0
-    kernel, _ = models.load_params(s2 / "kernel.json")
-    assert kernel.output_dim == 10
-    # the summary scores the trained predictor as run_pipeline does: nRMSE
-    # of the predicted bins' centers against the float labels
-    kernel = models.TransportHeadParams(kernel, head.output_dim, 10)
-    u_test = models.embed(cli_phi, bundle.target_test.x)
-    pred = np.argmax(models.predict_target(head, kernel, u_test), axis=1)
-    centers = synthtasks.Discretizer.fit(bundle.target.y, 10).centers()
-    summary = json.loads((s2 / "stage2_summary.json").read_text())
-    assert summary["holdout_error"] == pipeline.nrmse(centers[pred], bundle.target_test.y)
 
 
 def test_resolved_config_replay_bitwise(cli_workspace, tmp_path):

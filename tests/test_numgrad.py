@@ -121,7 +121,7 @@ def test_primitive_gradients_match_fd(seed):
     under test sits on a tanh layer, so its input gradient g @ w.T is
     checked through the lower layer's parameters."""
     rng = np.random.default_rng(seed)
-    act = ("linear", "tanh", "relu")[seed % 3]
+    act = ("linear", "tanh")[seed % 2]
     params = _mlp(
         (rng.normal(size=(4, 5)), rng.normal(size=5), "tanh"),
         (rng.normal(size=(5, 3)), rng.normal(size=3), act),
@@ -170,16 +170,6 @@ def test_untaped_forward_rejects_overflowed_hidden_pre_activation(forward):
     """Without a tape, embed and predict_source make the same check."""
     with pytest.raises(FloatingPointError, match="layer 1"):
         forward(_mlp(*_OVERFLOWING_HIDDEN_LAYER), [[1.0]])
-
-
-def test_relu_at_zero_pre_activation_gets_zero_gradient():
-    """Unit 0's pre-activation is exactly 0 (1 - 1); unit 1's is 1."""
-    x = np.array([[1.0, -1.0]])
-    out, pullback = models.mlp_vjp(_mlp(([[1.0, 1.0], [1.0, 0.0]], [0.0, 0.0], "relu")), x)
-    assert np.array_equal(out, [[0.0, 1.0]])
-    [(dw, db)] = pullback(np.ones((1, 2)))
-    assert np.array_equal(dw, [[0.0, 1.0], [0.0, -1.0]])
-    assert np.array_equal(db, [[0.0, 1.0]])
 
 
 def test_as_matrix_rejects_more_than_2d():

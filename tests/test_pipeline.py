@@ -385,37 +385,6 @@ def test_correlate_constant_error_undefined():
 
 
 # ---------------------------------------------------------------------------
-# regression-labeled targets
-# ---------------------------------------------------------------------------
-
-
-def test_nrmse_metric():
-    assert pipeline.nrmse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert pipeline.nrmse([2.0, 4.0], [1.0, 2.0]) == pytest.approx(1.0)
-
-
-def test_run_pipeline_regression_labels_scores_nrmse():
-    """Continuous target labels: trained on 10 quantile bins, scored nRMSE."""
-    bundle = synthtasks.generate(TaskSpec(family="rotated", seed=3))
-    rng = np.random.default_rng(3)
-
-    def to_regression(ds):
-        return Dataset(ds.x, ds.y.astype(np.float64) + 0.1 * rng.random(len(ds)))
-
-    reg_bundle = synthtasks.TaskBundle(
-        bundle.source,
-        bundle.proxy,
-        to_regression(bundle.target),
-        to_regression(bundle.target_test),
-        bundle.meta,
-    )
-    cfg = replace(SMALL, n1=4, n2=1, n0=10, seed=3)
-    result = _run_pretrained(reg_bundle, cfg)
-    assert np.isfinite(result.holdout_error)
-    assert result.holdout_error >= 0.0
-
-
-# ---------------------------------------------------------------------------
 # run_baseline
 # ---------------------------------------------------------------------------
 

@@ -1,11 +1,13 @@
-"""Task generation, the label discretizer, and exact-instance substrates."""
+"""Task generation, dataset files, and exact-instance substrates."""
+
+import re
 
 import numpy as np
 import pytest
 
 from gapcraft import synthtasks
 from gapcraft.distortion import fld_exact
-from gapcraft.synthtasks import Dataset, Discretizer, TaskSpec
+from gapcraft.synthtasks import Dataset, TaskSpec
 
 
 def test_generate_reproducible_bitwise():
@@ -111,50 +113,6 @@ def test_invalid_specs_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Discretizer
-# ---------------------------------------------------------------------------
-
-
-def test_discretizer_equal_mass_bins():
-    rng = np.random.default_rng(8)
-    labels = rng.random(10_000)
-    d = Discretizer.fit(labels, n_bins=10)
-    idx = synthtasks.discretize(labels, d)
-    counts = np.bincount(idx, minlength=10) / labels.size
-    assert np.all(np.abs(counts - 0.1) <= 0.02)
-
-
-def test_discretizer_single_value_collapses():
-    d = Discretizer.fit(np.full(50, 3.7), n_bins=10)
-    idx = synthtasks.discretize(np.full(50, 3.7), d)
-    assert np.all(idx == 0)
-
-
-def test_discretizer_edge_goes_right():
-    d = Discretizer(np.array([0.0, 1.0, 2.0, 3.0]))
-    idx = synthtasks.discretize([1.0, 2.0], d)
-    assert idx.tolist() == [1, 2]
-
-
-def test_discretizer_clamps_out_of_range(caplog):
-    d = Discretizer(np.array([0.0, 1.0, 2.0]))
-    with caplog.at_level("WARNING", logger="gapcraft"):
-        idx = synthtasks.discretize([-5.0, 5.0], d)
-    assert idx.tolist() == [0, 1]
-    assert "clamped" in caplog.text
-
-
-def test_discretizer_roundtrip_within_half_bin():
-    rng = np.random.default_rng(9)
-    labels = rng.normal(size=2_000)
-    d = Discretizer.fit(labels, n_bins=10)
-    idx = synthtasks.discretize(labels, d)
-    recovered = d.centers()[idx]
-    widths = np.diff(d.edges)
-    assert np.max(np.abs(recovered - labels)) <= widths.max() / 2 + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # Discrete instances
 # ---------------------------------------------------------------------------
 
@@ -183,9 +141,11 @@ def test_dataset_csv_roundtrip(tmp_path):
 
 
 def test_dataset_csv_float_labels(tmp_path):
-    ds = Dataset(np.array([[1.0, 2.0]]), np.array([0.75]))
+    """Labels are integer class ids: a float-label Dataset is rejected, and
+    so is a CSV whose label column holds a float, naming the file."""
+    with pytest.raises(ValueError, match="labels must be integer class ids"):
+        Dataset(np.array([[1.0, 2.0]]), np.array([0.75]))
     path = tmp_path / "reg.csv"
-    synthtasks.save_dataset(ds, path)
-    loaded, _ = synthtasks.load_dataset(path)
-    assert loaded.y.dtype == np.float64
-    assert loaded.y[0] == 0.75
+    path.write_text("x0,x1,label\n1.0,2.0,0.75\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: labels must be integer class ids")):
+        synthtasks.load_dataset(path)
