@@ -36,6 +36,8 @@ __all__ = [
     "sweep_to_csv",
 ]
 
+GRAD_CLIP = 5.0  # recalibration's gradient-norm cap: SGD survives the initial penalty cliff
+
 
 class DivergenceError(ng.GapcraftError, RuntimeError):
     """Recalibration objective rose for several consecutive epochs."""
@@ -47,7 +49,6 @@ class LipschitzConfig:
     penalty_weight: float = 10.0
     epochs: int = 300
     lr: float = 0.1
-    grad_clip: float = 5.0  # SGD survives the initial penalty cliff
     # Hinge threshold used during training, as a fraction of omega.  The
     # quadratic hinge equilibrates slightly above its threshold, so
     # enforcing against a small inner margin lands the realized norms at
@@ -205,9 +206,9 @@ def recalibrate_head(
             rising = 0
         objective_history.append(objective)
         gnorm = float(np.sqrt((gw * gw).sum() + (gb * gb).sum()))
-        if cfg.grad_clip > 0.0 and gnorm > cfg.grad_clip:
-            gw = gw * (cfg.grad_clip / gnorm)
-            gb = gb * (cfg.grad_clip / gnorm)
+        if gnorm > GRAD_CLIP:
+            gw = gw * (GRAD_CLIP / gnorm)
+            gb = gb * (GRAD_CLIP / gnorm)
         w = w - cfg.lr * gw
         b = b - cfg.lr * gb
     if cfg.epochs:

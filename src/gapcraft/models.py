@@ -113,19 +113,14 @@ class TransportHeadParams:
             raise DimensionError("kernel input must cover the one-hot label block")
 
 
-def init_mlp(
-    dims: Sequence[int],
-    activation: str = "tanh",
-    rng: np.random.Generator | None = None,
-) -> MlpParams:
-    """Gaussian init with 1/sqrt(fan_in) scale, zero biases, linear last layer."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def init_mlp(dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
+    """Gaussian init with 1/sqrt(fan_in) scale, zero biases, tanh hidden
+    layers and a linear last layer."""
     layers = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
         w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-        act = "linear" if i == len(dims) - 2 else activation
+        act = "linear" if i == len(dims) - 2 else "tanh"
         layers.append(Layer(freeze(w), freeze(np.zeros((1, fan_out))), act))
     return MlpParams(tuple(layers))
 

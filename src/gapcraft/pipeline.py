@@ -110,15 +110,16 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One epoch of a run; None marks a value the epoch did not measure.
-    Equality ignores ``wall_time``: equal records are a reproduced run."""
+    """One epoch of a run; ``train_nll`` is None on the stage-1 epochs,
+    which train no predictor.  Equality ignores ``wall_time``: equal
+    records are a reproduced run."""
 
     epoch: int
     phase: str
-    l_fa: float | None
-    l_fld: float | None
-    semantic_gap: float | None
-    holdout_error: float | None
+    l_fa: float
+    l_fld: float
+    semantic_gap: float
+    holdout_error: float
     train_nll: float | None
     wall_time: float = field(compare=False)
 
@@ -134,10 +135,10 @@ def _record_from_row(row) -> RunRecord:
     if record.phase not in PHASES:
         raise ValueError(f"not a run-log record: phase {record.phase!r} is not one of {PHASES}")
     for name, value in row.items():
-        if name in ("epoch", "phase") or value is None:
+        if name in ("epoch", "phase") or (name == "train_nll" and value is None):
             continue
         if type(value) not in (int, float) or not math.isfinite(value):
-            raise TypeError(f"not a run-log record: {name} {value!r} is not a number or null")
+            raise TypeError(f"not a run-log record: {name} {value!r} is not a number")
     return record
 
 
@@ -198,9 +199,7 @@ def target_class_count(bundle: TaskBundle) -> int:
 
 def init_target_embedder(bundle: TaskBundle, theta: MlpParams, seed: int) -> MlpParams:
     """Seeded initial phi: target inputs into the source feature space."""
-    return models.init_mlp(
-        [bundle.target.x.shape[1], 16, theta.output_dim], "tanh", _rng_for(seed, 4)
-    )
+    return models.init_mlp([bundle.target.x.shape[1], 16, theta.output_dim], _rng_for(seed, 4))
 
 
 def pretrain_source(
@@ -218,8 +217,8 @@ def pretrain_source(
     y = bundle.source.y.astype(np.int64)
     k = int(bundle.meta.get("n_classes", y.max() + 1))
     rng = _rng_for(cfg.seed, 1)
-    theta = models.init_mlp([x.shape[1], 16, 8], "tanh", rng)
-    head = models.init_mlp([theta.output_dim, k], "tanh", rng)
+    theta = models.init_mlp([x.shape[1], 16, 8], rng)
+    head = models.init_mlp([theta.output_dim, k], rng)
     # cross-entropy cotangent on the logits, written term for term as the
     # log-softmax VJP: (softmax - onehot)/n rounds differently, and 300
     # epochs at lr 0.5 amplify that into visibly different parameters
@@ -286,17 +285,18 @@ def stage1(
     proxy: Dataset,
     target: Dataset,
     cfg: PipelineConfig,
-    target_eval: Dataset | None,
+    target_eval: Dataset,
     n_target_classes: int,
 ) -> tuple[MlpParams, RunLog]:
     """Learn the target embedder: alignment epochs then distortion epochs.
 
     Runs the configured alignment epochs first (coupling recomputed every
     step, gradient under the fixed coupling), then the distortion epochs on
-    the soft pseudo-label surrogate, exactly in that order.  One record per
-    epoch lands in the log; the induced error in it is None without
-    ``target_eval``.  ``n_target_classes`` is :func:`target_class_count` of
-    the task.
+    the soft pseudo-label surrogate, exactly in that order.  ``theta``
+    embeds the proxy inputs once, and every epoch aligns to those source
+    features.  One record per epoch lands in the log, with the induced
+    predictor's error on ``target_eval``.  ``n_target_classes`` is
+    :func:`target_class_count` of the task.
     """
     n1, n2, _ = cfg.effective_epochs()
     source_features = models.embed(theta, proxy.x)
@@ -308,22 +308,15 @@ def stage1(
             phi, source_head, target.x, target.y, n_target_classes
         )
 
-    def checkpoint(
-        epoch: int, phase: str, l_fa: float, l_fld: float, joint: np.ndarray | None
-    ) -> None:
-        """Append the epoch's record; ``joint`` is the epoch's pseudo-label
-        joint if it has one, built here only when the induced error needs it."""
-        err = None
-        if target_eval is not None:
-            if joint is None:
-                joint = pseudo_joint()
-            err = induced_predictor_error(phi, source_head, joint, target_eval.x, target_eval.y)
+    def checkpoint(epoch: int, phase: str, l_fa: float, l_fld: float, joint: np.ndarray) -> None:
+        """Append the epoch's record; ``joint`` is the epoch's pseudo-label joint."""
+        err = induced_predictor_error(phi, source_head, joint, target_eval.x, target_eval.y)
         elapsed = time.perf_counter() - start
         log.append(RunRecord(epoch, phase, l_fa, l_fld, l_fa + l_fld, err, None, elapsed))
 
     for epoch in range(1, n1 + 1):
         loss, grads, _ = transport.fa_loss_and_grad(
-            phi, theta, target.x, proxy.x, cfg.lipschitz.omega, cfg.sinkhorn
+            phi, target.x, source_features, cfg.lipschitz.omega, cfg.sinkhorn
         )
         phi = models.sgd_update(phi, grads, cfg.lr_fa)
         joint = pseudo_joint()
@@ -337,7 +330,7 @@ def stage1(
         l_fa = _fa_loss_value(
             phi, source_features, target.x, cfg.lipschitz.omega, cfg.sinkhorn
         )
-        checkpoint(epoch, "fld", l_fa, loss, None)
+        checkpoint(epoch, "fld", l_fa, loss, pseudo_joint())
 
     return phi, log
 
@@ -379,15 +372,15 @@ def stage2(
     kernel: TransportHeadParams,
     target: Dataset,
     cfg: PipelineConfig,
-    target_eval: Dataset | None = None,
-    frozen_gap: tuple[float, float] | None = None,
+    target_eval: Dataset,
+    frozen_gap: tuple[float, float],
 ) -> tuple[TransportHeadParams, RunLog]:
     """Fit the transport-head predictor on the frozen embedder.
 
     Maximizes the likelihood of the target labels under the composed
-    predictor; only the kernel parameters move.  ``frozen_gap`` is the
-    embedder's (FA, FLD) for the records; without it they hold None, as
-    does their error without ``target_eval``.
+    predictor; only the kernel parameters move.  Each epoch's record holds
+    ``frozen_gap``, the embedder's (FA, FLD), and the predictor's error on
+    ``target_eval``.
     """
     if source_head.output_dim != kernel.n_source_classes:
         raise DimensionError(
@@ -400,15 +393,13 @@ def stage2(
     u = models.embed(phi, target.x)
     p_source = models.predict_source(source_head, u)
     u = models._kernel_features(kernel, u)
-    if target_eval is not None:
-        u_eval = models.embed(phi, target_eval.x)
-        p_eval = models.predict_source(source_head, u_eval)
-        u_eval = models._kernel_features(kernel, u_eval)
+    u_eval = models.embed(phi, target_eval.x)
+    p_eval = models.predict_source(source_head, u_eval)
+    u_eval = models._kernel_features(kernel, u_eval)
     _, _, n0 = cfg.effective_epochs()
     log = RunLog()
     start = time.perf_counter()
-    l_fa, l_fld = frozen_gap or (None, None)
-    gap = None if frozen_gap is None else l_fa + l_fld
+    l_fa, l_fld = frozen_gap
     for epoch in range(1, n0 + 1):
         nll, grads = _stage2_loss_and_grad(kernel, u, p_source, target.y, onehot)
         kernel = TransportHeadParams(
@@ -416,15 +407,12 @@ def stage2(
             kernel.n_source_classes,
             kernel.n_target_classes,
         )
-        if target_eval is not None:
-            # models.predict_target with its source half precomputed
-            lam = models._kernel_forward(kernel, u_eval)
-            pred = np.argmax(np.einsum("nz,nzt->nt", p_eval, lam), axis=1)
-            err = float(np.mean(pred != target_eval.y))
-        else:
-            err = None
+        # models.predict_target with its source half precomputed
+        lam = models._kernel_forward(kernel, u_eval)
+        pred = np.argmax(np.einsum("nz,nzt->nt", p_eval, lam), axis=1)
+        err = float(np.mean(pred != target_eval.y))
         elapsed = time.perf_counter() - start
-        log.append(RunRecord(epoch, "predictor", l_fa, l_fld, gap, err, nll, elapsed))
+        log.append(RunRecord(epoch, "predictor", l_fa, l_fld, l_fa + l_fld, err, nll, elapsed))
     return kernel, log
 
 
@@ -556,13 +544,7 @@ def baseline_table_to_csv(rows: list[dict], path) -> None:
 def correlate_gap_error(log: RunLog) -> tuple[float, list[dict]]:
     """Pearson correlation between the semantic gap and held-out error
     across stage-1 (fa and fld) checkpoints, plus the plottable series."""
-    records = [
-        r
-        for r in log.records
-        if r.phase in ("fa", "fld")
-        and r.semantic_gap is not None
-        and r.holdout_error is not None
-    ]
+    records = [r for r in log.records if r.phase in ("fa", "fld")]
     pairs = {(r.semantic_gap, r.holdout_error) for r in records}
     gaps = np.array([r.semantic_gap for r in records])
     errs = np.array([r.holdout_error for r in records])

@@ -14,8 +14,9 @@ Finite instances for the bound calculus come from
 :func:`random_discrete_instance`.
 
 Class means sit on scaled orthonormal directions, so pairwise class
-separation is identical for every seed and the Bayes-optimal error is the
-planted label noise up to negligible Gaussian overlap.
+separation is identical for every seed and, for the two modality
+families, the Bayes-optimal error is the planted label noise up to
+negligible Gaussian overlap.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bound import DiscreteInstance
+from .probs import fold_last, softmax
 from .transport import cost_matrix
 
 __all__ = [
@@ -45,6 +47,7 @@ FAMILIES = ("rotated", "permuted_labels", "gap_dial")
 MEAN_SCALE = 3.0
 NOISE_SCALE = 0.5
 DISTRACTOR_SCALE = 1.0  # noise level of the complementary dims
+BAYES_DRAWS = 60_000  # Monte Carlo draws of the gap_dial Bayes error
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class TaskSpec:
             raise ValueError("n_target must be at least 1")
         if not 0.0 <= self.gap_knob <= 1.0:
             raise ValueError("gap_knob must lie in [0, 1]")
+        if not 0.0 <= self.label_noise <= 1.0:
+            raise ValueError("label_noise must lie in [0, 1]")
         if self.family in ("permuted_labels", "gap_dial") and (
             self.n_target_classes != self.n_classes
         ):
@@ -81,7 +86,8 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Input rows ``x`` and their labels ``y``, integer class ids."""
+    """Input rows ``x``, one per label, and their labels ``y``, integer
+    class ids."""
 
     x: np.ndarray
     y: np.ndarray
@@ -90,6 +96,12 @@ class Dataset:
         dtype = np.asarray(self.y).dtype
         if not np.issubdtype(dtype, np.integer):
             raise ValueError(f"labels must be integer class ids, got dtype {dtype}")
+        shape = np.shape(self.x)
+        if len(shape) != 2 or shape[0] != len(self.y):
+            raise ValueError(
+                f"inputs must be a 2-D array with one row per label, got shape "
+                f"{shape} for {len(self.y)} labels"
+            )
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -254,19 +266,35 @@ def generate(spec: TaskSpec) -> TaskBundle:
 def _bayes_error(spec: TaskSpec) -> float:
     """0-1 error of the Bayes predictor on target labels.
 
-    Class separation is 3*sqrt(2) against noise 0.5, so Gaussian overlap is
-    negligible; the floor comes from planted label noise, and for gap_dial
-    additionally from the uniform scramble.
+    For the modality families it is ``label_noise``: class separation is
+    3*sqrt(2) against noise 0.5, so Gaussian overlap is negligible, and a
+    flip always lands off the prediction.
+
+    For gap_dial, with knob q and k classes, it is
+    1 - E_x[max_y sum_c P(c|x) T[c, y]].  The latent class c is uniform and
+    x | c ~ N((1 - q) mu_c, s^2 I), s^2 = (1 - q)^2 NOISE_SCALE^2 +
+    q^2 MEAN_SCALE^2.  The label channel T keeps c with probability
+    (1 - q) + q/k and moves it to each other class with probability q/k,
+    then flips it to a uniformly chosen other class with probability
+    ``label_noise``.  E_x is a Monte Carlo mean of the posterior's max over
+    BAYES_DRAWS draws, the same number from each class, taken from a stream
+    of its own: the value is a pure function of the spec, and no data
+    stream moves.
     """
-    k = spec.n_target_classes
-    noise_err = spec.label_noise  # flip always lands off the prediction
     if spec.family != "gap_dial":
-        return noise_err
-    keep = (1.0 - spec.gap_knob) * (1.0 - spec.label_noise) + spec.gap_knob / k * (
-        1.0 - spec.label_noise
-    )
-    # scrambled labels match the Bayes prediction with probability 1/k
-    return 1.0 - keep
+        return spec.label_noise
+    k, q = spec.n_classes, spec.gap_knob
+    eye = np.eye(k)
+    scramble = (1.0 - q) * eye + q / k
+    flip = (1.0 - spec.label_noise) * eye + spec.label_noise / (k - 1) * (1.0 - eye)
+    means = (1.0 - q) * _class_means(spec)
+    var = ((1.0 - q) * NOISE_SCALE) ** 2 + (q * MEAN_SCALE) ** 2
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 29]))
+    latent = np.repeat(np.arange(k), BAYES_DRAWS // k)
+    x = means[latent] + np.sqrt(var) * rng.normal(size=(latent.size, spec.source_dim))
+    # log N(x; mu_c, var I) up to the term in |x|^2 that every class shares
+    posterior = softmax((x @ means.T - 0.5 * (means * means).sum(axis=1)) / var)
+    return float(1.0 - fold_last(np.maximum, posterior @ (scramble @ flip)).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +376,24 @@ def save_dataset(ds: Dataset, path, meta: dict | None = None) -> None:
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
-    """Read a :func:`save_dataset` file; ValueError names a file whose label
-    column is not integer class ids."""
+    """Read a :func:`save_dataset` file; ValueError names a file with no
+    header or no data rows, a row whose field count is not the header's,
+    or a label column that is not integer class ids."""
     path = Path(path)
     with path.open() as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     n_features = len(header) - 1
     x = np.array([[float(v) for v in row[:n_features]] for row in rows])
     try:

@@ -386,28 +386,25 @@ def dual_lower_bound(cost, mu, nu, g) -> float:
 
 def fa_loss_and_grad(
     phi: MlpParams,
-    theta: MlpParams,
     target_batch,
-    source_batch,
+    source_features,
     omega: float,
     cfg: SinkhornConfig = SinkhornConfig(),
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]], SinkhornResult]:
     """Alignment loss omega * W1(target features, source features) and its
     gradient with respect to the target embedder.
 
-    The coupling is treated as fixed at its converged value (envelope
-    differentiation), so the gradient flows only through the target
-    embeddings: dL/du_i = omega * sum_j pi_ij (u_i - v_j)/||u_i - v_j||.
+    ``source_features`` are the frozen source embedder's features v_j, so
+    a training loop embeds its source batch once.  The coupling is treated
+    as fixed at its converged value (envelope differentiation), so the
+    gradient flows only through the target embeddings:
+    dL/du_i = omega * sum_j pi_ij (u_i - v_j)/||u_i - v_j||.
     """
-    target_batch = ng.as_matrix(target_batch, "target batch")
-    source_batch = ng.as_matrix(source_batch, "source batch")
-    if target_batch.shape[0] == 0 or source_batch.shape[0] == 0:
+    u, pullback = models.mlp_vjp(phi, ng.as_matrix(target_batch, "target batch"))
+    diff, c = _pairwise(u, source_features)
+    n, m = c.shape
+    if n == 0 or m == 0:
         raise ValueError("fa_loss_and_grad: batches must be nonempty")
-
-    u, pullback = models.mlp_vjp(phi, target_batch)
-    v = models.embed(theta, source_batch)
-    n, m = u.shape[0], v.shape[0]
-    diff, c = _pairwise(u, v)
     result = sinkhorn(c, np.full(n, 1.0 / n), np.full(m, 1.0 / m), cfg)
     loss = omega * result.w1_estimate
 

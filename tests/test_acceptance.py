@@ -129,8 +129,8 @@ def test_criterion_05_sinkhorn_vs_exact_lp():
 
 
 def _fa_config(rng):
-    phi = models.init_mlp([3, 5, 4], "tanh", rng)
-    theta = models.init_mlp([3, 5, 4], "tanh", rng)
+    phi = models.init_mlp([3, 5, 4], rng)
+    theta = models.init_mlp([3, 5, 4], rng)
     target = rng.normal(size=(5, 3))
     source = rng.normal(size=(6, 3))
     return phi, theta, target, source
@@ -146,11 +146,11 @@ def test_criterion_06_gradient_integrity():
         # alignment loss under a fixed coupling
         phi, theta, target, source = _fa_config(rng)
         omega = float(rng.uniform(0.2, 1.5))
+        v = models.embed(theta, source)
         loss, grads, res = transport.fa_loss_and_grad(
-            phi, theta, target, source, omega, SinkhornConfig(0.1, 2000, 1e-7)
+            phi, target, v, omega, SinkhornConfig(0.1, 2000, 1e-7)
         )
         pi = res.coupling
-        v = models.embed(theta, source)
 
         def fa_objective(vec):
             u = models.embed(params_with_vector(phi, vec), target)
@@ -162,8 +162,8 @@ def test_criterion_06_gradient_integrity():
 
     for _ in range(50):
         # distortion surrogate with soft counts
-        phi = models.init_mlp([3, 4, 3], "tanh", rng)
-        head = models.init_mlp([3, 3], "tanh", rng)
+        phi = models.init_mlp([3, 4, 3], rng)
+        head = models.init_mlp([3, 3], rng)
         x = rng.normal(size=(10, 3))
         y = rng.integers(0, 3, size=10)
         _, grads = distortion.fld_loss_and_grad(phi, head, x, y, 3)
@@ -180,7 +180,7 @@ def test_criterion_06_gradient_integrity():
     while count < 50:
         # recalibration objective (hinge-squared gradient-norm penalty plus
         # proxy cross-entropy) with respect to the last layer
-        head = models.init_mlp([4, rng.integers(2, 5)], "tanh", rng)
+        head = models.init_mlp([4, rng.integers(2, 5)], rng)
         u = rng.normal(size=(12, 4))
         d = np.eye(head.output_dim)[rng.integers(0, head.output_dim, size=12)]
         norms = np.linalg.norm(lipschitz.feature_gradients(head, u, d), axis=1)
@@ -212,7 +212,7 @@ def test_criterion_06_gradient_integrity():
         # stage-2 negative log-likelihood with respect to the kernel
         kz, kt = rng.integers(2, 4, size=2)
         u = rng.normal(size=(8, 3))
-        head = models.init_mlp([3, kz], "tanh", rng)
+        head = models.init_mlp([3, kz], rng)
         kernel = transport_head(3, kz, kt, rng, feature_scale=0.4)
         p_s = models.predict_source(head, u)
         labels = rng.integers(0, kt, size=8)

@@ -175,6 +175,10 @@ MALFORMED_INPUT_MESSAGES = {
     "checkpoint_relu_layer": "unknown activation 'relu'",
     "checkpoint_overflowing_head": "layer 0 pre-activation has non-finite values",
     "dataset_float_labels": "target.csv: labels must be integer class ids",
+    "dataset_short_row": "target.csv:2: expected 13 fields, got 12",
+    "dataset_long_row": "target.csv:2: expected 13 fields, got 14",
+    "dataset_empty_file": "target.csv: no header",
+    "dataset_header_only": "target.csv: no data rows",
 }
 
 
@@ -186,7 +190,7 @@ def test_malformed_input_files_exit_1(cli_workspace, tmp_path, capsys, case):
     argv = ["recalibrate", "--data", str(data), "--models", str(mdir)]
     theta, _ = models.load_params(cli_workspace / "m1" / "theta.json")
     if case == "checkpoint_two_layer_head":
-        head = models.init_mlp([theta.output_dim, 6, 3], "tanh", np.random.default_rng(0))
+        head = models.init_mlp([theta.output_dim, 6, 3], np.random.default_rng(0))
         models.save_params(theta, mdir / "theta.json", role="source_embedder")
         models.save_params(head, mdir / "source_head.json", role="source_head")
     elif case == "checkpoint_relu_layer":
@@ -203,12 +207,18 @@ def test_malformed_input_files_exit_1(cli_workspace, tmp_path, capsys, case):
         for name, w in (("theta.json", w_theta), ("source_head.json", w_head)):
             layer = models.Layer(w, np.zeros((1, w.shape[1])), "linear")
             models.save_params(models.MlpParams((layer,)), mdir / name)
-    elif case == "dataset_float_labels":
+    elif case.startswith("dataset"):
         data = tmp_path / "data"
         shutil.copytree(cli_workspace / "data", data)
         header, first, *rest = (data / "target.csv").read_text().splitlines()
-        first = first.rsplit(",", 1)[0] + ",0.5"
-        (data / "target.csv").write_text("\n".join([header, first, *rest]) + "\n")
+        lines = {
+            "dataset_float_labels": [header, first.rsplit(",", 1)[0] + ",0.5", *rest],
+            "dataset_short_row": [header, first.rsplit(",", 1)[0], *rest],
+            "dataset_long_row": [header, first + ",7", *rest],
+            "dataset_empty_file": [],
+            "dataset_header_only": [header],
+        }[case]
+        (data / "target.csv").write_text("".join(line + "\n" for line in lines))
         argv = ["stage1", "--data", str(data), "--models", str(cli_workspace / "m2")]
     elif case.startswith("checkpoint"):
         theta = '{"meta": {}}' if case == "checkpoint_without_layers" else '{"layers": [{}]}'
@@ -238,7 +248,7 @@ def test_stage1_cli_matches_library(cli_workspace, tmp_path):
     head, _ = models.load_params(cli_workspace / "m2" / "source_head.json")
     cfg = PipelineConfig(seed=3, scale=0.2)
     rng = np.random.default_rng(np.random.SeedSequence([3, 4]))
-    phi = models.init_mlp([12, 16, theta.output_dim], "tanh", rng)
+    phi = models.init_mlp([12, 16, theta.output_dim], rng)
     lib_phi, lib_log = pipeline.stage1(
         phi, theta, head, bundle.proxy, bundle.target, cfg, bundle.target_test, 3
     )
@@ -414,11 +424,16 @@ def test_resolved_config_follows_every_return(tmp_path, monkeypatch, capsys, cas
     assert resolved["subcommand"] == argv[0] and resolved["seed"] == 5
 
 
-@pytest.mark.parametrize("case", ["correlate-undefined", "pretrain-missing-data"])
+@pytest.mark.parametrize(
+    "case", ["correlate-undefined", "gen-label-noise-above-one", "pretrain-missing-data"]
+)
 def test_no_resolved_config_after_a_raised_error(tmp_path, capsys, case):
     if case == "correlate-undefined":
         argv = ["correlate", "--runlog", _write_runlog(tmp_path / "flat.jsonl", [0.25] * 5)]
         message = "need at least two distinct (gap, error) checkpoints with variance"
+    elif case == "gen-label-noise-above-one":
+        argv = ["gen", "--label-noise", "1.5"]
+        message = "label_noise must lie in [0, 1]"
     else:
         argv = ["pretrain", "--data", str(tmp_path / "nope")]
         message = f"data directory not found: {tmp_path / 'nope'}"
@@ -464,9 +479,10 @@ def _fa_row(epoch, gap) -> str:
     [('{"epoch": 1}', "not a run-log record"),
      ("[1, 2]", "not a run-log record"),
      (_fa_row(1, 1.0), "run log records must be strictly ordered"),
-     (_fa_row(4, "x1"), "not a run-log record: semantic_gap 'x1' is not a number or null"),
+     (_fa_row(4, "x1"), "not a run-log record: semantic_gap 'x1' is not a number"),
+     (_fa_row(4, None), "not a run-log record: semantic_gap None is not a number"),
      (_fa_row(4, 10**400), "int too large to convert to float")],
-    ids=["partial", "list", "out_of_order", "string_gap", "huge_int"],
+    ids=["partial", "list", "out_of_order", "string_gap", "null_gap", "huge_int"],
 )
 def test_correlate_rejects_a_row_that_is_not_a_record(tmp_path, capsys, row, message):
     path = tmp_path / "log.jsonl"

@@ -331,7 +331,7 @@ def test_stats_hard_concentrates_to_soft():
     x = rng.normal(size=(64, 3))
     y = rng.integers(0, 3, size=64)
     phi = _identity_embedder(3)
-    head = models.init_mlp([3, 3], "tanh", rng)
+    head = models.init_mlp([3, 3], rng)
     soft = distortion.pseudo_label_stats(phi, head, x, y, 3)
     p = models.predict_source(head, models.embed(phi, x))
     acc = np.zeros_like(soft)
@@ -355,7 +355,7 @@ def test_stats_hard_last_class_takes_cumsum_shortfall():
 
 def test_stats_rejects_empty_and_out_of_range():
     phi = _identity_embedder(2)
-    head = models.init_mlp([2, 2], "tanh")
+    head = models.init_mlp([2, 2], np.random.default_rng(0))
     with pytest.raises(ValueError):
         distortion.pseudo_label_stats(phi, head, np.zeros((0, 2)), [], 2)
     with pytest.raises(ValueError):
@@ -431,7 +431,7 @@ def test_surrogate_dominates_exact_on_random_instances():
 
 def test_fld_grad_zero_for_constant_head():
     rng = np.random.default_rng(12)
-    phi = models.init_mlp([3, 4, 2], "tanh", rng)
+    phi = models.init_mlp([3, 4, 2], rng)
     head = models.MlpParams(
         (models.Layer(np.zeros((2, 3)), np.array([[0.3, -0.2, 0.1]]), "linear"),)
     )
@@ -444,16 +444,16 @@ def test_fld_grad_zero_for_constant_head():
 
 def test_fld_loss_single_point_is_zero():
     rng = np.random.default_rng(13)
-    phi = models.init_mlp([3, 4, 2], "tanh", rng)
-    head = models.init_mlp([2, 3], "tanh", rng)
+    phi = models.init_mlp([3, 4, 2], rng)
+    head = models.init_mlp([2, 3], rng)
     loss, _ = distortion.fld_loss_and_grad(phi, head, rng.normal(size=(1, 3)), [1], 2)
     assert loss == 0.0
 
 
 def test_fld_grad_matches_fd():
     rng = np.random.default_rng(14)
-    phi = models.init_mlp([3, 5, 3], "tanh", rng)
-    head = models.init_mlp([3, 3], "tanh", rng)
+    phi = models.init_mlp([3, 5, 3], rng)
+    head = models.init_mlp([3, 3], rng)
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 3, size=12)
     loss, grads = distortion.fld_loss_and_grad(phi, head, x, y, 3)

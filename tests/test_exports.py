@@ -69,10 +69,6 @@ KEPT_OPTIONS = {
     "recalibrate_head(conditional)": (
         "criterion 7 recalibrates against the generator's true conditional"
     ),
-    "LipschitzConfig.grad_clip": (
-        "the bit-exact reference-loop tests pick it so that the clip binds "
-        "on some epochs and not on others"
-    ),
 }
 
 
@@ -226,6 +222,34 @@ def test_every_option_has_a_setter():
     assert sorted(set(KEPT_OPTIONS) - unset) == [], "KEPT_OPTIONS that are gone or now set"
 
 
+def _required_optionals(tree: ast.Module):
+    """``f(name)`` for each parameter without a default, of any function in
+    a module (nested ones included), whose annotation admits None."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        required = positional[: len(positional) - len(a.defaults)]
+        required += [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is None]
+        for p in required:
+            if p.annotation is not None and any(
+                isinstance(n, ast.Constant) and n.value is None
+                for n in ast.walk(p.annotation)
+            ):
+                yield f"{fn.name}({p.arg})"
+
+
+def test_no_required_parameter_is_optional():
+    """A parameter every caller must pass takes no None: a None path that
+    no caller can leave out is a path only tests take."""
+    sources, _ = _program()
+    found = [
+        f"{module}.{key}" for module, tree in sources.items() for key in _required_optionals(tree)
+    ]
+    assert found == []
+
+
 def test_config_defaults_are_the_class_defaults():
     """No default of a parameter or dataclass field in the package (a
     ``default_factory`` included) constructs a ``*Config`` with arguments,
@@ -271,7 +295,6 @@ def test_setter_of_another_modules_function_does_not_count():
 KEPT_MEMBERS = {
     "RunRecord.l_fa": "RunLog.to_jsonl writes it to the run log through asdict",
     "RunRecord.l_fld": "RunLog.to_jsonl writes it to the run log through asdict",
-    "RunRecord.train_nll": "RunLog.to_jsonl writes it to the run log through asdict",
     "RunRecord.wall_time": "RunLog.to_jsonl writes it to the run log through asdict",
     "PipelineResult.kernel": "the trained predictor that run_pipeline returns",
     "SinkhornResult.violation": "the solver diagnostics planned for the stage-1 run log",

@@ -25,8 +25,8 @@ def _blob_task(seed=0, n=120, k=3, d=4):
     means = rng.normal(scale=3.0, size=(k, d))
     y = rng.integers(0, k, size=n)
     x = means[y] + rng.normal(scale=0.6, size=(n, d))
-    theta = models.init_mlp([d, 8, 4], "tanh", rng)
-    head = models.init_mlp([4, k], "tanh", rng)
+    theta = models.init_mlp([d, 8, 4], rng)
+    head = models.init_mlp([4, k], rng)
     return x, y, theta, head
 
 
@@ -56,7 +56,7 @@ def test_loss_uniform_predictor_is_log_k():
 
 def test_loss_matches_direct_cross_entropy():
     rng = np.random.default_rng(1)
-    head = models.init_mlp([4, 6, 3], "tanh", rng)
+    head = models.init_mlp([4, 6, 3], rng)
     u = rng.normal(size=(7, 4))
     d = rng.dirichlet(np.ones(3), size=7)
     losses, clamped = pointwise_losses(head, u, d)
@@ -77,7 +77,7 @@ def test_loss_clamps_and_flags_zero_predictions():
 
 def test_feature_gradients_match_fd_in_u():
     rng = np.random.default_rng(2)
-    head = models.init_mlp([4, 3], "tanh", rng)
+    head = models.init_mlp([4, 3], rng)
     u0 = rng.normal(size=4)
     d = rng.dirichlet(np.ones(3))
     analytic = lipschitz.feature_gradients(head, u0[None, :], d[None, :])[0]
@@ -109,7 +109,7 @@ def _sharp_reference_setup(dims, seed):
     rows, its proxy features and one-hot labels."""
     x, y, theta, _ = _blob_task(seed=seed)
     rng = np.random.default_rng(seed)
-    head = models.init_mlp(dims, "tanh", rng)
+    head = models.init_mlp(dims, rng)
     last = models.Layer(head.layers[-1].w * 6.0, rng.normal(size=(1, 3)), "linear")
     head = models.MlpParams(head.layers[:-1] + (last,))
     return head, x, y, theta, models.embed(theta, x), np.eye(3)[y]
@@ -129,7 +129,7 @@ def test_two_layer_head_is_rejected():
     """The closed form needs a one-layer head; a deeper one, say from a
     hand-made checkpoint, is a DimensionError, not a wrong gradient."""
     x, y, theta, _ = _blob_task(seed=6)
-    head = models.init_mlp([4, 6, 3], "tanh", np.random.default_rng(6))
+    head = models.init_mlp([4, 6, 3], np.random.default_rng(6))
     u = models.embed(theta, x)
     d = np.eye(3)[y]
     with pytest.raises(DimensionError, match="one-layer"):
@@ -165,13 +165,14 @@ def test_recalibration_step_matches_reference_bitwise(name):
     assert gb.tobytes() == ref_gb.tobytes()
 
 
-@pytest.mark.parametrize("name, grad_clip", [("one_layer", 150.0)])
-def test_recalibrate_head_matches_reference_loop(name, grad_clip):
+@pytest.mark.parametrize("name", ["one_layer"])
+def test_recalibrate_head_matches_reference_loop(name):
     """20 epochs of recalibrate_head equal a loop driven by the reference
-    step: the same head bytes and the same penalty history."""
+    step, clipped at lipschitz.GRAD_CLIP: the same head bytes and the same
+    penalty history."""
     head, x, y, theta, u, d = _sharp_reference_setup(REFERENCE_HEADS[name], seed=22)
-    cfg = LipschitzConfig(omega=0.3, penalty_weight=10.0, epochs=20, lr=0.01,
-                          grad_clip=grad_clip, enforcement_margin=0.8)
+    cfg = LipschitzConfig(omega=0.3, penalty_weight=10.0, epochs=20, lr=0.1,
+                          enforcement_margin=0.8)
     result = lipschitz.recalibrate_head(head, theta, x, y, cfg)
 
     h, jac = recalibration_lower_stack([(l.w, l.b, l.act) for l in head.layers], u)
@@ -190,10 +191,10 @@ def test_recalibrate_head_matches_reference_loop(name, grad_clip):
         _, norms, (gw, gb) = step(w, b)
         history.append(penalty(norms))
         gnorm = float(np.sqrt((gw * gw).sum() + (gb * gb).sum()))
-        if gnorm > cfg.grad_clip:
+        if gnorm > lipschitz.GRAD_CLIP:
             clipped += 1
-            gw = gw * (cfg.grad_clip / gnorm)
-            gb = gb * (cfg.grad_clip / gnorm)
+            gw = gw * (lipschitz.GRAD_CLIP / gnorm)
+            gb = gb * (lipschitz.GRAD_CLIP / gnorm)
         w = w - cfg.lr * gw
         b = b - cfg.lr * gb
     history.append(penalty(step(w, b)[1]))
@@ -208,7 +209,7 @@ def test_recalibrate_head_matches_reference_loop(name, grad_clip):
 
 def test_penalty_zero_when_norms_below_omega():
     rng = np.random.default_rng(4)
-    head = models.init_mlp([4, 3], "tanh", rng)
+    head = models.init_mlp([4, 3], rng)
     u = rng.normal(size=(10, 4))
     d = np.eye(3)[rng.integers(0, 3, size=10)]
     norms = np.linalg.norm(lipschitz.feature_gradients(head, u, d), axis=1)
@@ -242,7 +243,7 @@ def test_recalibrate_reduces_penalty_and_touches_only_last_layer():
 def test_recalibrate_history_is_penalty_after_each_epoch():
     """history[t] of an E-epoch run is the final penalty of the t-epoch run."""
     x, y, theta, _ = _blob_task(seed=6)
-    head = models.init_mlp([4, 3], "tanh", np.random.default_rng(6))
+    head = models.init_mlp([4, 3], np.random.default_rng(6))
     sharp = models.MlpParams(
         (models.Layer(head.layers[0].w * 60.0, head.layers[0].b, "linear"),)
     )
@@ -268,7 +269,7 @@ def _pretrained_blob_head(seed=7, n=240):
     y = rng.integers(0, 3, size=n)
     x = means[y] + rng.normal(scale=0.4, size=(n, 4))
     theta = models.MlpParams((models.Layer(np.eye(4), np.zeros((1, 4)), "linear"),))
-    head = models.init_mlp([4, 3], "tanh", np.random.default_rng(seed + 7))
+    head = models.init_mlp([4, 3], np.random.default_rng(seed + 7))
     onehot = np.eye(3)[y]
     c = -1.0 / n
     for _ in range(300):
@@ -316,14 +317,12 @@ def test_sweep_single_candidate():
 
 def test_sweep_keeps_every_config_field_but_omega():
     """A sweep row is recalibrate_head on the train split with only omega
-    replaced, so the enforcement margin and gradient clip carry through."""
+    replaced, so the enforcement margin, weight, epochs and rate carry through."""
     x, y, theta, head = _blob_task(seed=9)
     sharp = models.MlpParams(
         (models.Layer(head.layers[0].w * 40.0, head.layers[0].b, "linear"),)
     )
-    cfg = LipschitzConfig(
-        penalty_weight=1.0, epochs=30, lr=0.2, grad_clip=2.0, enforcement_margin=0.5
-    )
+    cfg = LipschitzConfig(penalty_weight=1.0, epochs=30, lr=0.2, enforcement_margin=0.5)
     (row,) = lipschitz.sweep_omega([0.4], theta, sharp, x, y, cfg, seed=3)
     order = np.random.default_rng(3).permutation(len(y))
     train = order[round(0.25 * len(y)):]

@@ -32,14 +32,14 @@ def test_embed_zero_weights_zero_output():
 
 def test_embed_matches_straightline():
     rng = np.random.default_rng(0)
-    p = models.init_mlp([3, 5, 4], "tanh", rng)
+    p = models.init_mlp([3, 5, 4], rng)
     x = rng.normal(size=(6, 3))
     expected = straightline_mlp([(l.w, l.b, l.act) for l in p.layers], x)
     assert np.array_equal(models.embed(p, x), expected)
 
 
 def test_embed_dimension_mismatch():
-    p = models.init_mlp([3, 4], "tanh")
+    p = models.init_mlp([3, 4], np.random.default_rng(0))
     with pytest.raises(ng.DimensionError):
         models.embed(p, np.ones((2, 5)))
 
@@ -60,7 +60,7 @@ def test_predict_source_saturated_logits():
 
 def test_predict_source_matches_high_precision_softmax():
     rng = np.random.default_rng(2)
-    head = models.init_mlp([4, 3], "tanh", rng)
+    head = models.init_mlp([4, 3], rng)
     u = rng.normal(size=(5, 4))
     logits = u @ head.layers[0].w + head.layers[0].b
     assert np.allclose(models.predict_source(head, u), softmax_mp(logits), atol=1e-14)
@@ -74,7 +74,7 @@ def _identity_kernel(k, feature_dim=2, boost=200.0):
 
 def test_predict_target_identity_kernel_is_source():
     rng = np.random.default_rng(3)
-    head = models.init_mlp([2, 3], "tanh", rng)
+    head = models.init_mlp([2, 3], rng)
     kernel = _identity_kernel(3)
     u = rng.normal(size=(6, 2))
     assert np.allclose(
@@ -86,7 +86,7 @@ def test_predict_target_identity_kernel_is_source():
 
 def test_predict_target_uniform_kernel_absorbs():
     rng = np.random.default_rng(4)
-    head = models.init_mlp([2, 3], "tanh", rng)
+    head = models.init_mlp([2, 3], rng)
     kernel = models.TransportHeadParams(
         models.MlpParams((models.Layer(np.zeros((5, 3)), np.zeros((1, 3)), "linear"),)),
         3,
@@ -116,7 +116,7 @@ def test_predict_target_hand_product():
 
 def test_predict_target_rows_are_distributions():
     rng = np.random.default_rng(5)
-    head = models.init_mlp([3, 4], "tanh", rng)
+    head = models.init_mlp([3, 4], rng)
     kernel = transport_head(3, 4, 2, rng, feature_scale=0.5)
     out = models.predict_target(head, kernel, rng.normal(size=(10, 3)) * 50.0)
     assert np.all(out >= 0.0)
@@ -125,7 +125,7 @@ def test_predict_target_rows_are_distributions():
 
 def test_predict_target_class_count_mismatch():
     rng = np.random.default_rng(6)
-    head = models.init_mlp([2, 3], "tanh", rng)
+    head = models.init_mlp([2, 3], rng)
     kernel = _identity_kernel(2)
     with pytest.raises(ng.DimensionError):
         models.predict_target(head, kernel, rng.normal(size=(2, 2)))
@@ -133,7 +133,7 @@ def test_predict_target_class_count_mismatch():
 
 def test_kernel_isolation_from_source_head():
     rng = np.random.default_rng(7)
-    head = models.init_mlp([2, 3], "tanh", rng)
+    head = models.init_mlp([2, 3], rng)
     kernel = transport_head(2, 3, 3, rng, feature_scale=0.3)
     u = rng.normal(size=(5, 2))
     p_before = models.predict_source(head, u)
@@ -148,7 +148,7 @@ def test_kernel_isolation_from_source_head():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
-    p = models.init_mlp([3, 5, 2], "tanh", rng)
+    p = models.init_mlp([3, 5, 2], rng)
     path = tmp_path / "embedder.json"
     models.save_params(p, path, role="source_embedder")
     loaded, role = models.load_params(path)
@@ -161,7 +161,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_params_vector_roundtrip():
     rng = np.random.default_rng(9)
-    p = models.init_mlp([3, 4, 2], "tanh", rng)
+    p = models.init_mlp([3, 4, 2], rng)
     vec = params_vector(p)
     q = params_with_vector(p, vec)
     assert all(np.array_equal(a.w, b.w) for a, b in zip(p.layers, q.layers))
@@ -181,7 +181,7 @@ def test_mlp_vjp_matches_fd_three_layers(acts):
     shape = models.MlpParams(
         tuple(
             models.Layer(l.w, l.b, act)
-            for l, act in zip(models.init_mlp(dims, "tanh", rng).layers, acts)
+            for l, act in zip(models.init_mlp(dims, rng).layers, acts)
         )
     )
     params = params_with_vector(shape, rng.normal(size=n_parameters(shape)))
@@ -207,7 +207,7 @@ def _stage2_gradient_error(rng, kernel_feature_dim, kz, kt, n=8, d=3):
     finite differences of the stage-2 loss, over every kernel parameter."""
     u = rng.normal(size=(n, d))
     labels = rng.integers(0, kt, size=n)
-    head = models.init_mlp([d, kz], "tanh", rng)
+    head = models.init_mlp([d, kz], rng)
     kernel = transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.4)
     p_s = models.predict_source(head, u)
     onehot = np.eye(kt)[labels]
@@ -241,7 +241,7 @@ def test_stage2_loss_matches_composed_prediction():
     rng = np.random.default_rng(12)
     u = rng.normal(size=(6, 3))
     labels = rng.integers(0, 4, size=6)
-    head = models.init_mlp([3, 5], "tanh", rng)
+    head = models.init_mlp([3, 5], rng)
     kernel = transport_head(3, 5, 4, rng, feature_scale=0.4)
     loss, _ = pipeline._stage2_loss_and_grad(
         kernel, u, models.predict_source(head, u), labels, np.eye(4)[labels]
@@ -260,7 +260,7 @@ def test_stage2_step_matches_reference_bitwise(kz, kernel_feature_dim):
     kt = 3
     u = rng.normal(size=(40, 4))
     labels = rng.integers(0, kt, size=40)
-    head = models.init_mlp([4, kz], "tanh", rng)
+    head = models.init_mlp([4, kz], rng)
     kernel = transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.5)
     p_s = models.predict_source(head, u)
     onehot = np.eye(kt)[labels]
@@ -284,7 +284,7 @@ def test_stage2_loss_rejects_non_finite():
 
 
 def test_transport_head_rejects_multilayer_kernel():
-    mlp = models.init_mlp([5, 4, 3], "tanh")
+    mlp = models.init_mlp([5, 4, 3], np.random.default_rng(0))
     with pytest.raises(ValueError, match="one linear layer"):
         models.TransportHeadParams(mlp, 3, 3)
     tanh_layer = models.MlpParams((models.Layer(np.zeros((5, 3)), np.zeros((1, 3)), "tanh"),))

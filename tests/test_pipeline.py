@@ -23,6 +23,8 @@ from oracles import (
 
 
 SMALL = PipelineConfig(n0=20, n1=10, n2=2, pretrain_epochs=100)
+# the frozen embedder's (FA, FLD): stage 2 only copies it into its records
+GAP = (0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,7 @@ def test_pretrain_zero_epochs_is_noop(rotated_bundle):
     cfg = replace(SMALL, pretrain_epochs=0, seed=2)
     theta, head, _ = pipeline.pretrain_source(rotated_bundle, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([2, 1]))
-    init_theta = models.init_mlp([4, 16, 8], "tanh", rng)
+    init_theta = models.init_mlp([4, 16, 8], rng)
     assert all(
         np.array_equal(a.w, b.w) for a, b in zip(theta.layers, init_theta.layers)
     )
@@ -99,10 +101,10 @@ def test_stage1_zero_epochs_is_noop(rotated_bundle):
     cfg = replace(SMALL, n1=0, n2=0, seed=4)
     theta, head = _pretrained(rotated_bundle, cfg)
     rng = np.random.default_rng(0)
-    phi = models.init_mlp([12, 16, 8], "tanh", rng)
+    phi = models.init_mlp([12, 16, 8], rng)
     phi_out, log = pipeline.stage1(
-        phi, theta, head, rotated_bundle.proxy, rotated_bundle.target, cfg, None,
-        pipeline.target_class_count(rotated_bundle),
+        phi, theta, head, rotated_bundle.proxy, rotated_bundle.target, cfg,
+        rotated_bundle.target_test, pipeline.target_class_count(rotated_bundle),
     )
     assert phi_out is phi
     assert log.records == []
@@ -111,7 +113,7 @@ def test_stage1_zero_epochs_is_noop(rotated_bundle):
 def test_stage1_log_counts_phases(rotated_bundle, monkeypatch):
     cfg = replace(SMALL, n1=3, n2=2, seed=5)
     theta, head = _pretrained(rotated_bundle, cfg)
-    phi = models.init_mlp([12, 16, 8], "tanh", np.random.default_rng(1))
+    phi = models.init_mlp([12, 16, 8], np.random.default_rng(1))
     joints = []
 
     def counted(*args):
@@ -140,11 +142,11 @@ def test_stage1_reduces_alignment_loss_median_over_seeds():
         cfg = PipelineConfig(seed=seed)
         theta, head = _pretrained(bundle, cfg)
         phi = models.init_mlp(
-            [12, 16, 8], "tanh",
+            [12, 16, 8],
             np.random.default_rng(np.random.SeedSequence([seed, 4])),
         )
         phi, log = pipeline.stage1(
-            phi, theta, head, bundle.proxy, bundle.target, cfg, None,
+            phi, theta, head, bundle.proxy, bundle.target, cfg, bundle.target_test,
             pipeline.target_class_count(bundle),
         )
         fa = [r.l_fa for r in log.records if r.phase == "fa"]
@@ -161,7 +163,7 @@ def _aligned_soft_setup(seed=0, n=2000, kz=3, temperature=1.2):
     """Features with a moderately soft source head; labels sampled from it."""
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(n, 4)) * 1.5
-    head = models.init_mlp([4, kz], "tanh", rng)
+    head = models.init_mlp([4, kz], rng)
     head = models.MlpParams(
         (models.Layer(head.layers[0].w * temperature, head.layers[0].b, "linear"),)
     )
@@ -182,20 +184,9 @@ def test_stage2_aligned_labels_small_decrease():
     phi, head, target = _aligned_soft_setup()
     kernel = transport_head(4, 3, 3, identity_boost=6.0)
     cfg = PipelineConfig(n0=40, seed=6)
-    kernel, log = pipeline.stage2(phi, head, kernel, target, cfg)
+    kernel, log = pipeline.stage2(phi, head, kernel, target, cfg, target, GAP)
     nlls = [r.train_nll for r in log.records]
     assert nlls[0] - min(nlls) < 1e-2
-
-
-def test_stage2_without_gap_or_eval_records_none():
-    """A value stage 2 did not measure is None in its records, not NaN."""
-    phi, head, target = _aligned_soft_setup()
-    kernel = transport_head(4, 3, 3, identity_boost=6.0)
-    _, log = pipeline.stage2(phi, head, kernel, target, PipelineConfig(n0=2, seed=6))
-    assert len(log.records) == 2
-    for r in log.records:
-        assert (r.l_fa, r.l_fld, r.semantic_gap, r.holdout_error) == (None,) * 4
-        assert isinstance(r.train_nll, float)
 
 
 def test_stage2_learns_planted_permutation():
@@ -220,7 +211,7 @@ def test_stage2_learns_planted_permutation():
         + theta.layers[1:]
     )
     kernel = models.init_transport_head(0, 3, 3)
-    kernel, _ = pipeline.stage2(phi, head, kernel, bundle.target, cfg)
+    kernel, _ = pipeline.stage2(phi, head, kernel, bundle.target, cfg, bundle.target_test, GAP)
     perm = np.array(bundle.meta["planted_permutation"])
     lam = models.kernel_matrices(kernel, models.embed(phi, bundle.target.x))[0]
     assert np.all(lam[np.arange(3), perm] >= 0.9)
@@ -229,10 +220,12 @@ def test_stage2_learns_planted_permutation():
 def test_stage2_never_touches_embedder(rotated_bundle):
     cfg = replace(SMALL, seed=8)
     theta, head = _pretrained(rotated_bundle, cfg)
-    phi = models.init_mlp([12, 16, 8], "tanh", np.random.default_rng(2))
+    phi = models.init_mlp([12, 16, 8], np.random.default_rng(2))
     snapshot = [(l.w.copy(), l.b.copy()) for l in phi.layers]
     kernel = models.init_transport_head(8, 3, 3)
-    pipeline.stage2(phi, head, kernel, rotated_bundle.target, cfg)
+    pipeline.stage2(
+        phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
+    )
     assert all(
         np.array_equal(l.w, w) and np.array_equal(l.b, b)
         for l, (w, b) in zip(phi.layers, snapshot)
@@ -245,11 +238,13 @@ def test_stage2_loss_nonincreasing_median_over_seeds(rotated_bundle):
         cfg = PipelineConfig(n0=30, seed=seed)
         theta, head = _pretrained(rotated_bundle, cfg)
         phi = models.init_mlp(
-            [12, 16, 8], "tanh",
+            [12, 16, 8],
             np.random.default_rng(np.random.SeedSequence([seed, 4])),
         )
         kernel = models.init_transport_head(8, 3, 3)
-        _, log = pipeline.stage2(phi, head, kernel, rotated_bundle.target, cfg)
+        _, log = pipeline.stage2(
+            phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
+        )
         nlls = np.array([r.train_nll for r in log.records])
         worst_increase.append(float(np.max(np.diff(nlls), initial=0.0)))
     assert np.median(worst_increase) <= 1e-3
@@ -265,11 +260,11 @@ def test_stage2_records_score_predict_target(rotated_bundle):
     kt = pipeline.target_class_count(rotated_bundle)
     kernel0 = models.init_transport_head(theta.output_dim, head.output_dim, kt)
     target, held = rotated_bundle.target, rotated_bundle.target_test
-    _, log = pipeline.stage2(phi, head, kernel0, target, cfg, held)
+    _, log = pipeline.stage2(phi, head, kernel0, target, cfg, held, GAP)
     u_eval = models.embed(phi, held.x)
     errors = set()
     for epochs in (1, 5, cfg.n0):
-        kernel, _ = pipeline.stage2(phi, head, kernel0, target, replace(cfg, n0=epochs))
+        kernel, _ = pipeline.stage2(phi, head, kernel0, target, replace(cfg, n0=epochs), held, GAP)
         pred = np.argmax(models.predict_target(head, kernel, u_eval), axis=1)
         errors.add(log.records[epochs - 1].holdout_error)
         assert log.records[epochs - 1].holdout_error == float(np.mean(pred != held.y))
@@ -282,7 +277,9 @@ def test_stage2_rejects_kernel_of_other_source_classes(rotated_bundle):
     phi = pipeline.init_target_embedder(rotated_bundle, theta, cfg.seed)
     kernel = models.init_transport_head(theta.output_dim, head.output_dim + 1, 3)
     with pytest.raises(DimensionError, match="^stage2: head emits 3 classes, kernel consumes 4$"):
-        pipeline.stage2(phi, head, kernel, rotated_bundle.target, cfg)
+        pipeline.stage2(
+            phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +331,12 @@ def test_runlog_jsonl_roundtrip(tmp_path, rotated_bundle):
 
 
 def test_runlog_jsonl_is_strict_json(tmp_path):
-    """Unmeasured values (stage-1 train_nll, a stage-2 run without a frozen
-    gap) are None, written as null and read back as None."""
+    """A stage-1 record's train_nll, the one value an epoch leaves
+    unmeasured, is None, written as null and read back as None; every
+    other value is a number."""
     log = RunLog()
     log.append(RunRecord(1, "fa", 0.5, 0.25, 0.75, 0.1, None, 0.0))
-    log.append(RunRecord(1, "predictor", None, None, None, 0.2, 0.9, 0.1))
+    log.append(RunRecord(1, "predictor", 0.5, 0.25, 0.75, 0.2, 0.9, 0.1))
     path = tmp_path / "runlog.jsonl"
     log.to_jsonl(path)
 
@@ -346,10 +344,11 @@ def test_runlog_jsonl_is_strict_json(tmp_path):
         raise ValueError(f"not JSON: {constant}")
 
     rows = [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
-    assert rows[0]["train_nll"] is None and rows[1]["l_fa"] is None
+    nulls = [(r["phase"], k) for r in rows for k, v in r.items() if v is None]
+    assert nulls == [("fa", "train_nll")]
     loaded = RunLog.from_jsonl(path)
     assert loaded.records == log.records
-    assert loaded.records[1].semantic_gap is None
+    assert loaded.records[0].train_nll is None
 
 
 def test_runlog_rejects_out_of_order_records():

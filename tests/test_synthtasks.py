@@ -1,6 +1,7 @@
 """Task generation, dataset files, and exact-instance substrates."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,7 +99,13 @@ def test_bayes_error_metadata():
     assert bundle.meta["bayes_error"] == pytest.approx(0.08)
     spec2 = TaskSpec(family="gap_dial", target_dim=4, gap_knob=1.0, seed=7)
     bundle2 = synthtasks.generate(spec2)
-    assert bundle2.meta["bayes_error"] > 0.5  # scrambled labels: near-chance floor
+    # knob 1: every class has the same input law, so the posterior is uniform
+    assert bundle2.meta["bayes_error"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    dial = TaskSpec(family="gap_dial", target_dim=4, seed=0)
+    # knob 0: the classes barely overlap, so only the label flip errs
+    assert synthtasks.generate(dial).meta["bayes_error"] == pytest.approx(0.1, abs=1e-6)
+    half = synthtasks.generate(replace(dial, gap_knob=0.5)).meta["bayes_error"]
+    assert half == pytest.approx(0.483, abs=0.005)
 
 
 def test_invalid_specs_rejected():
@@ -110,6 +117,9 @@ def test_invalid_specs_rejected():
         TaskSpec(family="gap_dial", gap_knob=1.5, target_dim=4)
     with pytest.raises(ValueError):
         TaskSpec(family="permuted_labels", n_classes=3, n_target_classes=4)
+    for noise in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=r"label_noise must lie in \[0, 1\]"):
+            TaskSpec(label_noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +148,12 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded.x, bundle.source.x)
     assert np.array_equal(loaded.y, bundle.source.y)
     assert meta["family"] == "rotated"
+
+
+def test_dataset_needs_one_input_row_per_label():
+    for x in (np.zeros(2), np.zeros((2, 2)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match="one row per label"):
+            Dataset(x, np.array([0]))
 
 
 def test_dataset_csv_float_labels(tmp_path):

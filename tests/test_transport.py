@@ -400,8 +400,8 @@ def test_dual_lower_bound_never_exceeds_exact():
 
 def _toy_embedders(seed=0):
     rng = np.random.default_rng(seed)
-    phi = models.init_mlp([3, 6, 4], "tanh", rng)
-    theta = models.init_mlp([3, 6, 4], "tanh", rng)
+    phi = models.init_mlp([3, 6, 4], rng)
+    theta = models.init_mlp([3, 6, 4], rng)
     return phi, theta
 
 
@@ -410,7 +410,7 @@ def test_fa_aligned_case():
     phi, _ = _toy_embedders()
     batch = rng.normal(size=(10, 3))
     loss, grads, res = transport.fa_loss_and_grad(
-        phi, phi, batch, batch, omega=1.0,
+        phi, batch, models.embed(phi, batch), omega=1.0,
         cfg=SinkhornConfig(epsilon=0.01, max_iter=5000, tol=1e-7),
     )
     # identical clouds: loss is only the entropic bias, gradient nearly flat
@@ -423,7 +423,7 @@ def test_fa_omega_zero():
     rng = np.random.default_rng(3)
     phi, theta = _toy_embedders()
     loss, grads, res = transport.fa_loss_and_grad(
-        phi, theta, rng.normal(size=(5, 3)), rng.normal(size=(6, 3)), omega=0.0,
+        phi, rng.normal(size=(5, 3)), models.embed(theta, rng.normal(size=(6, 3))), omega=0.0,
         cfg=SinkhornConfig(epsilon=0.1, max_iter=1000, tol=1e-7),
     )
     assert loss == 0.0
@@ -438,9 +438,9 @@ def test_fa_fixed_coupling_gradient_matches_fd():
     source = rng.normal(size=(7, 3))
     omega = 0.7
     cfg = SinkhornConfig(epsilon=0.1, max_iter=2000, tol=1e-7)
-    loss, grads, res = transport.fa_loss_and_grad(phi, theta, target, source, omega, cfg)
-    pi = res.coupling
     v = models.embed(theta, source)
+    loss, grads, res = transport.fa_loss_and_grad(phi, target, v, omega, cfg)
+    pi = res.coupling
 
     def fixed_coupling_loss(vec):
         p = params_with_vector(phi, vec)
