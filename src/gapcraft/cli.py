@@ -202,7 +202,8 @@ def cmd_stage2(args, out: Path) -> int:
         phi, head, kernel, bundle.target, cfg, bundle.target_test,
         pipeline.frozen_gap(phi, theta, head, bundle, cfg),
     )
-    models.save_params(kernel.mlp, out / "kernel.json", role="transport_head")
+    one_layer = models.MlpParams((models.Layer(kernel.w, kernel.b, "linear"),))
+    models.save_params(one_layer, out / "kernel.json", role="transport_head")
     log2.to_jsonl(out / "runlog.jsonl")
     holdout = pipeline.score_holdout(phi, head, kernel, bundle)
     (out / "stage2_summary.json").write_text(

@@ -268,6 +268,20 @@ def random_vertex_entropies(
     return ent
 
 
+def _target_batch(target_x, target_labels, n_target_classes: int, caller: str):
+    """The checked (x, labels) of a target batch; errors name ``caller``."""
+    x = ng.as_matrix(target_x, "target batch")
+    labels = np.asarray(target_labels, dtype=np.int64).ravel()
+    if x.shape[0] == 0 or labels.shape[0] != x.shape[0]:
+        raise ValueError(f"{caller}: {x.shape[0]} target rows for {labels.shape[0]} labels")
+    if labels.min() < 0 or labels.max() >= n_target_classes:
+        raise ValueError(
+            f"{caller}: target labels must lie in [0, {n_target_classes}), "
+            f"got range [{labels.min()}, {labels.max()}]"
+        )
+    return x, labels
+
+
 def pseudo_label_stats(
     phi: MlpParams,
     source_head: MlpParams,
@@ -283,22 +297,11 @@ def pseudo_label_stats(
     of the hard counts C(z, z')/kappa that sample one source label per
     point.
     """
-    x = ng.as_matrix(target_x, "target batch")
-    labels = np.asarray(target_labels, dtype=np.int64).ravel()
-    if x.shape[0] == 0:
-        raise ValueError("pseudo_label_stats: empty target dataset")
-    if labels.shape[0] != x.shape[0]:
-        raise ValueError("pseudo_label_stats: features and labels disagree in length")
-    if labels.min() < 0 or labels.max() >= n_target_classes:
-        raise ValueError(
-            f"target labels must lie in [0, {n_target_classes}), "
-            f"got range [{labels.min()}, {labels.max()}]"
-        )
-    kappa = x.shape[0]
+    x, labels = _target_batch(target_x, target_labels, n_target_classes, "pseudo_label_stats")
     p = models.predict_source(source_head, models.embed(phi, x))
     joint = np.zeros((p.shape[1], n_target_classes))
     np.add.at(joint.T, labels, p)
-    joint /= kappa
+    joint /= x.shape[0]
     return joint
 
 
@@ -330,12 +333,7 @@ def fld_loss_and_grad(
     and pulled back through embedder and head together; only the
     embedder's gradient is returned.
     """
-    x = ng.as_matrix(target_x, "target batch")
-    labels = np.asarray(target_labels, dtype=np.int64).ravel()
-    if x.shape[0] == 0:
-        raise ValueError("fld_loss_and_grad: empty target dataset")
-    if labels.min() < 0 or labels.max() >= n_target_classes:
-        raise ValueError("fld_loss_and_grad: label index out of range")
+    x, labels = _target_batch(target_x, target_labels, n_target_classes, "fld_loss_and_grad")
     observed, column = np.unique(labels, return_inverse=True)
     onehot = (labels[:, None] == observed[None, :]).astype(np.float64)
     n = x.shape[0]

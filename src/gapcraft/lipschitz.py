@@ -56,8 +56,15 @@ class LipschitzConfig:
     enforcement_margin: float = 0.8
 
     def __post_init__(self):
-        if self.omega <= 0.0:
+        # each check is written so that NaN fails it
+        if not self.omega > 0.0:
             raise ValueError("omega must be positive")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be positive")
+        if not self.epochs >= 0:
+            raise ValueError("epochs must be nonnegative")
+        if not self.penalty_weight >= 0.0:
+            raise ValueError("penalty_weight must be nonnegative")
         if not 0.0 < self.enforcement_margin <= 1.0:
             raise ValueError("enforcement_margin must lie in (0, 1]")
 

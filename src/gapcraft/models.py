@@ -11,7 +11,7 @@ The kernel is one linear layer on [u, one-hot z]; its weight splits into
 a feature block w_u and a label block w_z, so the logits for every source
 class come from one broadcast, u @ w_u + w_z[z] + b.  Prediction
 (:func:`kernel_matrices`) and stage-2 training share that forward; stage 2
-checks its frozen features once and then calls the forward directly.
+checks its feature width once and then calls the forward directly.
 
 Every MLP forward is :func:`mlp_apply`, which rejects non-finite
 pre-activations.  Reverse mode is :func:`mlp_vjp`: :func:`mlp_apply`
@@ -86,31 +86,28 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class TransportHeadParams:
-    """Kernel mapping (feature u, one-hot source label z) -> logits over z'.
+    """Kernel mapping (feature u, one-hot source label z) -> logits over z':
+    one linear layer, ``w`` (feature_dim + n_source_classes, n_target_classes)
+    and ``b`` (1, n_target_classes).  feature_dim 0 is a label-only kernel."""
 
-    ``mlp`` must be a single linear layer: the broadcast forward in
-    :func:`kernel_matrices` relies on it.
-    """
-
-    mlp: MlpParams
+    w: Matrix
+    b: Matrix
     n_source_classes: int
-    n_target_classes: int
 
     @property
     def feature_dim(self) -> int:
-        return self.mlp.input_dim - self.n_source_classes
+        return self.w.shape[0] - self.n_source_classes
+
+    @property
+    def n_target_classes(self) -> int:
+        return self.w.shape[1]
 
     def __post_init__(self):
-        if len(self.mlp.layers) != 1 or self.mlp.layers[0].act != "linear":
-            raise ValueError("transport head must be exactly one linear layer")
-        if self.mlp.output_dim != self.n_target_classes:
+        if self.w.ndim != 2 or self.b.shape != (1, self.w.shape[1]) or self.feature_dim < 0:
             raise DimensionError(
-                f"kernel outputs {self.mlp.output_dim} logits, "
-                f"expected {self.n_target_classes}"
+                f"transport head shapes inconsistent: w {self.w.shape}, b {self.b.shape}, "
+                f"{self.n_source_classes} source classes"
             )
-        # feature_dim == 0 is allowed: a pure label-transport kernel
-        if self.mlp.input_dim < self.n_source_classes:
-            raise DimensionError("kernel input must cover the one-hot label block")
 
 
 def init_mlp(dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
@@ -138,10 +135,9 @@ def init_transport_head(
     w = np.zeros((feature_dim + n_source_classes, n_target_classes))
     if n_source_classes == n_target_classes:
         w[feature_dim:] = IDENTITY_BOOST * np.eye(n_source_classes)
-    mlp = MlpParams(
-        (Layer(freeze(w), freeze(np.zeros((1, n_target_classes))), "linear"),)
+    return TransportHeadParams(
+        freeze(w), freeze(np.zeros((1, n_target_classes))), n_source_classes
     )
-    return TransportHeadParams(mlp, n_source_classes, n_target_classes)
 
 
 def _activate(x: np.ndarray, act: str) -> np.ndarray:
@@ -177,29 +173,22 @@ def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
     [i, z, z'] is the kernel's probability of target label z' given source
     label z at feature u_i.
     """
-    return _kernel_forward(kernel, _kernel_features(kernel, u))
-
-
-def _kernel_features(kernel: TransportHeadParams, u) -> Matrix:
-    """``u`` checked as a feature batch for ``kernel``."""
     u = ng.as_matrix(u, "feature batch")
     fd = kernel.feature_dim
     # label-only kernels (feature_dim 0) ignore the features entirely
     if fd and u.shape[1] != fd:
         raise DimensionError(
-            f"kernel_matrices: features have {u.shape[1]} columns, "
-            f"kernel expects {fd}"
+            f"kernel_matrices: features have {u.shape[1]} columns, kernel expects {fd}"
         )
-    return u
+    return _kernel_forward(kernel, u)
 
 
 def _kernel_forward(kernel: TransportHeadParams, u: Matrix) -> np.ndarray:
-    """:func:`kernel_matrices` at features already passed through
-    :func:`_kernel_features`, for loops that reuse a frozen batch."""
+    """:func:`kernel_matrices` at a feature batch already checked, for
+    loops that reuse a frozen batch."""
     fd = kernel.feature_dim
-    layer = kernel.mlp.layers[0]
-    w_u, w_z = layer.w[:fd], layer.w[fd:]
-    return softmax((u[:, :fd] @ w_u)[:, None, :] + w_z[None] + layer.b[None])
+    w_u, w_z = kernel.w[:fd], kernel.w[fd:]
+    return softmax((u[:, :fd] @ w_u)[:, None, :] + w_z[None] + kernel.b[None])
 
 
 def predict_target(source_head: MlpParams, kernel: TransportHeadParams, u) -> Matrix:

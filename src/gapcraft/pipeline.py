@@ -88,14 +88,15 @@ class PipelineConfig:
     scale: float = 1.0  # shrinks epoch counts for fast runs
 
     def __post_init__(self):
-        if min(self.n0, self.n1, self.n2, self.pretrain_epochs) < 0:
+        # each check is written so that NaN fails it
+        if not all(n >= 0 for n in (self.n0, self.n1, self.n2, self.pretrain_epochs)):
             raise ValueError("epoch counts must be nonnegative")
-        if min(self.lr_fa, self.lr_fld, self.lr_predictor) <= 0:
+        if not all(lr > 0.0 for lr in (self.lr_fa, self.lr_fld, self.lr_predictor)):
             raise ValueError("learning rates must be positive")
         if self.baseline not in VARIANTS:
             raise ValueError(f"baseline must be one of {VARIANTS}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:  # effective_epochs rounds scaled counts
+            raise ValueError("scale must be positive and finite")
 
     def effective_epochs(self) -> tuple[int, int, int]:
         """(n1, n2, n0) after the variant reduction and scale factor."""
@@ -341,11 +342,11 @@ def _stage2_loss_and_grad(
     p_source: np.ndarray,
     labels: np.ndarray,
     onehot: np.ndarray,
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """-mean log p_target(label | u) and its gradient in the kernel's (w, b).
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """-mean log p_target(label | u) and its gradient (gw, gb) in the kernel's (w, b).
 
-    ``u`` has passed :func:`models._kernel_features` and ``onehot`` is
-    ``labels`` one-hot over the target classes.  With
+    ``u`` is a checked feature batch of the kernel's width and ``onehot``
+    is ``labels`` one-hot over the target classes.  With
     lam = kernel_matrices(kernel, u), the cotangent on the logits of
     source class z at row i is post[i, z] (lam[i, z] - e_y) / n, where
     post[i, z] = p_s[i, z] lam[i, z, y_i] / p_tau[i, y_i] is the posterior
@@ -363,7 +364,7 @@ def _stage2_loss_and_grad(
     post = p_source * lam[rows, :, labels] / p_tau[:, None]
     g = post[:, :, None] * (lam - onehot[:, None, :]) / n
     gw = np.vstack([u[:, : kernel.feature_dim].T @ g.sum(axis=1), g.sum(axis=0)])
-    return loss, [(gw, g.sum(axis=(0, 1))[None, :])]
+    return loss, gw, g.sum(axis=(0, 1))[None, :]
 
 
 def stage2(
@@ -378,35 +379,34 @@ def stage2(
     """Fit the transport-head predictor on the frozen embedder.
 
     Maximizes the likelihood of the target labels under the composed
-    predictor; only the kernel parameters move.  Each epoch's record holds
-    ``frozen_gap``, the embedder's (FA, FLD), and the predictor's error on
-    ``target_eval``.
+    predictor; only the kernel's (w, b) moves, and the kernel reads
+    ``phi``'s features (or none) and ``source_head``'s classes.  Each
+    epoch's record holds ``frozen_gap``, the embedder's (FA, FLD), and the
+    predictor's error on ``target_eval``.
     """
     if source_head.output_dim != kernel.n_source_classes:
         raise DimensionError(
             f"stage2: head emits {source_head.output_dim} classes, "
             f"kernel consumes {kernel.n_source_classes}"
         )
-    # the embedder and source head are frozen: everything but the kernel's
-    # forward is computed, and checked, once
+    if kernel.feature_dim and phi.output_dim != kernel.feature_dim:
+        raise DimensionError(
+            f"stage2: phi emits {phi.output_dim} features, kernel expects {kernel.feature_dim}"
+        )
+    # the embedder and source head are frozen: only the kernel's forward repeats
     onehot = np.eye(kernel.n_target_classes)[target.y]
     u = models.embed(phi, target.x)
     p_source = models.predict_source(source_head, u)
-    u = models._kernel_features(kernel, u)
     u_eval = models.embed(phi, target_eval.x)
     p_eval = models.predict_source(source_head, u_eval)
-    u_eval = models._kernel_features(kernel, u_eval)
     _, _, n0 = cfg.effective_epochs()
     log = RunLog()
     start = time.perf_counter()
     l_fa, l_fld = frozen_gap
+    lr = cfg.lr_predictor
     for epoch in range(1, n0 + 1):
-        nll, grads = _stage2_loss_and_grad(kernel, u, p_source, target.y, onehot)
-        kernel = TransportHeadParams(
-            models.sgd_update(kernel.mlp, grads, cfg.lr_predictor),
-            kernel.n_source_classes,
-            kernel.n_target_classes,
-        )
+        nll, gw, gb = _stage2_loss_and_grad(kernel, u, p_source, target.y, onehot)
+        kernel = replace(kernel, w=ng.freeze(kernel.w - lr * gw), b=ng.freeze(kernel.b - lr * gb))
         # models.predict_target with its source half precomputed
         lam = models._kernel_forward(kernel, u_eval)
         pred = np.argmax(np.einsum("nz,nzt->nt", p_eval, lam), axis=1)

@@ -70,8 +70,8 @@ class TaskSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n_classes < 2 or self.n_target_classes < 2:
             raise ValueError("classification needs at least 2 classes per task")
-        if self.n_target < 1:
-            raise ValueError("n_target must be at least 1")
+        if not min(self.n_source, self.n_proxy, self.n_target, self.n_target_test) >= 1:
+            raise ValueError("n_source, n_proxy, n_target and n_target_test must be at least 1")
         if not 0.0 <= self.gap_knob <= 1.0:
             raise ValueError("gap_knob must lie in [0, 1]")
         if not 0.0 <= self.label_noise <= 1.0:
@@ -80,6 +80,8 @@ class TaskSpec:
             self.n_target_classes != self.n_classes
         ):
             raise ValueError(f"{self.family} requires matching class counts")
+        if self.n_target_classes < self.n_classes:  # target labels are source classes
+            raise ValueError("n_target_classes must be at least n_classes")
         if self.family == "gap_dial" and self.target_dim != self.source_dim:
             raise ValueError("gap_dial keeps the input space: target_dim == source_dim")
 
@@ -377,29 +379,33 @@ def save_dataset(ds: Dataset, path, meta: dict | None = None) -> None:
 
 def load_dataset(path) -> tuple[Dataset, dict]:
     """Read a :func:`save_dataset` file; ValueError names a file with no
-    header or no data rows, a row whose field count is not the header's,
-    or a label column that is not integer class ids."""
+    header or no data rows, the line of a row whose field count is not the
+    header's or whose feature field is not a finite number, or a label
+    column that is not integer class ids."""
     path = Path(path)
     with path.open() as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
+        if not header:  # an empty file, or a blank first line
             raise ValueError(f"{path}: no header")
-        rows = []
+        x, labels = [], []
         for row in reader:
+            at = f"{path}:{reader.line_num}"
             if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
+                raise ValueError(f"{at}: expected {len(header)} fields, got {len(row)}")
+            try:
+                x.append([float(v) for v in row[:-1]])
+            except ValueError as exc:
+                raise ValueError(f"{at}: {exc}") from exc
+            if not np.isfinite(x[-1]).all():
+                raise ValueError(f"{at}: feature fields must be finite, got {row[:-1]}")
+            labels.append(row[-1])
+    if not x:
         raise ValueError(f"{path}: no data rows")
-    n_features = len(header) - 1
-    x = np.array([[float(v) for v in row[:n_features]] for row in rows])
     try:
-        y = np.array([int(row[n_features]) for row in rows], dtype=np.int64)
+        y = np.array([int(v) for v in labels], dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: labels must be integer class ids: {exc}") from exc
     sidecar = path.with_suffix(".json")
     meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    return Dataset(x, y), meta
+    return Dataset(np.array(x), y), meta

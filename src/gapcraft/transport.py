@@ -52,10 +52,13 @@ class SinkhornConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        # each check is written so that NaN fails it
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)

@@ -487,9 +487,8 @@ def transport_head(
         w[:feature_dim] = rng.normal(0.0, feature_scale, size=(feature_dim, n_target_classes))
     if n_source_classes == n_target_classes:
         w[feature_dim:] = identity_boost * np.eye(n_source_classes)
-    layer = Layer(freeze(w), freeze(np.zeros((1, n_target_classes))), "linear")
     return models.TransportHeadParams(
-        MlpParams((layer,)), n_source_classes, n_target_classes
+        freeze(w), freeze(np.zeros((1, n_target_classes))), n_source_classes
     )
 
 

@@ -179,6 +179,8 @@ MALFORMED_INPUT_MESSAGES = {
     "dataset_long_row": "target.csv:2: expected 13 fields, got 14",
     "dataset_empty_file": "target.csv: no header",
     "dataset_header_only": "target.csv: no data rows",
+    "dataset_nan_feature": "target.csv:2: feature fields must be finite",
+    "dataset_text_feature": "target.csv:2: could not convert string to float: 'abc'",
 }
 
 
@@ -217,6 +219,8 @@ def test_malformed_input_files_exit_1(cli_workspace, tmp_path, capsys, case):
             "dataset_long_row": [header, first + ",7", *rest],
             "dataset_empty_file": [],
             "dataset_header_only": [header],
+            "dataset_nan_feature": [header, "nan," + first.split(",", 1)[1], *rest],
+            "dataset_text_feature": [header, "abc," + first.split(",", 1)[1], *rest],
         }[case]
         (data / "target.csv").write_text("".join(line + "\n" for line in lines))
         argv = ["stage1", "--data", str(data), "--models", str(cli_workspace / "m2")]
@@ -425,7 +429,9 @@ def test_resolved_config_follows_every_return(tmp_path, monkeypatch, capsys, cas
 
 
 @pytest.mark.parametrize(
-    "case", ["correlate-undefined", "gen-label-noise-above-one", "pretrain-missing-data"]
+    "case",
+    ["correlate-undefined", "gen-label-noise-above-one", "gen-n-source-zero",
+     "pretrain-missing-data"],
 )
 def test_no_resolved_config_after_a_raised_error(tmp_path, capsys, case):
     if case == "correlate-undefined":
@@ -434,6 +440,9 @@ def test_no_resolved_config_after_a_raised_error(tmp_path, capsys, case):
     elif case == "gen-label-noise-above-one":
         argv = ["gen", "--label-noise", "1.5"]
         message = "label_noise must lie in [0, 1]"
+    elif case == "gen-n-source-zero":
+        argv = ["gen", "--n-source", "0"]
+        message = "n_source, n_proxy, n_target and n_target_test must be at least 1"
     else:
         argv = ["pretrain", "--data", str(tmp_path / "nope")]
         message = f"data directory not found: {tmp_path / 'nope'}"
@@ -441,6 +450,31 @@ def test_no_resolved_config_after_a_raised_error(tmp_path, capsys, case):
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert out.is_dir() and not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["recalibrate", "--epochs=-5"], "epochs must be nonnegative"),
+     (["recalibrate", "--lr", "nan"], "lr must be positive"),
+     (["stage1", "--omega", "nan"], "omega must be positive"),
+     (["stage1", "--epsilon", "nan"], "epsilon must be positive"),
+     (["stage1", "--sinkhorn-tol", "0"], "tol must be positive"),
+     (["stage1", "--lr-fa", "nan"], "learning rates must be positive"),
+     (["stage1", "--scale", "nan"], "scale must be positive and finite"),
+     (["stage1", "--scale", "inf"], "scale must be positive and finite")],
+    ids=["recalibrate-epochs-negative", "recalibrate-lr-nan", "stage1-omega-nan",
+         "stage1-epsilon-nan", "stage1-sinkhorn-tol-zero", "stage1-lr-fa-nan", "stage1-scale-nan",
+         "stage1-scale-inf"],
+)
+def test_out_of_range_config_values_exit_1(cli_workspace, tmp_path, capsys, flags, message):
+    """A config value out of range, NaN included, is a domain error: exit 1
+    with an error line, no traceback and no resolved config."""
+    command, *rest = flags
+    argv = [command, "--data", str(cli_workspace / "data"), "--models", str(cli_workspace / "m2")]
+    out = tmp_path / "out"
+    assert main(argv + rest + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_baseline_runs_gap_dial(tmp_path, capsys):

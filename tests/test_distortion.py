@@ -362,6 +362,23 @@ def test_stats_rejects_empty_and_out_of_range():
         distortion.pseudo_label_stats(phi, head, np.zeros((2, 2)), [0, 5], 2)
 
 
+@pytest.mark.parametrize("fn", [distortion.pseudo_label_stats, distortion.fld_loss_and_grad],
+                         ids=lambda fn: fn.__name__)
+def test_target_batch_errors_name_their_caller(fn):
+    """Both target-batch readers reject an empty batch, a label count that
+    is not the row count, and labels outside the target classes."""
+    phi = _identity_embedder(2)
+    head = models.init_mlp([2, 2], np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(10, 2))
+    for rows, labels, message in [
+        (x[:0], [], "0 target rows for 0 labels"),
+        (x, [0, 1] * 3 + [0], "10 target rows for 7 labels"),
+        (x, [0, 1] * 4 + [0, 2], r"target labels must lie in \[0, 2\), got range \[0, 2\]"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{fn.__name__}: .*{message}"):
+            fn(phi, head, rows, labels, 2)
+
+
 # ---------------------------------------------------------------------------
 # fld_surrogate
 # ---------------------------------------------------------------------------

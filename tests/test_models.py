@@ -87,11 +87,7 @@ def test_predict_target_identity_kernel_is_source():
 def test_predict_target_uniform_kernel_absorbs():
     rng = np.random.default_rng(4)
     head = models.init_mlp([2, 3], rng)
-    kernel = models.TransportHeadParams(
-        models.MlpParams((models.Layer(np.zeros((5, 3)), np.zeros((1, 3)), "linear"),)),
-        3,
-        3,
-    )
+    kernel = models.TransportHeadParams(np.zeros((5, 3)), np.zeros((1, 3)), 3)
     out = models.predict_target(head, kernel, rng.normal(size=(4, 2)))
     assert np.allclose(out, 1.0 / 3)
 
@@ -107,9 +103,7 @@ def test_predict_target_hand_product():
     )
     kernel_w = np.zeros((4, 2))
     kernel_w[2:] = np.log(lam)
-    kernel = models.TransportHeadParams(
-        models.MlpParams((models.Layer(kernel_w, np.zeros((1, 2)), "linear"),)), 2, 2
-    )
+    kernel = models.TransportHeadParams(kernel_w, np.zeros((1, 2)), 2)
     out = models.predict_target(head, kernel, np.zeros((1, 2)))
     assert np.allclose(out, [[0.69, 0.31]], atol=1e-12)
 
@@ -138,10 +132,8 @@ def test_kernel_isolation_from_source_head():
     u = rng.normal(size=(5, 2))
     p_before = models.predict_source(head, u)
     tau_before = models.predict_target(head, kernel, u)
-    noise = np.random.default_rng(70).normal(size=kernel.mlp.layers[0].w.shape)
-    bumped = models.TransportHeadParams(
-        models.sgd_update(kernel.mlp, [(noise, np.zeros((1, 3)))], -0.5), 3, 3
-    )
+    noise = np.random.default_rng(70).normal(size=kernel.w.shape)
+    bumped = models.TransportHeadParams(kernel.w + 0.5 * noise, kernel.b, 3)
     assert np.array_equal(models.predict_source(head, u), p_before)
     assert not np.allclose(models.predict_target(head, bumped, u), tau_before)
 
@@ -211,16 +203,15 @@ def _stage2_gradient_error(rng, kernel_feature_dim, kz, kt, n=8, d=3):
     kernel = transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.4)
     p_s = models.predict_source(head, u)
     onehot = np.eye(kt)[labels]
-    _, grads = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
-    analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
+    _, gw, gb = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
+    analytic = np.concatenate([gw.ravel(), gb.ravel()])
 
     def f(vec):
-        k = models.TransportHeadParams(
-            params_with_vector(kernel.mlp, vec), kz, kt
-        )
+        w = vec[: kernel.w.size].reshape(kernel.w.shape)
+        k = models.TransportHeadParams(w, vec[kernel.w.size :].reshape(1, kt), kz)
         return pipeline._stage2_loss_and_grad(k, u, p_s, labels, onehot)[0]
 
-    fd = finite_difference(f, params_vector(kernel.mlp))
+    fd = finite_difference(f, np.concatenate([kernel.w.ravel(), kernel.b.ravel()]))
     return relative_gradient_error(analytic, fd)
 
 
@@ -243,7 +234,7 @@ def test_stage2_loss_matches_composed_prediction():
     labels = rng.integers(0, 4, size=6)
     head = models.init_mlp([3, 5], rng)
     kernel = transport_head(3, 5, 4, rng, feature_scale=0.4)
-    loss, _ = pipeline._stage2_loss_and_grad(
+    loss, _, _ = pipeline._stage2_loss_and_grad(
         kernel, u, models.predict_source(head, u), labels, np.eye(4)[labels]
     )
     p_tau = models.predict_target(head, kernel, u)
@@ -264,10 +255,9 @@ def test_stage2_step_matches_reference_bitwise(kz, kernel_feature_dim):
     kernel = transport_head(kernel_feature_dim, kz, kt, rng, feature_scale=0.5)
     p_s = models.predict_source(head, u)
     onehot = np.eye(kt)[labels]
-    loss, [(gw, gb)] = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
-    layer = kernel.mlp.layers[0]
+    loss, gw, gb = pipeline._stage2_loss_and_grad(kernel, u, p_s, labels, onehot)
     ref_loss, ref_gw, ref_gb = stage2_loss_and_grad(
-        layer.w, layer.b, kernel_feature_dim, u, p_s, labels, onehot
+        kernel.w, kernel.b, kernel_feature_dim, u, p_s, labels, onehot
     )
     assert loss == ref_loss
     assert gw.tobytes() == ref_gw.tobytes() and gw.shape == ref_gw.shape
@@ -283,13 +273,16 @@ def test_stage2_loss_rejects_non_finite():
         )
 
 
-def test_transport_head_rejects_multilayer_kernel():
-    mlp = models.init_mlp([5, 4, 3], np.random.default_rng(0))
-    with pytest.raises(ValueError, match="one linear layer"):
-        models.TransportHeadParams(mlp, 3, 3)
-    tanh_layer = models.MlpParams((models.Layer(np.zeros((5, 3)), np.zeros((1, 3)), "tanh"),))
-    with pytest.raises(ValueError, match="one linear layer"):
-        models.TransportHeadParams(tanh_layer, 3, 3)
+def test_transport_head_rejects_inconsistent_shapes():
+    # w not 2-D, b of the wrong width or rank, fewer rows than source classes
+    for w_shape, b_shape in [
+        ((5, 3, 1), (1, 3)), ((15,), (1, 3)), ((5, 3), (1, 2)), ((5, 3), (3,)), ((2, 3), (1, 3)),
+    ]:
+        with pytest.raises(ng.DimensionError, match="transport head shapes inconsistent"):
+            models.TransportHeadParams(np.zeros(w_shape), np.zeros(b_shape), 3)
+    # a label-only kernel has no feature rows
+    kernel = models.TransportHeadParams(np.zeros((3, 2)), np.zeros((1, 2)), 3)
+    assert (kernel.feature_dim, kernel.n_target_classes) == (0, 2)
 
 
 def test_kernel_matrices_match_per_class_forward():
@@ -298,7 +291,6 @@ def test_kernel_matrices_match_per_class_forward():
     kernel = transport_head(3, 4, 2, rng, feature_scale=0.7)
     u = rng.normal(size=(7, 3))
     lam = models.kernel_matrices(kernel, u)
-    layer = kernel.mlp.layers[0]
     for z in range(4):
         x = np.hstack([u, np.tile(np.eye(4)[z], (7, 1))])
-        assert np.allclose(lam[:, z], softmax_mp(x @ layer.w + layer.b), atol=1e-14)
+        assert np.allclose(lam[:, z], softmax_mp(x @ kernel.w + kernel.b), atol=1e-14)

@@ -8,10 +8,12 @@ import pytest
 from dataclasses import replace
 
 from gapcraft import distortion, models, pipeline, synthtasks
+from gapcraft.lipschitz import LipschitzConfig
 from gapcraft.numgrad import DimensionError
 from gapcraft.pipeline import PipelineConfig, RunLog, RunRecord, UndefinedCorrelationError
 from gapcraft.probs import softmax
 from gapcraft.synthtasks import Dataset, TaskSpec
+from gapcraft.transport import SinkhornConfig
 
 from oracles import (
     finite_difference,
@@ -30,6 +32,43 @@ GAP = (0.0, 0.0)
 @pytest.fixture(scope="module")
 def rotated_bundle():
     return synthtasks.generate(TaskSpec(family="rotated", seed=0))
+
+
+NAN = float("nan")
+INVALID_CONFIGS = [
+    (PipelineConfig, "n0", -1, "epoch counts must be nonnegative"),
+    (PipelineConfig, "lr_fa", NAN, "learning rates must be positive"),
+    (PipelineConfig, "lr_fld", 0.0, "learning rates must be positive"),
+    (PipelineConfig, "lr_predictor", NAN, "learning rates must be positive"),
+    (PipelineConfig, "scale", NAN, "scale must be positive and finite"),
+    (PipelineConfig, "scale", 0.0, "scale must be positive and finite"),
+    (PipelineConfig, "scale", float("inf"), "scale must be positive and finite"),
+    (LipschitzConfig, "omega", NAN, "omega must be positive"),
+    (LipschitzConfig, "omega", -0.3, "omega must be positive"),
+    (LipschitzConfig, "lr", 0.0, "lr must be positive"),
+    (LipschitzConfig, "lr", NAN, "lr must be positive"),
+    (LipschitzConfig, "epochs", -3, "epochs must be nonnegative"),
+    (LipschitzConfig, "penalty_weight", -1.0, "penalty_weight must be nonnegative"),
+    (LipschitzConfig, "penalty_weight", NAN, "penalty_weight must be nonnegative"),
+    (LipschitzConfig, "enforcement_margin", NAN, r"enforcement_margin must lie in \(0, 1\]"),
+    (SinkhornConfig, "epsilon", NAN, "epsilon must be positive"),
+    (SinkhornConfig, "epsilon", 0.0, "epsilon must be positive"),
+    (SinkhornConfig, "max_iter", 0, "max_iter must be at least 1"),
+    (SinkhornConfig, "tol", 0.0, "tol must be positive"),
+    (SinkhornConfig, "tol", NAN, "tol must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, name, value, message", INVALID_CONFIGS,
+    ids=[f"{c.__name__}-{n}-{v}" for c, n, v, _ in INVALID_CONFIGS],
+)
+def test_configs_reject_out_of_range_and_nan_values(config, name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config(**{name: value})
+    # the bound itself is accepted where it is inclusive
+    if message.endswith("nonnegative"):
+        config(**{name: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +319,11 @@ def test_stage2_rejects_kernel_of_other_source_classes(rotated_bundle):
         pipeline.stage2(
             phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
         )
+    kernel = models.init_transport_head(theta.output_dim + 1, head.output_dim, 3)
+    with pytest.raises(DimensionError, match="^stage2: phi emits 8 features, kernel expects 9$"):
+        pipeline.stage2(
+            phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +342,7 @@ def test_structural_reductions_bit_identical(rotated_bundle):
     nft = _run_pretrained(rotated_bundle, replace(cfg, baseline="nft"))
     assert recraft_00.holdout_error == nft.holdout_error
     assert recraft_00.log.records == nft.log.records
-    assert all(
-        np.array_equal(a.w, b.w)
-        for a, b in zip(recraft_00.kernel.mlp.layers, nft.kernel.mlp.layers)
-    )
+    assert np.array_equal(recraft_00.kernel.w, nft.kernel.w)
 
     recraft_n20 = _run_pretrained(rotated_bundle, replace(cfg, n2=0))
     fa_only = _run_pretrained(rotated_bundle, replace(cfg, baseline="fa_only"))

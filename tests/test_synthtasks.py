@@ -120,6 +120,13 @@ def test_invalid_specs_rejected():
     for noise in (-0.5, 1.5):
         with pytest.raises(ValueError, match=r"label_noise must lie in \[0, 1\]"):
             TaskSpec(label_noise=noise)
+    # every split needs a row: an empty one fails every later use of the bundle
+    for split in ("n_source", "n_proxy", "n_target", "n_target_test"):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            TaskSpec(**{split: 0})
+    # every family draws its target labels from the source's classes
+    with pytest.raises(ValueError, match="n_target_classes must be at least n_classes"):
+        TaskSpec(family="rotated", n_classes=3, n_target_classes=2)
 
 
 # ---------------------------------------------------------------------------
