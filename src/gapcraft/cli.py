@@ -198,14 +198,13 @@ def cmd_stage2(args, out: Path) -> int:
     kernel = models.init_transport_head(
         phi.output_dim, head.output_dim, pipeline.target_class_count(bundle)
     )
-    kernel, log2 = pipeline.stage2(
+    kernel, log2, holdout = pipeline.stage2(
         phi, head, kernel, bundle.target, cfg, bundle.target_test,
         pipeline.frozen_gap(phi, theta, head, bundle, cfg),
     )
     one_layer = models.MlpParams((models.Layer(kernel.w, kernel.b, "linear"),))
     models.save_params(one_layer, out / "kernel.json", role="transport_head")
     log2.to_jsonl(out / "runlog.jsonl")
-    holdout = pipeline.score_holdout(phi, head, kernel, bundle)
     (out / "stage2_summary.json").write_text(
         json.dumps({"holdout_error": holdout}, indent=2)
     )

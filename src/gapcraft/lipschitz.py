@@ -15,6 +15,7 @@ closed form instead of differentiating through a gradient.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import _shifted_exp, as_conditional, fold_last
+from .probs import _shifted_exp, as_conditional, fold_last, onehot
 
 __all__ = [
     "LipschitzConfig",
@@ -56,15 +57,15 @@ class LipschitzConfig:
     enforcement_margin: float = 0.8
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
-        if not self.lr > 0.0:
-            raise ValueError("lr must be positive")
+        # each check is written so that NaN and inf fail it
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if not self.epochs >= 0:
             raise ValueError("epochs must be nonnegative")
-        if not self.penalty_weight >= 0.0:
-            raise ValueError("penalty_weight must be nonnegative")
+        if not 0.0 <= self.penalty_weight < math.inf:
+            raise ValueError("penalty_weight must be nonnegative and finite")
         if not 0.0 < self.enforcement_margin <= 1.0:
             raise ValueError("enforcement_margin must lie in (0, 1]")
 
@@ -75,13 +76,6 @@ class RecalibrationResult:
     initial_penalty: float
     final_penalty: float
     penalty_history: tuple[float, ...]
-
-
-def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
-    return np.eye(k)[labels]
 
 
 def _last_layer(head: MlpParams) -> models.Layer:
@@ -180,7 +174,7 @@ def recalibrate_head(
         raise ValueError("recalibrate_head: proxy dataset is empty")
     u = models.embed(theta, x)
     d = (
-        _onehot(proxy_y, head.output_dim)
+        onehot(proxy_y, head.output_dim, "proxy labels")
         if conditional is None
         else as_conditional(conditional, "proxy conditional")
     )

@@ -10,8 +10,8 @@ feature vector.
 The kernel is one linear layer on [u, one-hot z]; its weight splits into
 a feature block w_u and a label block w_z, so the logits for every source
 class come from one broadcast, u @ w_u + w_z[z] + b.  Prediction
-(:func:`kernel_matrices`) and stage-2 training share that forward; stage 2
-checks its feature width once and then calls the forward directly.
+(:func:`kernel_matrices`) and the stage-2 likelihood share that forward,
+and stage 2 scores every epoch's kernel through :func:`predict_target`.
 
 Every MLP forward is :func:`mlp_apply`, which rejects non-finite
 pre-activations.  Reverse mode is :func:`mlp_vjp`: :func:`mlp_apply`
@@ -157,13 +157,8 @@ def embed(params: MlpParams, x) -> Matrix:
 
 
 def predict_source(head: MlpParams, u) -> Matrix:
-    """Per-row distribution over source classes at features u."""
-    u = ng.as_matrix(u, "feature batch")
-    if u.shape[1] != head.input_dim:
-        raise DimensionError(
-            f"predict_source: features have {u.shape[1]} columns, head expects {head.input_dim}"
-        )
-    return softmax(mlp_apply(head, u))
+    """Per-row distribution over source classes at features u (checked by :func:`embed`)."""
+    return softmax(embed(head, u))
 
 
 def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
@@ -191,20 +186,19 @@ def _kernel_forward(kernel: TransportHeadParams, u: Matrix) -> np.ndarray:
     return softmax((u[:, :fd] @ w_u)[:, None, :] + w_z[None] + kernel.b[None])
 
 
-def predict_target(source_head: MlpParams, kernel: TransportHeadParams, u) -> Matrix:
+def predict_target(p_source: np.ndarray, kernel: TransportHeadParams, u) -> Matrix:
     """Compose the source head with the transport kernel: rows of p over z'.
 
+    ``p_source`` is :func:`predict_source` at ``u``, and
     p(z'|u) = sum_z p_source(z|u) * kernel(z'|z, u); a product of stochastic
     maps, so each output row is a distribution for any finite parameters.
     """
-    if source_head.output_dim != kernel.n_source_classes:
+    if p_source.shape[1] != kernel.n_source_classes:
         raise DimensionError(
-            f"predict_target: head emits {source_head.output_dim} classes, "
+            f"predict_target: head emits {p_source.shape[1]} classes, "
             f"kernel consumes {kernel.n_source_classes}"
         )
-    p_s = predict_source(source_head, u)
-    lam = kernel_matrices(kernel, u)
-    return np.einsum("nz,nzt->nt", p_s, lam)
+    return np.einsum("nz,nzt->nt", p_source, kernel_matrices(kernel, u))
 
 
 # ---------------------------------------------------------------------------

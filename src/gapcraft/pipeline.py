@@ -13,7 +13,8 @@ Every loss has a closed-form cotangent.  Pretraining and stage 1 pull
 theirs back through the MLP with :func:`models.mlp_vjp`.  Stage 2 needs
 no pullback: the kernel is one linear layer, so the likelihood gradient
 sits directly on top of :func:`models.kernel_matrices`, the same forward
-that prediction uses.
+that prediction uses; it scores each epoch's kernel with
+:func:`models.predict_target`, and the last score is the run's holdout.
 
 During stage 1 there is no trained target predictor yet; checkpoint
 held-out errors use the predictor induced by the pseudo-label statistics
@@ -37,7 +38,7 @@ from . import numgrad as ng
 from .lipschitz import LipschitzConfig
 from .models import MlpParams, TransportHeadParams
 from .numgrad import DimensionError, GapcraftError
-from .probs import softmax
+from .probs import onehot, softmax
 from .synthtasks import Dataset, TaskBundle
 from .transport import SinkhornConfig
 
@@ -54,7 +55,6 @@ __all__ = [
     "stage2",
     "frozen_gap",
     "run_pipeline",
-    "score_holdout",
     "run_baseline",
     "correlate_gap_error",
     "induced_predictor_error",
@@ -88,11 +88,11 @@ class PipelineConfig:
     scale: float = 1.0  # shrinks epoch counts for fast runs
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # each check is written so that NaN and inf fail it
         if not all(n >= 0 for n in (self.n0, self.n1, self.n2, self.pretrain_epochs)):
             raise ValueError("epoch counts must be nonnegative")
-        if not all(lr > 0.0 for lr in (self.lr_fa, self.lr_fld, self.lr_predictor)):
-            raise ValueError("learning rates must be positive")
+        if not all(0.0 < lr < math.inf for lr in (self.lr_fa, self.lr_fld, self.lr_predictor)):
+            raise ValueError("learning rates must be positive and finite")
         if self.baseline not in VARIANTS:
             raise ValueError(f"baseline must be one of {VARIANTS}")
         if not 0.0 < self.scale < math.inf:  # effective_epochs rounds scaled counts
@@ -224,7 +224,7 @@ def pretrain_source(
     # log-softmax VJP: (softmax - onehot)/n rounds differently, and 300
     # epochs at lr 0.5 amplify that into visibly different parameters
     c = -1.0 / x.shape[0]
-    c_onehot = c * np.eye(k)[y]
+    c_onehot = c * onehot(y, k, "source labels")
     # embedder and head train as one MLP, split once at the end
     n_theta = len(theta.layers)
     params = MlpParams(theta.layers + head.layers)
@@ -375,14 +375,15 @@ def stage2(
     cfg: PipelineConfig,
     target_eval: Dataset,
     frozen_gap: tuple[float, float],
-) -> tuple[TransportHeadParams, RunLog]:
+) -> tuple[TransportHeadParams, RunLog, float]:
     """Fit the transport-head predictor on the frozen embedder.
 
     Maximizes the likelihood of the target labels under the composed
     predictor; only the kernel's (w, b) moves, and the kernel reads
     ``phi``'s features (or none) and ``source_head``'s classes.  Each
     epoch's record holds ``frozen_gap``, the embedder's (FA, FLD), and the
-    predictor's error on ``target_eval``.
+    :func:`models.predict_target` error on ``target_eval``.  Returns the
+    kernel, the log and that error of the returned kernel.
     """
     if source_head.output_dim != kernel.n_source_classes:
         raise DimensionError(
@@ -394,7 +395,7 @@ def stage2(
             f"stage2: phi emits {phi.output_dim} features, kernel expects {kernel.feature_dim}"
         )
     # the embedder and source head are frozen: only the kernel's forward repeats
-    onehot = np.eye(kernel.n_target_classes)[target.y]
+    y_onehot = onehot(target.y, kernel.n_target_classes, "target labels")
     u = models.embed(phi, target.x)
     p_source = models.predict_source(source_head, u)
     u_eval = models.embed(phi, target_eval.x)
@@ -404,16 +405,18 @@ def stage2(
     start = time.perf_counter()
     l_fa, l_fld = frozen_gap
     lr = cfg.lr_predictor
+
+    def holdout() -> float:
+        pred = np.argmax(models.predict_target(p_eval, kernel, u_eval), axis=1)
+        return float(np.mean(pred != target_eval.y))
+
     for epoch in range(1, n0 + 1):
-        nll, gw, gb = _stage2_loss_and_grad(kernel, u, p_source, target.y, onehot)
+        nll, gw, gb = _stage2_loss_and_grad(kernel, u, p_source, target.y, y_onehot)
         kernel = replace(kernel, w=ng.freeze(kernel.w - lr * gw), b=ng.freeze(kernel.b - lr * gb))
-        # models.predict_target with its source half precomputed
-        lam = models._kernel_forward(kernel, u_eval)
-        pred = np.argmax(np.einsum("nz,nzt->nt", p_eval, lam), axis=1)
-        err = float(np.mean(pred != target_eval.y))
+        err = holdout()
         elapsed = time.perf_counter() - start
         log.append(RunRecord(epoch, "predictor", l_fa, l_fld, l_fa + l_fld, err, nll, elapsed))
-    return kernel, log
+    return kernel, log, log.records[-1].holdout_error if n0 else holdout()
 
 
 def frozen_gap(
@@ -459,24 +462,11 @@ def run_pipeline(
         phi, theta, head, bundle.proxy, bundle.target, cfg, bundle.target_test, kt
     )
     kernel = models.init_transport_head(theta.output_dim, head.output_dim, kt)
-    kernel, log2 = stage2(
+    kernel, log2, holdout = stage2(
         phi, head, kernel, bundle.target, cfg, bundle.target_test,
         frozen_gap(phi, theta, head, bundle, cfg),
     )
-    holdout = score_holdout(phi, head, kernel, bundle)
     return PipelineResult(theta, head, phi, kernel, log1.merged(log2), holdout, proxy_error)
-
-
-def score_holdout(
-    phi: MlpParams, source_head: MlpParams, kernel: TransportHeadParams, bundle: TaskBundle
-) -> float:
-    """0-1 error of the trained target predictor on ``bundle.target_test``,
-    whose labels are integer class ids, as every :class:`Dataset`'s are."""
-    pred = np.argmax(
-        models.predict_target(source_head, kernel, models.embed(phi, bundle.target_test.x)),
-        axis=1,
-    )
-    return float(np.mean(pred != bundle.target_test.y))
 
 
 def run_baseline(specs: dict, cfg: PipelineConfig, seeds: Sequence[int]) -> list[dict]:

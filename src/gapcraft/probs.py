@@ -20,6 +20,7 @@ __all__ = [
     "entropy",
     "xlogx",
     "softmax",
+    "onehot",
     "LOG_FLOOR",
 ]
 
@@ -113,6 +114,15 @@ def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     shifted = logits - fold_last(np.maximum, logits)
     e = np.exp(shifted)
     return shifted, e, fold_last(np.add, e)
+
+
+def onehot(labels, k: int, name: str) -> np.ndarray:
+    """Rows of the k x k identity picked by integer class ids; ValueError
+    names ``name`` when a label falls outside [0, k)."""
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"{name} must lie in [0, {k})")
+    return np.eye(k)[labels]
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:

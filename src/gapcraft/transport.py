@@ -52,13 +52,13 @@ class SinkhornConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        # each check is written so that NaN and inf fail it
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

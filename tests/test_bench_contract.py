@@ -6,12 +6,15 @@ its hooks read arguments by position.  A refactor that renames or moves
 one of them breaks the traced runs, which Tier-1 does not execute; these
 tests read the benchmark's files, without changing them, and check each
 name and position against the package.  The workloads also read fields of
-the results they get back, which a refactor must keep.
+the results they get back, which a refactor must keep, and a traced run
+fails unless every span a workload expects is called, which one traced
+item of each benchmarked workload checks here.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -74,3 +77,33 @@ def test_result_fields_the_workloads_read_exist():
     assert report <= set(bound.BoundReport.__dataclass_fields__)
     terms = {"term_a_lhs", "term_a_rhs", "term_b_lhs", "term_b_rhs"}
     assert terms <= set(bound.ProofTerms.__dataclass_fields__)
+
+
+# items per call check: one pipeline run, or enough bound instances to reach
+# every expected span
+CALL_CHECK_ITEMS = {"pipeline_nft": 1, "bound_verify": 16}
+
+
+def _benchmarked_workloads() -> list[str]:
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
+
+
+@pytest.mark.parametrize("name", _benchmarked_workloads())
+def test_every_expected_span_is_called(name):
+    """After the warm-up, a traced item of each workload that BENCHMARK.json
+    names calls every span in the workload's ``expected``."""
+    run, tracing, workloads = _load("run"), _load("tracing"), _load("workloads")
+    wl = workloads.WORKLOADS[name]
+    tracer = tracing.Tracer()
+    run.install_tracer(tracer)
+    try:
+        pool = wl.make_inputs(0)
+        wl.warm(pool)
+        first = len(tracer.spans)
+        for item in pool[: CALL_CHECK_ITEMS[name]]:
+            wl.run(item)
+    finally:
+        tracer.unpatch()
+    called = {span[0] for span in tracer.spans[first:]}
+    assert set(wl.expected) - called == set()

@@ -329,12 +329,13 @@ def test_stage2_and_correlate_cli(cli_workspace, tmp_path):
     phi, _ = models.load_params(s1 / "phi.json")
     cfg = PipelineConfig(seed=3, scale=0.2)
     gap = pipeline.frozen_gap(phi, theta, head, bundle, cfg)
-    _, lib_log = pipeline.stage2(
+    _, lib_log, lib_holdout = pipeline.stage2(
         phi, head, models.init_transport_head(theta.output_dim, head.output_dim, 3),
         bundle.target, cfg, bundle.target_test, gap,
     )
     cli_log = RunLog.from_jsonl(s2 / "runlog.jsonl")
     assert cli_log.records == lib_log.records
+    assert summary["holdout_error"] == lib_holdout
     assert all(r.semantic_gap == gap[0] + gap[1] for r in cli_log.records)
     assert main(["correlate", "--runlog", str(s1 / "runlog.jsonl"), "--out", str(corr)]) == 0
     r = json.loads((corr / "correlation.json").read_text())["pearson_r"]
@@ -455,25 +456,52 @@ def test_no_resolved_config_after_a_raised_error(tmp_path, capsys, case):
 @pytest.mark.parametrize(
     "flags, message",
     [(["recalibrate", "--epochs=-5"], "epochs must be nonnegative"),
-     (["recalibrate", "--lr", "nan"], "lr must be positive"),
-     (["stage1", "--omega", "nan"], "omega must be positive"),
-     (["stage1", "--epsilon", "nan"], "epsilon must be positive"),
-     (["stage1", "--sinkhorn-tol", "0"], "tol must be positive"),
-     (["stage1", "--lr-fa", "nan"], "learning rates must be positive"),
+     (["recalibrate", "--lr", "nan"], "lr must be positive and finite"),
+     (["stage1", "--omega", "nan"], "omega must be positive and finite"),
+     (["stage1", "--epsilon", "nan"], "epsilon must be positive and finite"),
+     (["stage1", "--sinkhorn-tol", "0"], "tol must be positive and finite"),
+     (["stage1", "--lr-fa", "nan"], "learning rates must be positive and finite"),
      (["stage1", "--scale", "nan"], "scale must be positive and finite"),
-     (["stage1", "--scale", "inf"], "scale must be positive and finite")],
+     (["stage1", "--scale", "inf"], "scale must be positive and finite"),
+     (["recalibrate", "--omega", "inf"], "omega must be positive and finite"),
+     (["recalibrate", "--lr", "inf"], "lr must be positive and finite"),
+     (["recalibrate", "--penalty-weight", "inf"], "penalty_weight must be nonnegative and finite"),
+     (["stage1", "--sinkhorn-tol", "inf"], "tol must be positive and finite"),
+     (["stage1", "--omega", "inf"], "omega must be positive and finite"),
+     (["stage1", "--epsilon", "inf"], "epsilon must be positive and finite"),
+     (["stage1", "--lr-fa", "inf"], "learning rates must be positive and finite"),
+     (["stage2", "--lr-predictor", "inf"], "learning rates must be positive and finite")],
     ids=["recalibrate-epochs-negative", "recalibrate-lr-nan", "stage1-omega-nan",
          "stage1-epsilon-nan", "stage1-sinkhorn-tol-zero", "stage1-lr-fa-nan", "stage1-scale-nan",
-         "stage1-scale-inf"],
+         "stage1-scale-inf", "recalibrate-omega-inf", "recalibrate-lr-inf",
+         "recalibrate-penalty-weight-inf", "stage1-sinkhorn-tol-inf", "stage1-omega-inf",
+         "stage1-epsilon-inf", "stage1-lr-fa-inf", "stage2-lr-predictor-inf"],
 )
 def test_out_of_range_config_values_exit_1(cli_workspace, tmp_path, capsys, flags, message):
     """A config value out of range, NaN included, is a domain error: exit 1
     with an error line, no traceback and no resolved config."""
     command, *rest = flags
     argv = [command, "--data", str(cli_workspace / "data"), "--models", str(cli_workspace / "m2")]
+    if command == "stage2":  # any checkpoint will do: the config is rejected before phi is used
+        argv += ["--phi", str(cli_workspace / "m2" / "theta.json")]
     out = tmp_path / "out"
     assert main(argv + rest + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_pretrain_source_label_out_of_range_exits_1(cli_workspace, tmp_path, capsys, bad):
+    """A source label outside the bundle's classes is a domain error, not a
+    silently trained row or an IndexError traceback."""
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace / "data", data)
+    header, first, *rest = (data / "source.csv").read_text().splitlines()
+    bad_row = first.rsplit(",", 1)[0] + f",{bad}"
+    (data / "source.csv").write_text("".join(line + "\n" for line in [header, bad_row, *rest]))
+    out = tmp_path / "out"
+    assert main(["pretrain", "--data", str(data), "--out", str(out), "--scale", "0.05"]) == 1
+    assert capsys.readouterr().err == "error: source labels must lie in [0, 3)\n"
     assert not (out / "resolved_config.json").exists()
 
 

@@ -77,18 +77,16 @@ def test_predict_target_identity_kernel_is_source():
     head = models.init_mlp([2, 3], rng)
     kernel = _identity_kernel(3)
     u = rng.normal(size=(6, 2))
-    assert np.allclose(
-        models.predict_target(head, kernel, u),
-        models.predict_source(head, u),
-        atol=1e-12,
-    )
+    p_source = models.predict_source(head, u)
+    assert np.allclose(models.predict_target(p_source, kernel, u), p_source, atol=1e-12)
 
 
 def test_predict_target_uniform_kernel_absorbs():
     rng = np.random.default_rng(4)
     head = models.init_mlp([2, 3], rng)
     kernel = models.TransportHeadParams(np.zeros((5, 3)), np.zeros((1, 3)), 3)
-    out = models.predict_target(head, kernel, rng.normal(size=(4, 2)))
+    u = rng.normal(size=(4, 2))
+    out = models.predict_target(models.predict_source(head, u), kernel, u)
     assert np.allclose(out, 1.0 / 3)
 
 
@@ -104,7 +102,8 @@ def test_predict_target_hand_product():
     kernel_w = np.zeros((4, 2))
     kernel_w[2:] = np.log(lam)
     kernel = models.TransportHeadParams(kernel_w, np.zeros((1, 2)), 2)
-    out = models.predict_target(head, kernel, np.zeros((1, 2)))
+    u = np.zeros((1, 2))
+    out = models.predict_target(models.predict_source(head, u), kernel, u)
     assert np.allclose(out, [[0.69, 0.31]], atol=1e-12)
 
 
@@ -112,17 +111,23 @@ def test_predict_target_rows_are_distributions():
     rng = np.random.default_rng(5)
     head = models.init_mlp([3, 4], rng)
     kernel = transport_head(3, 4, 2, rng, feature_scale=0.5)
-    out = models.predict_target(head, kernel, rng.normal(size=(10, 3)) * 50.0)
+    u = rng.normal(size=(10, 3)) * 50.0
+    out = models.predict_target(models.predict_source(head, u), kernel, u)
     assert np.all(out >= 0.0)
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_predict_target_class_count_mismatch():
+    """The source probabilities must have one column per source class the
+    kernel consumes."""
     rng = np.random.default_rng(6)
     head = models.init_mlp([2, 3], rng)
     kernel = _identity_kernel(2)
-    with pytest.raises(ng.DimensionError):
-        models.predict_target(head, kernel, rng.normal(size=(2, 2)))
+    u = rng.normal(size=(2, 2))
+    with pytest.raises(
+        ng.DimensionError, match="^predict_target: head emits 3 classes, kernel consumes 2$"
+    ):
+        models.predict_target(models.predict_source(head, u), kernel, u)
 
 
 def test_kernel_isolation_from_source_head():
@@ -131,11 +136,12 @@ def test_kernel_isolation_from_source_head():
     kernel = transport_head(2, 3, 3, rng, feature_scale=0.3)
     u = rng.normal(size=(5, 2))
     p_before = models.predict_source(head, u)
-    tau_before = models.predict_target(head, kernel, u)
+    tau_before = models.predict_target(p_before, kernel, u)
     noise = np.random.default_rng(70).normal(size=kernel.w.shape)
     bumped = models.TransportHeadParams(kernel.w + 0.5 * noise, kernel.b, 3)
-    assert np.array_equal(models.predict_source(head, u), p_before)
-    assert not np.allclose(models.predict_target(head, bumped, u), tau_before)
+    p_after = models.predict_source(head, u)
+    assert np.array_equal(p_after, p_before)
+    assert not np.allclose(models.predict_target(p_after, bumped, u), tau_before)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -234,10 +240,9 @@ def test_stage2_loss_matches_composed_prediction():
     labels = rng.integers(0, 4, size=6)
     head = models.init_mlp([3, 5], rng)
     kernel = transport_head(3, 5, 4, rng, feature_scale=0.4)
-    loss, _, _ = pipeline._stage2_loss_and_grad(
-        kernel, u, models.predict_source(head, u), labels, np.eye(4)[labels]
-    )
-    p_tau = models.predict_target(head, kernel, u)
+    p_source = models.predict_source(head, u)
+    loss, _, _ = pipeline._stage2_loss_and_grad(kernel, u, p_source, labels, np.eye(4)[labels])
+    p_tau = models.predict_target(p_source, kernel, u)
     assert loss == pytest.approx(-np.mean(np.log(p_tau[np.arange(6), labels])), abs=1e-14)
 
 

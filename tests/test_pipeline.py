@@ -35,27 +35,36 @@ def rotated_bundle():
 
 
 NAN = float("nan")
+INF = float("inf")
 INVALID_CONFIGS = [
     (PipelineConfig, "n0", -1, "epoch counts must be nonnegative"),
-    (PipelineConfig, "lr_fa", NAN, "learning rates must be positive"),
-    (PipelineConfig, "lr_fld", 0.0, "learning rates must be positive"),
-    (PipelineConfig, "lr_predictor", NAN, "learning rates must be positive"),
+    (PipelineConfig, "lr_fa", NAN, "learning rates must be positive and finite"),
+    (PipelineConfig, "lr_fa", INF, "learning rates must be positive and finite"),
+    (PipelineConfig, "lr_fld", 0.0, "learning rates must be positive and finite"),
+    (PipelineConfig, "lr_fld", INF, "learning rates must be positive and finite"),
+    (PipelineConfig, "lr_predictor", NAN, "learning rates must be positive and finite"),
+    (PipelineConfig, "lr_predictor", INF, "learning rates must be positive and finite"),
     (PipelineConfig, "scale", NAN, "scale must be positive and finite"),
     (PipelineConfig, "scale", 0.0, "scale must be positive and finite"),
-    (PipelineConfig, "scale", float("inf"), "scale must be positive and finite"),
-    (LipschitzConfig, "omega", NAN, "omega must be positive"),
-    (LipschitzConfig, "omega", -0.3, "omega must be positive"),
-    (LipschitzConfig, "lr", 0.0, "lr must be positive"),
-    (LipschitzConfig, "lr", NAN, "lr must be positive"),
+    (PipelineConfig, "scale", INF, "scale must be positive and finite"),
+    (LipschitzConfig, "omega", NAN, "omega must be positive and finite"),
+    (LipschitzConfig, "omega", -0.3, "omega must be positive and finite"),
+    (LipschitzConfig, "omega", INF, "omega must be positive and finite"),
+    (LipschitzConfig, "lr", 0.0, "lr must be positive and finite"),
+    (LipschitzConfig, "lr", NAN, "lr must be positive and finite"),
+    (LipschitzConfig, "lr", INF, "lr must be positive and finite"),
     (LipschitzConfig, "epochs", -3, "epochs must be nonnegative"),
-    (LipschitzConfig, "penalty_weight", -1.0, "penalty_weight must be nonnegative"),
-    (LipschitzConfig, "penalty_weight", NAN, "penalty_weight must be nonnegative"),
+    (LipschitzConfig, "penalty_weight", -1.0, "penalty_weight must be nonnegative and finite"),
+    (LipschitzConfig, "penalty_weight", NAN, "penalty_weight must be nonnegative and finite"),
+    (LipschitzConfig, "penalty_weight", INF, "penalty_weight must be nonnegative and finite"),
     (LipschitzConfig, "enforcement_margin", NAN, r"enforcement_margin must lie in \(0, 1\]"),
-    (SinkhornConfig, "epsilon", NAN, "epsilon must be positive"),
-    (SinkhornConfig, "epsilon", 0.0, "epsilon must be positive"),
+    (SinkhornConfig, "epsilon", NAN, "epsilon must be positive and finite"),
+    (SinkhornConfig, "epsilon", 0.0, "epsilon must be positive and finite"),
+    (SinkhornConfig, "epsilon", INF, "epsilon must be positive and finite"),
     (SinkhornConfig, "max_iter", 0, "max_iter must be at least 1"),
-    (SinkhornConfig, "tol", 0.0, "tol must be positive"),
-    (SinkhornConfig, "tol", NAN, "tol must be positive"),
+    (SinkhornConfig, "tol", 0.0, "tol must be positive and finite"),
+    (SinkhornConfig, "tol", NAN, "tol must be positive and finite"),
+    (SinkhornConfig, "tol", INF, "tol must be positive and finite"),
 ]
 
 
@@ -67,7 +76,7 @@ def test_configs_reject_out_of_range_and_nan_values(config, name, value, message
     with pytest.raises(ValueError, match=f"^{message}$"):
         config(**{name: value})
     # the bound itself is accepted where it is inclusive
-    if message.endswith("nonnegative"):
+    if "nonnegative" in message:
         config(**{name: 0})
 
 
@@ -223,7 +232,7 @@ def test_stage2_aligned_labels_small_decrease():
     phi, head, target = _aligned_soft_setup()
     kernel = transport_head(4, 3, 3, identity_boost=6.0)
     cfg = PipelineConfig(n0=40, seed=6)
-    kernel, log = pipeline.stage2(phi, head, kernel, target, cfg, target, GAP)
+    kernel, log, _ = pipeline.stage2(phi, head, kernel, target, cfg, target, GAP)
     nlls = [r.train_nll for r in log.records]
     assert nlls[0] - min(nlls) < 1e-2
 
@@ -250,7 +259,7 @@ def test_stage2_learns_planted_permutation():
         + theta.layers[1:]
     )
     kernel = models.init_transport_head(0, 3, 3)
-    kernel, _ = pipeline.stage2(phi, head, kernel, bundle.target, cfg, bundle.target_test, GAP)
+    kernel, _, _ = pipeline.stage2(phi, head, kernel, bundle.target, cfg, bundle.target_test, GAP)
     perm = np.array(bundle.meta["planted_permutation"])
     lam = models.kernel_matrices(kernel, models.embed(phi, bundle.target.x))[0]
     assert np.all(lam[np.arange(3), perm] >= 0.9)
@@ -281,7 +290,7 @@ def test_stage2_loss_nonincreasing_median_over_seeds(rotated_bundle):
             np.random.default_rng(np.random.SeedSequence([seed, 4])),
         )
         kernel = models.init_transport_head(8, 3, 3)
-        _, log = pipeline.stage2(
+        _, log, _ = pipeline.stage2(
             phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
         )
         nlls = np.array([r.train_nll for r in log.records])
@@ -299,15 +308,52 @@ def test_stage2_records_score_predict_target(rotated_bundle):
     kt = pipeline.target_class_count(rotated_bundle)
     kernel0 = models.init_transport_head(theta.output_dim, head.output_dim, kt)
     target, held = rotated_bundle.target, rotated_bundle.target_test
-    _, log = pipeline.stage2(phi, head, kernel0, target, cfg, held, GAP)
+    _, log, _ = pipeline.stage2(phi, head, kernel0, target, cfg, held, GAP)
     u_eval = models.embed(phi, held.x)
+    p_eval = models.predict_source(head, u_eval)
     errors = set()
     for epochs in (1, 5, cfg.n0):
-        kernel, _ = pipeline.stage2(phi, head, kernel0, target, replace(cfg, n0=epochs), held, GAP)
-        pred = np.argmax(models.predict_target(head, kernel, u_eval), axis=1)
+        kernel, _, _ = pipeline.stage2(
+            phi, head, kernel0, target, replace(cfg, n0=epochs), held, GAP
+        )
+        pred = np.argmax(models.predict_target(p_eval, kernel, u_eval), axis=1)
         errors.add(log.records[epochs - 1].holdout_error)
         assert log.records[epochs - 1].holdout_error == float(np.mean(pred != held.y))
     assert len(errors) > 1  # the kernel moves the predictions
+
+
+def test_stage2_returns_the_holdout_of_its_kernel(rotated_bundle):
+    """The returned error is the last record's; with no epochs it is the
+    initial kernel's predict_target error, and the log is empty."""
+    cfg = replace(SMALL, n0=6, seed=13)
+    theta, head = _pretrained(rotated_bundle, cfg)
+    phi = pipeline.init_target_embedder(rotated_bundle, theta, cfg.seed)
+    kernel0 = models.init_transport_head(theta.output_dim, head.output_dim, 3)
+    target, held = rotated_bundle.target, rotated_bundle.target_test
+    _, log, holdout = pipeline.stage2(phi, head, kernel0, target, cfg, held, GAP)
+    assert len(log.records) == 6 and holdout == log.records[-1].holdout_error
+    kernel, log, holdout = pipeline.stage2(
+        phi, head, kernel0, target, replace(cfg, n0=0), held, GAP
+    )
+    assert kernel is kernel0 and log.records == []
+    u_eval = models.embed(phi, held.x)
+    pred = np.argmax(
+        models.predict_target(models.predict_source(head, u_eval), kernel0, u_eval), axis=1
+    )
+    assert holdout == float(np.mean(pred != held.y))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_stage2_rejects_target_labels_out_of_range(rotated_bundle, bad):
+    cfg = replace(SMALL, seed=14)
+    theta, head = _pretrained(rotated_bundle, cfg)
+    phi = pipeline.init_target_embedder(rotated_bundle, theta, cfg.seed)
+    kernel = models.init_transport_head(theta.output_dim, head.output_dim, 3)
+    y = rotated_bundle.target.y.copy()
+    y[0] = bad
+    target = Dataset(rotated_bundle.target.x, y)
+    with pytest.raises(ValueError, match=r"^target labels must lie in \[0, 3\)$"):
+        pipeline.stage2(phi, head, kernel, target, cfg, rotated_bundle.target_test, GAP)
 
 
 def test_stage2_rejects_kernel_of_other_source_classes(rotated_bundle):
