@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "evaluate_bound",
     "proof_terms",
     "verify_proof_terms",
-    "reports_to_bars_csv",
 ]
 
 
@@ -214,18 +212,3 @@ def proof_terms(inst: DiscreteInstance, report: BoundReport) -> ProofTerms:
     term_a_lhs = report.err_tau - h_source_on_target
     term_b_lhs = h_source_on_target - report.err_s
     return ProofTerms(term_a_lhs, report.e_fld + report.e_tf, term_b_lhs, report.fa)
-
-
-def reports_to_bars_csv(reports: dict[str, BoundReport], path) -> None:
-    """Stacked-segment values per task for plotting the decomposition."""
-    import csv
-
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["task", "err_s", "fa", "e_fld", "e_tf", "rhs", "err_tau", "gap", "relative_gap"]
-        )
-        for name, r in reports.items():
-            writer.writerow(
-                [name, r.err_s, r.fa, r.e_fld, r.e_tf, r.rhs, r.err_tau, r.gap, r.relative_gap]
-            )

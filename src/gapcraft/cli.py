@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -26,6 +27,13 @@ from .synthtasks import TaskSpec
 from .transport import SinkhornConfig
 
 log = logging.getLogger("gapcraft")
+
+# the task bundle's splits, one CSV file each
+SPLITS = ("source", "proxy", "target", "target_test")
+# the bound report's stacked segments, one bars.csv column each
+BARS = ("err_s", "fa", "e_fld", "e_tf", "rhs", "err_tau", "gap", "relative_gap")
+# the most omega values one sweep-omega grid may hold
+MAX_GRID_POINTS = 10_000
 
 
 class DomainError(GapcraftError, RuntimeError):
@@ -41,12 +49,27 @@ def _setup_logging() -> None:
     )
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """The one CSV writer for reports: a header line, then one line per row."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, payload) -> str:
+    """Write ``payload`` as strict JSON and return the text; NaN or inf raises ValueError."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    path.write_text(text)
+    return text
+
+
 def _write_resolved_config(args, out: Path) -> None:
     resolved = {
         k: v for k, v in vars(args).items() if k not in ("func", "config")
     }
     resolved["subcommand"] = args.subcommand
-    (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2))
+    _write_json(out / "resolved_config.json", resolved)
 
 
 def _require(path, what: str) -> Path:
@@ -107,15 +130,13 @@ def _lipschitz_config(args) -> LipschitzConfig:
 
 
 def _load_bundle(data_dir: Path) -> synthtasks.TaskBundle:
-    parts = {}
+    parts = []
     meta = {}
-    for name in ("source", "proxy", "target", "target_test"):
+    for name in SPLITS:
         ds, m = synthtasks.load_dataset(_require(data_dir / f"{name}.csv", name))
-        parts[name] = ds
+        parts.append(ds)
         meta = m or meta
-    return synthtasks.TaskBundle(
-        parts["source"], parts["proxy"], parts["target"], parts["target_test"], meta
-    )
+    return synthtasks.TaskBundle(*parts, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +146,8 @@ def _load_bundle(data_dir: Path) -> synthtasks.TaskBundle:
 
 def cmd_gen(args, out: Path) -> int:
     bundle = synthtasks.generate(_task_spec(args))
-    for name, ds in (
-        ("source", bundle.source),
-        ("proxy", bundle.proxy),
-        ("target", bundle.target),
-        ("target_test", bundle.target_test),
-    ):
-        synthtasks.save_dataset(ds, out / f"{name}.csv", bundle.meta)
+    for name in SPLITS:
+        synthtasks.save_dataset(getattr(bundle, name), out / f"{name}.csv", bundle.meta)
     log.info("wrote task bundle to %s", out)
     return 0
 
@@ -142,9 +158,7 @@ def cmd_pretrain(args, out: Path) -> int:
     theta, head, proxy_error = pipeline.pretrain_source(bundle, cfg)
     models.save_params(theta, out / "theta.json", role="source_embedder")
     models.save_params(head, out / "source_head.json", role="source_head")
-    (out / "pretrain_summary.json").write_text(
-        json.dumps({"proxy_error": proxy_error}, indent=2)
-    )
+    _write_json(out / "pretrain_summary.json", {"proxy_error": proxy_error})
     log.info("pretrained source model: proxy error %.4f", proxy_error)
     return 0
 
@@ -159,15 +173,13 @@ def cmd_recalibrate(args, out: Path) -> int:
     )
     models.save_params(result.head, out / "source_head.json", role="source_head_recalibrated")
     models.save_params(theta, out / "theta.json", role="source_embedder")
-    (out / "recalibrate_summary.json").write_text(
-        json.dumps(
-            {
-                "initial_penalty": result.initial_penalty,
-                "final_penalty": result.final_penalty,
-                "penalty_history": list(result.penalty_history),
-            },
-            indent=2,
-        )
+    _write_json(
+        out / "recalibrate_summary.json",
+        {
+            "initial_penalty": result.initial_penalty,
+            "final_penalty": result.final_penalty,
+            "penalty_history": list(result.penalty_history),
+        },
     )
     return 0
 
@@ -205,9 +217,7 @@ def cmd_stage2(args, out: Path) -> int:
     one_layer = models.MlpParams((models.Layer(kernel.w, kernel.b, "linear"),))
     models.save_params(one_layer, out / "kernel.json", role="transport_head")
     log2.to_jsonl(out / "runlog.jsonl")
-    (out / "stage2_summary.json").write_text(
-        json.dumps({"holdout_error": holdout}, indent=2)
-    )
+    _write_json(out / "stage2_summary.json", {"holdout_error": holdout})
     return 0
 
 
@@ -236,24 +246,22 @@ def cmd_verify_theorem(args, out: Path) -> int:
         "proof_term_violations": len(proof_violations),
         "worst_gap": worst_gap,
     }
-    text = json.dumps(summary, indent=2, allow_nan=False)
-    (out / "verify_theorem.json").write_text(text)
-    print(text)
+    print(_write_json(out / "verify_theorem.json", summary))
     return 0 if not violations and not proof_violations else 1
 
 
 def cmd_bound_report(args, out: Path) -> int:
     if args.tasks < 1:
         raise DomainError(f"--tasks must be at least 1, got {args.tasks}")
-    reports = {}
-    for i in range(args.tasks):
-        inst = synthtasks.random_discrete_instance(args.seed + i)
-        reports[f"task_{args.seed + i}"] = bound.evaluate_bound(inst)
-    payload = {name: asdict(r) for name, r in reports.items()}
-    (out / "bound_report.json").write_text(json.dumps(payload, indent=2))
+    payload = {
+        f"task_{seed}": asdict(bound.evaluate_bound(synthtasks.random_discrete_instance(seed)))
+        for seed in range(args.seed, args.seed + args.tasks)
+    }
+    text = _write_json(out / "bound_report.json", payload)
     if args.bars:
-        bound.reports_to_bars_csv(reports, out / "bars.csv")
-    print(json.dumps(payload, indent=2))
+        bars = ([name, *(r[c] for c in BARS)] for name, r in payload.items())
+        _write_csv(out / "bars.csv", ("task", *BARS), bars)
+    print(text)
     return 0
 
 
@@ -262,22 +270,24 @@ def _parse_grid(grid: str) -> list[float]:
         lo, hi, step = (float(v) for v in grid.split(":"))
     except ValueError as exc:
         raise DomainError(f"grid must be lo:hi:step, got {grid!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise DomainError(f"grid bounds and step must be finite, got {grid!r}")
     if step <= 0 or hi < lo:
         raise DomainError(f"grid must be increasing, got {grid!r}")
-    values = []
-    v = lo
-    while v <= hi + 1e-12:
-        values.append(round(v, 12))
-        v += step
-    return values
+    # the points lo + i * step up to hi (1e-12 slack for rounding), counted first
+    span = (hi - lo + 1e-12) / step
+    if not span < MAX_GRID_POINTS:
+        raise DomainError(f"grid {grid!r} holds more than {MAX_GRID_POINTS} points")
+    return [round(lo + i * step, 12) for i in range(int(span) + 1)]
 
 
 def cmd_sweep_omega(args, out: Path) -> int:
+    grid = _parse_grid(args.grid)
     bundle = _load_bundle(_require(args.data, "data directory"))
     cfg = _pipeline_config(args)
     theta, head, _ = pipeline.pretrain_source(bundle, cfg)
     rows = lipschitz.sweep_omega(
-        _parse_grid(args.grid),
+        grid,
         theta,
         head,
         bundle.proxy.x,
@@ -285,7 +295,8 @@ def cmd_sweep_omega(args, out: Path) -> int:
         _lipschitz_config(args),
         seed=args.seed,
     )
-    lipschitz.sweep_to_csv(rows, out / "sweep.csv")
+    columns = ("omega", "proxy_error", "penalty_residual")
+    _write_csv(out / "sweep.csv", columns, ([r[c] for c in columns] for r in rows))
     return 0
 
 
@@ -300,23 +311,23 @@ def cmd_baseline(args, out: Path) -> int:
         )
     cfg = _pipeline_config(args)
     rows = pipeline.run_baseline(specs, cfg, seeds=range(args.seeds))
-    pipeline.baseline_table_to_csv(rows, out / "baseline.csv")
-    (out / "baseline.json").write_text(json.dumps(rows, indent=2))
-    print(json.dumps(rows, indent=2))
+    # wide table: one line per variant, (median, IQR) columns per task
+    tasks = sorted({r["task"] for r in rows})
+    cell = {(r["task"], r["variant"]): r for r in rows}
+    header = ["variant", *(f"{t}_{c}" for t in tasks for c in ("median", "iqr_low", "iqr_high"))]
+    stats = ("median_error", "iqr_low", "iqr_high")
+    table = ([v, *(cell[t, v][c] for t in tasks for c in stats)] for v in pipeline.VARIANTS)
+    _write_csv(out / "baseline.csv", header, table)
+    print(_write_json(out / "baseline.json", rows))
     return 0
 
 
 def cmd_correlate(args, out: Path) -> int:
     runlog = RunLog.from_jsonl(_require(args.runlog, "run log"))
     r, series = pipeline.correlate_gap_error(runlog)
-    with (out / "gap_error_series.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["epoch", "phase", "semantic_gap", "holdout_error"]
-        )
-        writer.writeheader()
-        writer.writerows(series)
-    (out / "correlation.json").write_text(json.dumps({"pearson_r": r}, indent=2))
-    print(json.dumps({"pearson_r": r}, indent=2))
+    columns = ("epoch", "phase", "semantic_gap", "holdout_error")
+    _write_csv(out / "gap_error_series.csv", columns, ([s[c] for c in columns] for s in series))
+    print(_write_json(out / "correlation.json", {"pearson_r": r}))
     return 0
 
 

@@ -14,17 +14,15 @@ closed form instead of differentiating through a gradient.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import _shifted_exp, as_conditional, fold_last, onehot
+from .probs import _shifted_exp, as_conditional, class_ids, fold_last, onehot
 
 __all__ = [
     "LipschitzConfig",
@@ -34,7 +32,6 @@ __all__ = [
     "penalty_value",
     "recalibrate_head",
     "sweep_omega",
-    "sweep_to_csv",
 ]
 
 GRAD_CLIP = 5.0  # recalibration's gradient-norm cap: SGD survives the initial penalty cliff
@@ -237,7 +234,7 @@ def sweep_omega(
     if any(w <= 0 for w in candidates) or candidates != sorted(candidates):
         raise ValueError("omega candidates must be positive and sorted")
     x = ng.as_matrix(proxy_x, "proxy batch")
-    y = np.asarray(proxy_y, dtype=np.int64).ravel()
+    y = class_ids(proxy_y, head.output_dim, "proxy labels")
     rng = np.random.default_rng(seed)
     order = rng.permutation(x.shape[0])
     n_hold = max(1, int(round(0.25 * x.shape[0])))
@@ -255,13 +252,3 @@ def sweep_omega(
             }
         )
     return rows
-
-
-def sweep_to_csv(rows: list[dict], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "proxy_error", "penalty_residual"])
-        for row in rows:
-            writer.writerow(
-                [row["omega"], row["proxy_error"], repr(row["penalty_residual"])]
-            )

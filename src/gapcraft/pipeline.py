@@ -38,7 +38,7 @@ from . import numgrad as ng
 from .lipschitz import LipschitzConfig
 from .models import MlpParams, TransportHeadParams
 from .numgrad import DimensionError, GapcraftError
-from .probs import onehot, softmax
+from .probs import class_ids, onehot, softmax
 from .synthtasks import Dataset, TaskBundle
 from .transport import SinkhornConfig
 
@@ -58,7 +58,6 @@ __all__ = [
     "run_baseline",
     "correlate_gap_error",
     "induced_predictor_error",
-    "baseline_table_to_csv",
 ]
 
 PHASES = ("fa", "fld", "predictor")
@@ -225,6 +224,7 @@ def pretrain_source(
     # epochs at lr 0.5 amplify that into visibly different parameters
     c = -1.0 / x.shape[0]
     c_onehot = c * onehot(y, k, "source labels")
+    proxy_y = class_ids(bundle.proxy.y, k, "proxy labels")
     # embedder and head train as one MLP, split once at the end
     n_theta = len(theta.layers)
     params = MlpParams(theta.layers + head.layers)
@@ -239,7 +239,7 @@ def pretrain_source(
     proxy_pred = np.argmax(
         models.predict_source(head, models.embed(theta, bundle.proxy.x)), axis=1
     )
-    proxy_error = float(np.mean(proxy_pred != bundle.proxy.y))
+    proxy_error = float(np.mean(proxy_pred != proxy_y))
     return theta, head, proxy_error
 
 
@@ -300,6 +300,7 @@ def stage1(
     :func:`target_class_count` of the task.
     """
     n1, n2, _ = cfg.effective_epochs()
+    eval_y = class_ids(target_eval.y, n_target_classes, "target_test labels")
     source_features = models.embed(theta, proxy.x)
     log = RunLog()
     start = time.perf_counter()
@@ -311,7 +312,7 @@ def stage1(
 
     def checkpoint(epoch: int, phase: str, l_fa: float, l_fld: float, joint: np.ndarray) -> None:
         """Append the epoch's record; ``joint`` is the epoch's pseudo-label joint."""
-        err = induced_predictor_error(phi, source_head, joint, target_eval.x, target_eval.y)
+        err = induced_predictor_error(phi, source_head, joint, target_eval.x, eval_y)
         elapsed = time.perf_counter() - start
         log.append(RunRecord(epoch, phase, l_fa, l_fld, l_fa + l_fld, err, None, elapsed))
 
@@ -396,6 +397,7 @@ def stage2(
         )
     # the embedder and source head are frozen: only the kernel's forward repeats
     y_onehot = onehot(target.y, kernel.n_target_classes, "target labels")
+    eval_y = class_ids(target_eval.y, kernel.n_target_classes, "target_test labels")
     u = models.embed(phi, target.x)
     p_source = models.predict_source(source_head, u)
     u_eval = models.embed(phi, target_eval.x)
@@ -408,7 +410,7 @@ def stage2(
 
     def holdout() -> float:
         pred = np.argmax(models.predict_target(p_eval, kernel, u_eval), axis=1)
-        return float(np.mean(pred != target_eval.y))
+        return float(np.mean(pred != eval_y))
 
     for epoch in range(1, n0 + 1):
         nll, gw, gb = _stage2_loss_and_grad(kernel, u, p_source, target.y, y_onehot)
@@ -508,27 +510,6 @@ def run_baseline(specs: dict, cfg: PipelineConfig, seeds: Sequence[int]) -> list
                 }
             )
     return rows
-
-
-def baseline_table_to_csv(rows: list[dict], path) -> None:
-    """Wide table, variants as rows and tasks as columns (median and IQR)."""
-    import csv
-
-    tasks = sorted({r["task"] for r in rows})
-    variants = sorted({r["variant"] for r in rows}, key=VARIANTS.index)
-    by_key = {(r["task"], r["variant"]): r for r in rows}
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["variant"]
-        for t in tasks:
-            header += [f"{t}_median", f"{t}_iqr_low", f"{t}_iqr_high"]
-        writer.writerow(header)
-        for v in variants:
-            line = [v]
-            for t in tasks:
-                r = by_key[(t, v)]
-                line += [r["median_error"], r["iqr_low"], r["iqr_high"]]
-            writer.writerow(line)
 
 
 def correlate_gap_error(log: RunLog) -> tuple[float, list[dict]]:

@@ -21,6 +21,7 @@ __all__ = [
     "xlogx",
     "softmax",
     "onehot",
+    "class_ids",
     "LOG_FLOOR",
 ]
 
@@ -116,13 +117,18 @@ def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return shifted, e, fold_last(np.add, e)
 
 
-def onehot(labels, k: int, name: str) -> np.ndarray:
-    """Rows of the k x k identity picked by integer class ids; ValueError
-    names ``name`` when a label falls outside [0, k)."""
+def class_ids(labels, k: int, name: str) -> np.ndarray:
+    """Labels as a flat int64 array; ValueError names ``name`` when a label
+    falls outside [0, k)."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"{name} must lie in [0, {k})")
-    return np.eye(k)[labels]
+    return labels
+
+
+def onehot(labels, k: int, name: str) -> np.ndarray:
+    """Rows of the k x k identity picked by :func:`class_ids` of ``labels``."""
+    return np.eye(k)[class_ids(labels, k, name)]
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Exact decomposition terms, the closed-form fitting term, proof terms."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from gapcraft import bound, distortion, synthtasks, transport
 from gapcraft.bound import DiscreteInstance
+from gapcraft.cli import main
 
 from oracles import (
     conditional_pairs,
@@ -326,15 +328,18 @@ def test_training_p_target_toward_conditional_reduces_tf():
     assert previous < 1e-3
 
 
-def test_report_json_and_bars_csv(tmp_path):
-    inst = _self_transfer_instance()
-    report = bound.evaluate_bound(inst)
-    data = asdict(report)
-    assert set(data) == {
+def test_report_json_and_bars_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        synthtasks, "random_discrete_instance", lambda seed: _self_transfer_instance()
+    )
+    out = tmp_path / "br"
+    assert main(["bound-report", "--tasks", "1", "--bars", "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads((out / "bound_report.json").read_text())
+    assert data == {"task_0": asdict(bound.evaluate_bound(_self_transfer_instance()))}
+    assert set(data["task_0"]) == {
         "err_s", "err_tau", "fa", "e_fld", "e_tf", "rhs", "gap", "relative_gap"
     }
-    path = tmp_path / "bars.csv"
-    bound.reports_to_bars_csv({"self": report}, path)
-    lines = path.read_text().strip().splitlines()
+    lines = (out / "bars.csv").read_text().strip().splitlines()
     assert lines[0].startswith("task,err_s,fa,e_fld,e_tf,rhs")
     assert len(lines) == 2

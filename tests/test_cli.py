@@ -1,7 +1,9 @@
 """Exit codes, file outputs, resolved-config replay, golden-run parity."""
 
+import csv
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,26 +86,70 @@ def test_gen_writes_bundle(tmp_path):
     assert resolved["subcommand"] == "gen" and resolved["seed"] == 4
 
 
+def _csv_rows(path) -> list[list[str]]:
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_bound_report_bars(tmp_path):
     out = tmp_path / "br"
     assert main(["bound-report", "--tasks", "4", "--seed", "2", "--out", str(out), "--bars"]) == 0
     payload = json.loads((out / "bound_report.json").read_text())
-    assert len(payload) == 4
-    lines = (out / "bars.csv").read_text().strip().splitlines()
-    assert len(lines) == 5
-    for row in payload.values():
+    assert list(payload) == ["task_2", "task_3", "task_4", "task_5"]
+    header, *lines = _csv_rows(out / "bars.csv")
+    assert header == ["task", "err_s", "fa", "e_fld", "e_tf", "rhs", "err_tau", "gap",
+                      "relative_gap"]
+    assert [line[0] for line in lines] == list(payload)
+    for line in lines:
+        row = payload[line[0]]
+        assert set(row) == set(header[1:])
+        # every cell reads back to exactly the value in bound_report.json
+        assert [float(v) for v in line[1:]] == [row[c] for c in header[1:]]
         segments = row["err_s"] + row["fa"] + row["e_fld"] + row["e_tf"]
         assert segments == pytest.approx(row["rhs"], abs=1e-9)
+
+
+def test_bound_report_non_finite_exits_1(tmp_path, monkeypatch, capsys):
+    """Reports are strict JSON: a non-finite value is an error, not an
+    ``Infinity`` in the file."""
+    evaluate = bound.evaluate_bound
+    monkeypatch.setattr(
+        bound, "evaluate_bound", lambda inst: replace(evaluate(inst), relative_gap=float("inf"))
+    )
+    out = tmp_path / "br"
+    assert main(["bound-report", "--tasks", "2", "--bars", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: Out of range float values")
+    assert list(out.iterdir()) == []
 
 
 def test_parse_grid():
     assert cli._parse_grid("0.1:1.0:0.1") == pytest.approx(
         [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     )
-    with pytest.raises(cli.DomainError):
-        cli._parse_grid("1.0:0.1:0.1")
-    with pytest.raises(cli.DomainError):
-        cli._parse_grid("nonsense")
+    assert cli._parse_grid("0.3:0.5:0.2") == [0.3, 0.5]
+    assert cli._parse_grid("0.5:0.5:0.1") == [0.5]
+    assert len(cli._parse_grid("0.0001:1:0.0001")) == cli.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [("nonsense", "grid must be lo:hi:step"),
+     ("1.0:0.1:0.1", "must be increasing"),
+     ("nan:1:0.1", "bounds and step must be finite"),
+     ("0.1:1:nan", "bounds and step must be finite"),
+     ("0.1:inf:0.1", "bounds and step must be finite"),
+     ("-inf:1:0.1", "bounds and step must be finite"),
+     ("0.1:1:0", "must be increasing"),
+     ("0:1:1e-9", "holds more than 10000 points"),
+     ("0:1e308:1e-308", "holds more than 10000 points"),
+     ("-1e308:1e308:1", "holds more than 10000 points")],
+)
+def test_parse_grid_rejects_a_grid_it_cannot_sweep(grid, message):
+    """A malformed or decreasing grid, a non-finite bound or step, or more
+    points than one sweep may hold is a domain error before any point is
+    built."""
+    with pytest.raises(cli.DomainError, match=message):
+        cli._parse_grid(grid)
 
 
 @pytest.fixture(scope="module")
@@ -490,19 +536,38 @@ def test_out_of_range_config_values_exit_1(cli_workspace, tmp_path, capsys, flag
     assert not (out / "resolved_config.json").exists()
 
 
-@pytest.mark.parametrize("bad", [-1, 7])
-def test_pretrain_source_label_out_of_range_exits_1(cli_workspace, tmp_path, capsys, bad):
-    """A source label outside the bundle's classes is a domain error, not a
-    silently trained row or an IndexError traceback."""
+@pytest.mark.parametrize(
+    "split, bad",
+    [("source", -1), ("source", 7), ("proxy", -1), ("target_test", 9)],
+    ids=["-1", "7", "proxy--1", "target_test-9"],
+)
+def test_pretrain_source_label_out_of_range_exits_1(cli_workspace, tmp_path, capsys, split, bad):
+    """A label outside the bundle's classes is a domain error, not a
+    silently trained row, an IndexError traceback or one more miss in a
+    held-out error: the training split and the proxy split that
+    pretraining scores, and the target_test split that stages 1 and 2
+    score."""
     data = tmp_path / "data"
     shutil.copytree(cli_workspace / "data", data)
-    header, first, *rest = (data / "source.csv").read_text().splitlines()
+    header, first, *rest = (data / f"{split}.csv").read_text().splitlines()
     bad_row = first.rsplit(",", 1)[0] + f",{bad}"
-    (data / "source.csv").write_text("".join(line + "\n" for line in [header, bad_row, *rest]))
+    (data / f"{split}.csv").write_text("".join(line + "\n" for line in [header, bad_row, *rest]))
     out = tmp_path / "out"
-    assert main(["pretrain", "--data", str(data), "--out", str(out), "--scale", "0.05"]) == 1
-    assert capsys.readouterr().err == "error: source labels must lie in [0, 3)\n"
-    assert not (out / "resolved_config.json").exists()
+    common = ["--data", str(data), "--out", str(out), "--scale", "0.05"]
+    if split == "target_test":
+        # stage 2 reads a phi that stage 1 trained on the unchanged bundle
+        models_dir = str(cli_workspace / "m2")
+        phi = tmp_path / "s1"
+        assert main(["stage1", "--data", str(cli_workspace / "data"), "--models", models_dir,
+                     "--scale", "0.05", "--out", str(phi)]) == 0
+        runs = [["stage1", "--models", models_dir, *common],
+                ["stage2", "--models", models_dir, "--phi", str(phi / "phi.json"), *common]]
+    else:
+        runs = [["pretrain", *common]]
+    for argv in runs:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {split} labels must lie in [0, 3)\n"
+        assert not (out / "resolved_config.json").exists()
 
 
 def test_baseline_runs_gap_dial(tmp_path, capsys):
@@ -514,6 +579,13 @@ def test_baseline_runs_gap_dial(tmp_path, capsys):
     rows = json.loads((out / "baseline.json").read_text())
     assert [r["variant"] for r in rows] == list(pipeline.VARIANTS)
     assert all(r["task"] == "gap_dial" and r["n_seeds"] == 1 for r in rows)
+    # the wide table: one line per variant, in VARIANTS order
+    header, *lines = _csv_rows(out / "baseline.csv")
+    assert header == ["variant", "gap_dial_median", "gap_dial_iqr_low", "gap_dial_iqr_high"]
+    assert [line[0] for line in lines] == ["recraft", "nft", "fa_only"]
+    # every cell reads back to exactly the value in baseline.json
+    for line, r in zip(lines, rows):
+        assert [float(v) for v in line[1:]] == [r["median_error"], r["iqr_low"], r["iqr_high"]]
 
 
 @pytest.mark.parametrize(

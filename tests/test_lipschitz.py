@@ -339,13 +339,6 @@ def test_sweep_rejects_unsorted_candidates():
         lipschitz.sweep_omega([0.5, 0.1], theta, head, x, y)
 
 
-def test_sweep_csv_header(tmp_path):
-    rows = [{"omega": 0.1, "proxy_error": 0.25, "penalty_residual": 0.01}]
-    path = tmp_path / "sweep.csv"
-    lipschitz.sweep_to_csv(rows, path)
-    assert path.read_text().splitlines()[0] == "omega,proxy_error,penalty_residual"
-
-
 def test_default_grid_matches_expected_span():
     grid = np.round(np.arange(0.1, 1.01, 0.1), 10)
     assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(1.0)

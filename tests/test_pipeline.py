@@ -8,6 +8,7 @@ import pytest
 from dataclasses import replace
 
 from gapcraft import distortion, models, pipeline, synthtasks
+from gapcraft.cli import main
 from gapcraft.lipschitz import LipschitzConfig
 from gapcraft.numgrad import DimensionError
 from gapcraft.pipeline import PipelineConfig, RunLog, RunRecord, UndefinedCorrelationError
@@ -486,14 +487,16 @@ def test_run_baseline_rows_structure():
         assert r["iqr_low"] <= r["median_error"] <= r["iqr_high"]
 
 
-def test_baseline_table_csv(tmp_path):
+def test_baseline_table_csv(tmp_path, monkeypatch, capsys):
     rows = [
         {"task": "rotated", "variant": v, "median_error": 0.1, "iqr_low": 0.05,
          "iqr_high": 0.15, "n_seeds": 5, "bayes_error": 0.1}
         for v in pipeline.VARIANTS
     ]
-    path = tmp_path / "table.csv"
-    pipeline.baseline_table_to_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
+    monkeypatch.setattr(pipeline, "run_baseline", lambda specs, cfg, seeds: rows)
+    out = tmp_path / "table"
+    assert main(["baseline", "--families", "rotated", "--seeds", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "baseline.csv").read_text().strip().splitlines()
     assert lines[0] == "variant,rotated_median,rotated_iqr_low,rotated_iqr_high"
     assert [l.split(",")[0] for l in lines[1:]] == ["recraft", "nft", "fa_only"]
