@@ -30,7 +30,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import as_distribution, entropy, softmax, xlogx
+from .probs import as_distribution, class_ids, entropy, softmax, xlogx
 from .transport import CapabilityError
 
 __all__ = [
@@ -271,14 +271,9 @@ def random_vertex_entropies(
 def _target_batch(target_x, target_labels, n_target_classes: int, caller: str):
     """The checked (x, labels) of a target batch; errors name ``caller``."""
     x = ng.as_matrix(target_x, "target batch")
-    labels = np.asarray(target_labels, dtype=np.int64).ravel()
+    labels = class_ids(target_labels, n_target_classes, f"{caller}: target labels")
     if x.shape[0] == 0 or labels.shape[0] != x.shape[0]:
         raise ValueError(f"{caller}: {x.shape[0]} target rows for {labels.shape[0]} labels")
-    if labels.min() < 0 or labels.max() >= n_target_classes:
-        raise ValueError(
-            f"{caller}: target labels must lie in [0, {n_target_classes}), "
-            f"got range [{labels.min()}, {labels.max()}]"
-        )
     return x, labels
 
 

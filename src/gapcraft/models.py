@@ -9,9 +9,9 @@ feature vector.
 
 The kernel is one linear layer on [u, one-hot z]; its weight splits into
 a feature block w_u and a label block w_z, so the logits for every source
-class come from one broadcast, u @ w_u + w_z[z] + b.  Prediction
-(:func:`kernel_matrices`) and the stage-2 likelihood share that forward,
-and stage 2 scores every epoch's kernel through :func:`predict_target`.
+class come from one broadcast, u @ w_u + w_z[z] + b, in :func:`_kernel_forward`.
+The stage-2 likelihood calls it, and prediction reaches it through
+:func:`predict_target`, which checks the feature batch once.
 
 Every MLP forward is :func:`mlp_apply`, which rejects non-finite
 pre-activations.  Reverse mode is :func:`mlp_vjp`: :func:`mlp_apply`
@@ -42,7 +42,6 @@ __all__ = [
     "init_transport_head",
     "embed",
     "predict_source",
-    "kernel_matrices",
     "predict_target",
     "mlp_apply",
     "mlp_vjp",
@@ -161,26 +160,10 @@ def predict_source(head: MlpParams, u) -> Matrix:
     return softmax(embed(head, u))
 
 
-def kernel_matrices(kernel: TransportHeadParams, u) -> np.ndarray:
-    """Row-stochastic label-transport matrices at each feature row.
-
-    Returns an array of shape (n, n_source_classes, n_target_classes); entry
-    [i, z, z'] is the kernel's probability of target label z' given source
-    label z at feature u_i.
-    """
-    u = ng.as_matrix(u, "feature batch")
-    fd = kernel.feature_dim
-    # label-only kernels (feature_dim 0) ignore the features entirely
-    if fd and u.shape[1] != fd:
-        raise DimensionError(
-            f"kernel_matrices: features have {u.shape[1]} columns, kernel expects {fd}"
-        )
-    return _kernel_forward(kernel, u)
-
-
 def _kernel_forward(kernel: TransportHeadParams, u: Matrix) -> np.ndarray:
-    """:func:`kernel_matrices` at a feature batch already checked, for
-    loops that reuse a frozen batch."""
+    """Row-stochastic label-transport matrices at a feature batch already
+    checked: shape (n, n_source_classes, n_target_classes), entry [i, z, z']
+    the kernel's probability of target label z' given source label z at u_i."""
     fd = kernel.feature_dim
     w_u, w_z = kernel.w[:fd], kernel.w[fd:]
     return softmax((u[:, :fd] @ w_u)[:, None, :] + w_z[None] + kernel.b[None])
@@ -198,7 +181,14 @@ def predict_target(p_source: np.ndarray, kernel: TransportHeadParams, u) -> Matr
             f"predict_target: head emits {p_source.shape[1]} classes, "
             f"kernel consumes {kernel.n_source_classes}"
         )
-    return np.einsum("nz,nzt->nt", p_source, kernel_matrices(kernel, u))
+    u = ng.as_matrix(u, "feature batch")
+    fd = kernel.feature_dim
+    # label-only kernels (feature_dim 0) ignore the features entirely
+    if fd and u.shape[1] != fd:
+        raise DimensionError(
+            f"predict_target: features have {u.shape[1]} columns, kernel expects {fd}"
+        )
+    return np.einsum("nz,nzt->nt", p_source, _kernel_forward(kernel, u))
 
 
 # ---------------------------------------------------------------------------

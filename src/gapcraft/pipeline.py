@@ -12,9 +12,9 @@ reproductions under shared seeds come for free.
 Every loss has a closed-form cotangent.  Pretraining and stage 1 pull
 theirs back through the MLP with :func:`models.mlp_vjp`.  Stage 2 needs
 no pullback: the kernel is one linear layer, so the likelihood gradient
-sits directly on top of :func:`models.kernel_matrices`, the same forward
-that prediction uses; it scores each epoch's kernel with
-:func:`models.predict_target`, and the last score is the run's holdout.
+sits directly on the one kernel forward, ``models._kernel_forward``, behind
+:func:`models.predict_target`, which scores each epoch's kernel; the last
+score is the run's holdout.
 
 During stage 1 there is no trained target predictor yet; checkpoint
 held-out errors use the predictor induced by the pseudo-label statistics
@@ -171,9 +171,6 @@ class RunLog:
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return log
-
-    def merged(self, other: "RunLog") -> "RunLog":
-        return RunLog(self.records + other.records)
 
 
 @dataclass(frozen=True)
@@ -348,7 +345,8 @@ def _stage2_loss_and_grad(
 
     ``u`` is a checked feature batch of the kernel's width and ``onehot``
     is ``labels`` one-hot over the target classes.  With
-    lam = kernel_matrices(kernel, u), the cotangent on the logits of
+    lam = models._kernel_forward(kernel, u), the forward behind
+    :func:`models.predict_target`, the cotangent on the logits of
     source class z at row i is post[i, z] (lam[i, z] - e_y) / n, where
     post[i, z] = p_s[i, z] lam[i, z, y_i] / p_tau[i, y_i] is the posterior
     of z given the label y_i.  The logits are u @ w_u + w_z[z] + b, so the
@@ -468,7 +466,8 @@ def run_pipeline(
         phi, head, kernel, bundle.target, cfg, bundle.target_test,
         frozen_gap(phi, theta, head, bundle, cfg),
     )
-    return PipelineResult(theta, head, phi, kernel, log1.merged(log2), holdout, proxy_error)
+    log = RunLog(log1.records + log2.records)
+    return PipelineResult(theta, head, phi, kernel, log, holdout, proxy_error)
 
 
 def run_baseline(specs: dict, cfg: PipelineConfig, seeds: Sequence[int]) -> list[dict]:

@@ -373,9 +373,9 @@ def test_target_batch_errors_name_their_caller(fn):
     for rows, labels, message in [
         (x[:0], [], "0 target rows for 0 labels"),
         (x, [0, 1] * 3 + [0], "10 target rows for 7 labels"),
-        (x, [0, 1] * 4 + [0, 2], r"target labels must lie in \[0, 2\), got range \[0, 2\]"),
+        (x, [0, 1] * 4 + [0, 2], r"target labels must lie in \[0, 2\)"),
     ]:
-        with pytest.raises(ValueError, match=rf"^{fn.__name__}: .*{message}"):
+        with pytest.raises(ValueError, match=rf"^{fn.__name__}: {message}$"):
             fn(phi, head, rows, labels, 2)
 
 

@@ -130,6 +130,20 @@ def test_predict_target_class_count_mismatch():
         models.predict_target(models.predict_source(head, u), kernel, u)
 
 
+def test_predict_target_feature_width_mismatch():
+    """A feature kernel reads features of its own width; a label-only
+    kernel reads none."""
+    rng = np.random.default_rng(6)
+    head = models.init_mlp([3, 2], rng)
+    u = rng.normal(size=(4, 3))
+    p = models.predict_source(head, u)
+    with pytest.raises(
+        ng.DimensionError, match="^predict_target: features have 3 columns, kernel expects 2$"
+    ):
+        models.predict_target(p, transport_head(2, 2, 2, rng, feature_scale=0.5), u)
+    assert models.predict_target(p, _identity_kernel(2, feature_dim=0), u).shape == (4, 2)
+
+
 def test_kernel_isolation_from_source_head():
     rng = np.random.default_rng(7)
     head = models.init_mlp([2, 3], rng)
@@ -290,12 +304,12 @@ def test_transport_head_rejects_inconsistent_shapes():
     assert (kernel.feature_dim, kernel.n_target_classes) == (0, 2)
 
 
-def test_kernel_matrices_match_per_class_forward():
+def test_kernel_forward_matches_per_class_forward():
     """The broadcast forward equals the per-class [u, one-hot z] layer."""
     rng = np.random.default_rng(13)
     kernel = transport_head(3, 4, 2, rng, feature_scale=0.7)
     u = rng.normal(size=(7, 3))
-    lam = models.kernel_matrices(kernel, u)
+    lam = models._kernel_forward(kernel, u)
     for z in range(4):
         x = np.hstack([u, np.tile(np.eye(4)[z], (7, 1))])
         assert np.allclose(lam[:, z], softmax_mp(x @ kernel.w + kernel.b), atol=1e-14)

@@ -262,7 +262,7 @@ def test_stage2_learns_planted_permutation():
     kernel = models.init_transport_head(0, 3, 3)
     kernel, _, _ = pipeline.stage2(phi, head, kernel, bundle.target, cfg, bundle.target_test, GAP)
     perm = np.array(bundle.meta["planted_permutation"])
-    lam = models.kernel_matrices(kernel, models.embed(phi, bundle.target.x))[0]
+    lam = models._kernel_forward(kernel, models.embed(phi, bundle.target.x))[0]
     assert np.all(lam[np.arange(3), perm] >= 0.9)
 
 
@@ -399,6 +399,20 @@ def test_structural_reductions_bit_identical(rotated_bundle):
         np.array_equal(a.w, b.w)
         for a, b in zip(recraft_n20.phi.layers, fa_only.phi.layers)
     )
+
+
+def test_predictor_records_carry_the_frozen_embedders_gap(rotated_bundle):
+    """Stage 2's FA is the last fld epoch's FA bit for bit, and its FLD is
+    the surrogate of the returned embedder's pseudo-label joint."""
+    result = pipeline.run_pipeline(rotated_bundle, PipelineConfig(seed=0, scale=0.25))
+    last_fld = [r for r in result.log.records if r.phase == "fld"][-1]
+    first = next(r for r in result.log.records if r.phase == "predictor")
+    assert first.l_fa.hex() == last_fld.l_fa.hex() == "0x1.b01acbd301356p-2"
+    joint = distortion.pseudo_label_stats(
+        result.phi, result.source_head, rotated_bundle.target.x, rotated_bundle.target.y,
+        pipeline.target_class_count(rotated_bundle),
+    )
+    assert first.l_fld == distortion.fld_surrogate(joint)
 
 
 def test_run_pipeline_deterministic(rotated_bundle):
