@@ -68,15 +68,21 @@ class DiscreteInstance:
             raise ValueError("source conditional and prediction class counts differ")
         if self.target_cond.shape[1] != self.p_target.shape[1]:
             raise ValueError("target conditional and prediction class counts differ")
-        if k > 1:
-            dist = transport.cost_matrix(self.points, self.points)
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() <= 1e-9:
-                raise ValueError("feature points must be distinct")
+        if _atom_separation(self.points) <= 1e-9:
+            raise ValueError("feature points must be distinct")
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
+
+
+def _atom_separation(points: np.ndarray) -> float:
+    """The least distance between two distinct atoms; inf for a single atom."""
+    if points.shape[0] < 2:
+        return math.inf
+    dist = transport.cost_matrix(points, points)
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
 
 
 @dataclass(frozen=True, slots=True)

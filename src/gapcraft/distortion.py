@@ -31,7 +31,7 @@ from . import numgrad as ng
 from . import models
 from .models import MlpParams
 from .probs import as_distribution, class_ids, entropy, softmax, xlogx
-from .transport import CapabilityError
+from .transport import CapabilityError, _reinsert, _support
 
 __all__ = [
     "MAX_LABEL_CLASSES",
@@ -197,8 +197,7 @@ def fld_exact(w, q) -> FldExact:
     w = as_distribution(w, "source conditional")
     q = as_distribution(q, "target conditional")
     _check_label_sizes(w.size, q.size)
-    ri = (w > 0.0).nonzero()[0]
-    ci = (q > 0.0).nonzero()[0]
+    ri, ci = _support(w, q)
     wa, qa = w[ri], q[ci]
     n, m = wa.size, qa.size
 
@@ -214,15 +213,7 @@ def fld_exact(w, q) -> FldExact:
         pi_a.flat[cells[t]] = sols[:, t]
 
     fld = max(0.0, entropy(pi_a) - entropy(wa))
-    pi = pi_a if n == w.size and m == q.size else _embed(pi_a, ri, ci, (w.size, q.size))
-    return FldExact(fld, pi)
-
-
-def _embed(pi_a: np.ndarray, ri: np.ndarray, ci: np.ndarray, shape) -> np.ndarray:
-    """The coupling on the active rows ri and columns ci, zero elsewhere."""
-    full = np.zeros(shape)
-    full[ri[:, None], ci] = pi_a
-    return full
+    return FldExact(fld, _reinsert(pi_a, ri, ci, (w.size, q.size)))
 
 
 def random_vertex_entropies(

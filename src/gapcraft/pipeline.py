@@ -261,21 +261,6 @@ def induced_predictor_error(
     return float(np.mean(pred != eval_labels))
 
 
-def _fa_loss_value(
-    phi: MlpParams, source_features: np.ndarray, target_x: np.ndarray,
-    omega: float, cfg: SinkhornConfig,
-) -> float:
-    u = models.embed(phi, target_x)
-    cost = transport.cost_matrix(u, source_features)
-    res = transport.sinkhorn(
-        cost,
-        np.full(u.shape[0], 1.0 / u.shape[0]),
-        np.full(source_features.shape[0], 1.0 / source_features.shape[0]),
-        cfg,
-    )
-    return omega * res.w1_estimate
-
-
 def stage1(
     phi: MlpParams,
     theta: MlpParams,
@@ -326,8 +311,8 @@ def stage1(
             phi, source_head, target.x, target.y, n_target_classes
         )
         phi = models.sgd_update(phi, grads, cfg.lr_fld)
-        l_fa = _fa_loss_value(
-            phi, source_features, target.x, cfg.lipschitz.omega, cfg.sinkhorn
+        l_fa = transport.fa_loss(
+            phi, target.x, source_features, cfg.lipschitz.omega, cfg.sinkhorn
         )
         checkpoint(epoch, "fld", l_fa, loss, pseudo_joint())
 
@@ -426,13 +411,14 @@ def frozen_gap(
     bundle: TaskBundle,
     cfg: PipelineConfig,
 ) -> tuple[float, float]:
-    """(FA, FLD) of the embedder stage 2 freezes, for its run-log records."""
-    l_fa = _fa_loss_value(
-        phi, models.embed(theta, bundle.proxy.x), bundle.target.x,
-        cfg.lipschitz.omega, cfg.sinkhorn,
-    )
+    """(FA, FLD) of the embedder stage 2 freezes, for its run-log records; the
+    joint comes first, so a bad target label or phi fails before the solve."""
     joint = distortion.pseudo_label_stats(
         phi, source_head, bundle.target.x, bundle.target.y, target_class_count(bundle)
+    )
+    l_fa = transport.fa_loss(
+        phi, bundle.target.x, models.embed(theta, bundle.proxy.x),
+        cfg.lipschitz.omega, cfg.sinkhorn,
     )
     return l_fa, distortion.fld_surrogate(joint)
 

@@ -28,9 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import DiscreteInstance
+from .bound import DiscreteInstance, _atom_separation
 from .probs import fold_last, softmax
-from .transport import cost_matrix
 
 __all__ = [
     "TaskSpec",
@@ -308,6 +307,17 @@ def _dirichlet_rows(rng, n, k, alpha) -> np.ndarray:
     return rng.dirichlet(np.full(k, alpha), size=n)
 
 
+def _some_exact_zeros(rng: np.random.Generator, cond: np.ndarray) -> np.ndarray:
+    """``cond``, or with probability 1/4 ``cond`` with each entry but its
+    row's largest set to exactly 0 with probability 0.3, rows renormalized."""
+    if rng.random() >= 0.25:
+        return cond
+    mask = rng.random(cond.shape) < 0.3
+    mask[np.arange(cond.shape[0]), cond.argmax(axis=1)] = False
+    cond = np.where(mask, 0.0, cond)
+    return cond / cond.sum(axis=1, keepdims=True)
+
+
 def random_discrete_instance(seed: int) -> DiscreteInstance:
     """Random finite instance: the substrate of the bound verification suite.
 
@@ -322,31 +332,16 @@ def random_discrete_instance(seed: int) -> DiscreteInstance:
     kz = int(rng.integers(2, 5))
     kt = int(rng.integers(2, 5))
     d = int(rng.integers(1, 4))
-    while True:
+    points = rng.normal(size=(k, d))
+    while _atom_separation(points) <= 1e-6:
         points = rng.normal(size=(k, d))
-        if k == 1:
-            break
-        dist = cost_matrix(points, points)
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() > 1e-6:
-            break
     alpha = float(rng.choice([0.4, 1.0, 3.0]))
     source_marginal = rng.dirichlet(np.full(k, 1.0))
     target_marginal = rng.dirichlet(np.full(k, 1.0))
     source_cond = _dirichlet_rows(rng, k, kz, alpha)
     target_cond = _dirichlet_rows(rng, k, kt, alpha)
-    if rng.random() < 0.25:  # exact zeros in the conditionals
-        mask = rng.random(source_cond.shape) < 0.3
-        keep = source_cond.argmax(axis=1)
-        mask[np.arange(k), keep] = False
-        source_cond = np.where(mask, 0.0, source_cond)
-        source_cond /= source_cond.sum(axis=1, keepdims=True)
-    if rng.random() < 0.25:
-        mask = rng.random(target_cond.shape) < 0.3
-        keep = target_cond.argmax(axis=1)
-        mask[np.arange(k), keep] = False
-        target_cond = np.where(mask, 0.0, target_cond)
-        target_cond /= target_cond.sum(axis=1, keepdims=True)
+    source_cond = _some_exact_zeros(rng, source_cond)
+    target_cond = _some_exact_zeros(rng, target_cond)
     p_source = _dirichlet_rows(rng, k, kz, 2.0)
     p_target = _dirichlet_rows(rng, k, kt, 2.0)
     return DiscreteInstance(

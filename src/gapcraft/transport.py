@@ -28,6 +28,7 @@ __all__ = [
     "sinkhorn",
     "exact_w1",
     "dual_lower_bound",
+    "fa_loss",
     "fa_loss_and_grad",
 ]
 
@@ -121,9 +122,8 @@ def sinkhorn(cost, mu, nu, cfg: SinkhornConfig = SinkhornConfig()) -> SinkhornRe
         )
     eps = cfg.epsilon
     # Zero-mass atoms would put -inf in the potentials; drop and reinsert.
-    ri = np.flatnonzero(mu > 0.0)
-    ci = np.flatnonzero(nu > 0.0)
-    c = cost[np.ix_(ri, ci)]
+    ri, ci = _support(mu, nu)
+    c = cost[ri[:, None], ci]
     mu_a, nu_a = mu[ri], nu[ci]
     lmu = np.log(mu_a)
     lnu = np.log(nu_a)
@@ -148,8 +148,7 @@ def sinkhorn(cost, mu, nu, cfg: SinkhornConfig = SinkhornConfig()) -> SinkhornRe
                 break
     else:  # max_iter reached: the last iterate comes back
         plan, violation = _plan_and_violation(f, g, c, eps, mu_a, nu_a)
-    full = np.zeros((n, m))
-    full[np.ix_(ri, ci)] = plan
+    full = _reinsert(plan, ri, ci, (n, m))
     w1 = float((full * cost).sum())
     ff = np.full(n, -np.inf)
     gg = np.full(m, -np.inf)
@@ -164,6 +163,20 @@ def _plan_and_violation(
     """The plan at potentials (f, g) and its marginal violation."""
     plan = np.exp((f[:, None] + g[None, :] - c) / eps)
     return plan, _marginal_violation(plan, mu, nu)
+
+
+def _support(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns that carry positive mass."""
+    return (mu > 0.0).nonzero()[0], (nu > 0.0).nonzero()[0]
+
+
+def _reinsert(block: np.ndarray, ri: np.ndarray, ci: np.ndarray, shape) -> np.ndarray:
+    """``block`` on rows ri, columns ci of an exact-zero plan; itself if none dropped."""
+    if ri.size == shape[0] and ci.size == shape[1]:
+        return block
+    full = np.zeros(shape)
+    full[ri[:, None], ci] = block
+    return full
 
 
 def _marginal_violation(pi: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
@@ -194,13 +207,8 @@ def exact_w1(cost, mu, nu) -> tuple[np.ndarray, float]:
         )
     if mu.shape[0] != n or nu.shape[0] != m:
         raise ng.DimensionError("exact_w1: marginal sizes do not match cost")
-    ri = np.flatnonzero(mu > 0.0)
-    ci = np.flatnonzero(nu > 0.0)
-    if ri.size == n and ci.size == m:
-        pi = _transport_simplex(cost, mu, nu)
-    else:
-        pi = np.zeros((n, m))
-        pi[np.ix_(ri, ci)] = _transport_simplex(cost[np.ix_(ri, ci)], mu[ri], nu[ci])
+    ri, ci = _support(mu, nu)
+    pi = _reinsert(_transport_simplex(cost[ri[:, None], ci], mu[ri], nu[ci]), ri, ci, (n, m))
     violation = _marginal_violation(pi, mu, nu)
     if violation > 1e-12 + abs(float(mu.sum() - nu.sum())) or pi.min() < 0.0:
         raise SolverError(
@@ -387,6 +395,23 @@ def dual_lower_bound(cost, mu, nu, g) -> float:
     return float(f @ mu + g @ nu)
 
 
+def _aligned(c: np.ndarray, omega: float, cfg: SinkhornConfig) -> tuple[float, SinkhornResult]:
+    """omega times the cost of the uniform-marginal Sinkhorn plan on c, and that solve."""
+    n, m = c.shape
+    if n == 0 or m == 0:
+        raise ValueError("alignment loss: target and source batches must be nonempty")
+    result = sinkhorn(c, np.full(n, 1.0 / n), np.full(m, 1.0 / m), cfg)
+    return omega * result.w1_estimate, result
+
+
+def fa_loss(
+    phi: MlpParams, target_batch, source_features, omega: float, cfg: SinkhornConfig
+) -> float:
+    """The alignment loss of :func:`fa_loss_and_grad` without its gradient."""
+    u = models.embed(phi, target_batch)
+    return _aligned(cost_matrix(u, source_features), omega, cfg)[0]
+
+
 def fa_loss_and_grad(
     phi: MlpParams,
     target_batch,
@@ -405,11 +430,7 @@ def fa_loss_and_grad(
     """
     u, pullback = models.mlp_vjp(phi, ng.as_matrix(target_batch, "target batch"))
     diff, c = _pairwise(u, source_features)
-    n, m = c.shape
-    if n == 0 or m == 0:
-        raise ValueError("fa_loss_and_grad: batches must be nonempty")
-    result = sinkhorn(c, np.full(n, 1.0 / n), np.full(m, 1.0 / m), cfg)
-    loss = omega * result.w1_estimate
+    loss, result = _aligned(c, omega, cfg)
 
     # Cotangent on the embeddings under the fixed plan; coincident pairs
     # (zero distance) contribute a zero subgradient.

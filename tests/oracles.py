@@ -110,13 +110,12 @@ def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
     w = as_distribution(w, "row marginal")
     q = as_distribution(q, "col marginal")
     distortion._check_label_sizes(w.size, q.size)
-    ri = (w > 0.0).nonzero()[0]
-    ci = (q > 0.0).nonzero()[0]
+    ri, ci = transport._support(w, q)
     wa, qa = w[ri], q[ci]
     n, m = wa.size, qa.size
     if n == 1 or m == 1:
         pi_a = qa[None, :] if n == 1 else wa[:, None]
-        return [distortion._embed(pi_a, ri, ci, (w.size, q.size))]
+        return [transport._reinsert(pi_a, ri, ci, (w.size, q.size))]
     seen: dict[tuple, np.ndarray] = {}
     cells, sols = distortion._basic_feasible_solutions(wa, qa)
     for tree, vals in zip(cells, sols.T):
@@ -124,7 +123,7 @@ def enumerate_polytope_vertices(w, q) -> list[np.ndarray]:
         pi_a.flat[tree] = vals
         key = tuple(np.round(pi_a, 12).ravel())
         if key not in seen:
-            seen[key] = distortion._embed(pi_a, ri, ci, (w.size, q.size))
+            seen[key] = transport._reinsert(pi_a, ri, ci, (w.size, q.size))
     return list(seen.values())
 
 

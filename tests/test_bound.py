@@ -1,7 +1,7 @@
 """Exact decomposition terms, the closed-form fitting term, proof terms."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -44,6 +44,21 @@ def _permutation_instance(seed=1):
     source_cond = np.eye(kz)[src_labels]
     target_cond = np.eye(kz)[perm[src_labels]]
     return DiscreteInstance(points, sm, tm, source_cond, target_cond, source_cond, target_cond)
+
+
+def test_instance_rejects_atoms_closer_than_1e_9():
+    inst = _self_transfer_instance()
+    points = inst.points.copy()
+    points[2] = points[0] + 5e-10  # 7.1e-10 apart
+    with pytest.raises(ValueError, match="^feature points must be distinct$"):
+        replace(inst, points=points)
+    points[2] = points[0] + 1e-8
+    assert replace(inst, points=points).n_points == 3
+
+
+def test_atom_separation_is_the_least_pairwise_distance():
+    assert bound._atom_separation(np.zeros((1, 3))) == np.inf
+    assert bound._atom_separation(np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -570,6 +570,33 @@ def test_pretrain_source_label_out_of_range_exits_1(cli_workspace, tmp_path, cap
         assert not (out / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("case", ["target_label", "phi_width"])
+def test_stage2_rejects_bad_input_before_the_sinkhorn_solve(
+    cli_workspace, tmp_path, monkeypatch, capsys, case
+):
+    """The frozen gap builds its pseudo-label joint, which checks the target
+    labels and phi's width against the head, before its Sinkhorn solve."""
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace / "data", data)
+    phi = tmp_path / "phi.json"
+    if case == "target_label":
+        header, first, *rest = (data / "target.csv").read_text().splitlines()
+        bad_row = first.rsplit(",", 1)[0] + ",3"
+        (data / "target.csv").write_text("\n".join([header, bad_row, *rest]) + "\n")
+        width, message = 8, "pseudo_label_stats: target labels must lie in [0, 3)"
+    else:
+        width, message = 5, "embed: batch has 5 columns, embedder expects 8"
+    models.save_params(models.init_mlp([12, width], np.random.default_rng(0)), phi,
+                       role="target_embedder")
+    calls = []
+    solve = transport.sinkhorn
+    monkeypatch.setattr(transport, "sinkhorn", lambda *a: calls.append(a) or solve(*a))
+    assert main(["stage2", "--data", str(data), "--models", str(cli_workspace / "m2"),
+                 "--phi", str(phi), "--out", str(tmp_path / "s2"), "--scale", "0.05"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
 def test_baseline_runs_gap_dial(tmp_path, capsys):
     """gap_dial keeps the input space: baseline builds its spec by the rule
     ``gen`` applies, so the default target size does not reject it."""

@@ -373,6 +373,17 @@ def test_stage2_rejects_kernel_of_other_source_classes(rotated_bundle):
         )
 
 
+def test_run_pipeline_on_an_empty_target_split_raises_value_error():
+    """An empty target split is a typed error, not a ZeroDivisionError from
+    the uniform marginals of the frozen embedder's alignment loss."""
+    bundle = replace(
+        synthtasks.generate(TaskSpec(family="permuted_labels")),
+        target=Dataset(np.zeros((0, 12)), np.zeros(0, np.int64)),
+    )
+    with pytest.raises(ValueError, match="^pseudo_label_stats: 0 target rows for 0 labels$"):
+        pipeline.run_pipeline(bundle, PipelineConfig(baseline="nft", scale=0.05))
+
+
 # ---------------------------------------------------------------------------
 # reductions and determinism
 # ---------------------------------------------------------------------------

@@ -134,6 +134,15 @@ def test_invalid_specs_rejected():
 # ---------------------------------------------------------------------------
 
 
+def test_random_instance_atoms_are_more_than_1e_6_apart():
+    """The sampler redraws its atoms until every pair is more than 1e-6
+    apart, well clear of the instance's own 1e-9 distinctness test."""
+    for seed in range(1000):
+        points = synthtasks.random_discrete_instance(seed).points
+        i, j = np.triu_indices(points.shape[0], k=1)
+        assert np.all(np.linalg.norm(points[i] - points[j], axis=1) > 1e-6), seed
+
+
 def test_random_instances_pass_validation():
     for seed in range(50):
         inst = synthtasks.random_discrete_instance(seed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapcraft import models
+from gapcraft import distortion, models
 from gapcraft import numgrad as ng
 from gapcraft import transport
 from gapcraft.transport import CapabilityError, SinkhornConfig, SinkhornResult, SolverError
@@ -377,6 +377,37 @@ def test_sinkhorn_matches_plan_rebuilding_loop_bitwise(name):
         assert not res.converged and res.n_iter == max_iter
 
 
+# each solver's plan on (cost, row marginal, column marginal); fld_exact
+# couples the two marginals alone
+ZERO_MASS_SOLVERS = {
+    "sinkhorn": lambda c, a, b: transport.sinkhorn(
+        c, a, b, SinkhornConfig(0.05, 5000, 1e-9)
+    ).coupling,
+    "exact_w1": lambda c, a, b: transport.exact_w1(c, a, b)[0],
+    "fld_exact": lambda c, a, b: distortion.fld_exact(a, b).coupling,
+}
+
+
+@pytest.mark.parametrize("solver", sorted(ZERO_MASS_SOLVERS))
+def test_zero_mass_atoms_get_exact_zero_rows_and_columns(solver):
+    """Every solver's plan is exactly 0.0 on each zero-mass row and column,
+    and on the active block it is, bit for bit, the plan of the reduced
+    problem that drops them."""
+    plan = ZERO_MASS_SOLVERS[solver]
+    rng = np.random.default_rng(22)
+    mu, nu = random_simplex(rng, 5), random_simplex(rng, 4)
+    mu[[0, 3]] = 0.0
+    nu[2] = 0.0
+    mu, nu = mu / mu.sum(), nu / nu.sum()
+    cost = transport.cost_matrix(rng.normal(size=(5, 2)), rng.normal(size=(4, 2)))
+    ri, ci = np.array([1, 2, 4]), np.array([0, 1, 3])
+    pi = plan(cost, mu, nu)
+    assert pi.shape == (5, 4)
+    assert np.all(pi[[0, 3], :] == 0.0) and np.all(pi[:, 2] == 0.0)
+    reduced = plan(cost[np.ix_(ri, ci)], mu[ri], nu[ci])
+    assert pi[np.ix_(ri, ci)].tobytes() == reduced.tobytes()
+
+
 def test_dual_lower_bound_never_exceeds_exact():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -453,3 +484,26 @@ def test_fa_fixed_coupling_gradient_matches_fd():
     fd = finite_difference(fixed_coupling_loss, x0)
     analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
     assert relative_gradient_error(analytic, fd) < 1e-4
+
+
+def test_fa_loss_is_the_loss_of_fa_loss_and_grad():
+    """The value path and the gradient path solve the same objective."""
+    rng = np.random.default_rng(6)
+    phi, theta = _toy_embedders(seed=6)
+    batch = rng.normal(size=(7, 3))
+    v = models.embed(theta, rng.normal(size=(9, 3)))
+    cfg = SinkhornConfig(epsilon=0.1, max_iter=1000, tol=1e-7)
+    loss, _, _ = transport.fa_loss_and_grad(phi, batch, v, 0.7, cfg)
+    assert transport.fa_loss(phi, batch, v, 0.7, cfg).hex() == loss.hex()
+
+
+@pytest.mark.parametrize("entry", [transport.fa_loss, transport.fa_loss_and_grad],
+                         ids=lambda fn: fn.__name__)
+def test_fa_entries_reject_an_empty_batch_with_one_message(entry):
+    phi, theta = _toy_embedders()
+    v = models.embed(theta, np.ones((4, 3)))
+    for batch, features in ((np.zeros((0, 3)), v), (np.ones((2, 3)), v[:0])):
+        with pytest.raises(
+            ValueError, match="^alignment loss: target and source batches must be nonempty$"
+        ):
+            entry(phi, batch, features, 1.0, SinkhornConfig())
