@@ -22,6 +22,7 @@ import numpy as np
 
 from . import transport
 from .distortion import fld_exact
+from .numgrad import as_matrix
 from .probs import LOG_FLOOR, as_conditional, as_distribution, xlogx
 
 __all__ = [
@@ -56,7 +57,8 @@ class DiscreteInstance:
     p_target: np.ndarray
 
     def __post_init__(self):
-        k = self.points.shape[0]
+        points = as_matrix(self.points, "feature points")
+        k = points.shape[0]
         as_distribution(self.source_marginal, "source marginal")
         as_distribution(self.target_marginal, "target marginal")
         for name in ("source_cond", "target_cond", "p_source", "p_target"):
@@ -68,7 +70,7 @@ class DiscreteInstance:
             raise ValueError("source conditional and prediction class counts differ")
         if self.target_cond.shape[1] != self.p_target.shape[1]:
             raise ValueError("target conditional and prediction class counts differ")
-        if _atom_separation(self.points) <= 1e-9:
+        if _atom_separation(points) <= 1e-9:
             raise ValueError("feature points must be distinct")
 
     @property

@@ -139,6 +139,15 @@ def _load_bundle(data_dir: Path) -> synthtasks.TaskBundle:
     return synthtasks.TaskBundle(*parts, meta)
 
 
+def _load_models(args) -> tuple[synthtasks.TaskBundle, models.MlpParams, models.MlpParams]:
+    """The task bundle of ``--data`` and the theta and source head of ``--models``."""
+    bundle = _load_bundle(_require(args.data, "data directory"))
+    mdir = _require(args.models, "models directory")
+    theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
+    head, _ = models.load_params(_require(mdir / "source_head.json", "head checkpoint"))
+    return bundle, theta, head
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -164,10 +173,7 @@ def cmd_pretrain(args, out: Path) -> int:
 
 
 def cmd_recalibrate(args, out: Path) -> int:
-    bundle = _load_bundle(_require(args.data, "data directory"))
-    mdir = _require(args.models, "models directory")
-    theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
-    head, _ = models.load_params(_require(mdir / "source_head.json", "head checkpoint"))
+    bundle, theta, head = _load_models(args)
     result = lipschitz.recalibrate_head(
         head, theta, bundle.proxy.x, bundle.proxy.y, _lipschitz_config(args)
     )
@@ -185,10 +191,7 @@ def cmd_recalibrate(args, out: Path) -> int:
 
 
 def cmd_stage1(args, out: Path) -> int:
-    bundle = _load_bundle(_require(args.data, "data directory"))
-    mdir = _require(args.models, "models directory")
-    theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
-    head, _ = models.load_params(_require(mdir / "source_head.json", "head checkpoint"))
+    bundle, theta, head = _load_models(args)
     cfg = _pipeline_config(args)
     phi = pipeline.init_target_embedder(bundle, theta, cfg.seed)
     phi, log1 = pipeline.stage1(
@@ -201,10 +204,7 @@ def cmd_stage1(args, out: Path) -> int:
 
 
 def cmd_stage2(args, out: Path) -> int:
-    bundle = _load_bundle(_require(args.data, "data directory"))
-    mdir = _require(args.models, "models directory")
-    theta, _ = models.load_params(_require(mdir / "theta.json", "theta checkpoint"))
-    head, _ = models.load_params(_require(mdir / "source_head.json", "head checkpoint"))
+    bundle, theta, head = _load_models(args)
     phi, _ = models.load_params(_require(args.phi, "phi checkpoint"))
     cfg = _pipeline_config(args)
     kernel = models.init_transport_head(

@@ -285,9 +285,15 @@ def pseudo_label_stats(
     """
     x, labels = _target_batch(target_x, target_labels, n_target_classes, "pseudo_label_stats")
     p = models.predict_source(source_head, models.embed(phi, x))
+    return _soft_joint(p, labels, n_target_classes)
+
+
+def _soft_joint(p: np.ndarray, labels: np.ndarray, n_target_classes: int) -> np.ndarray:
+    """The (source classes, target classes) mean of the rows of ``p``, each
+    added to its label's column: a class no label names is a zero column."""
     joint = np.zeros((p.shape[1], n_target_classes))
     np.add.at(joint.T, labels, p)
-    joint /= x.shape[0]
+    joint /= p.shape[0]
     return joint
 
 
@@ -311,27 +317,20 @@ def fld_loss_and_grad(
     """Soft-count surrogate and its gradient with respect to the embedder.
 
     Soft counts only: the sampled (hard) counts are piecewise constant in
-    the embedder, so their gradient is zero almost everywhere.  Target
-    classes absent from the batch contribute nothing to either entropy and
-    are dropped.  With J = p^T onehot / n and r its row marginal, the loss
-    sum r log r - sum J log J has the cotangent
-    dL/dp[i, z] = (log r_z - log J[z, y_i]) / n, taken through the softmax
-    and pulled back through embedder and head together; only the
-    embedder's gradient is returned.
+    the embedder, so their gradient is zero almost everywhere.  The loss is
+    :func:`fld_surrogate` of the joint J that :func:`pseudo_label_stats`
+    builds, where a target class absent from the batch is a zero column
+    that adds 0 log 0 = 0 to the entropy.  With r the row marginal of J,
+    the cotangent is dL/dp[i, z] = (log r_z - log J[z, y_i]) / n, taken
+    through the softmax and pulled back through embedder and head
+    together; only the embedder's gradient is returned.
     """
     x, labels = _target_batch(target_x, target_labels, n_target_classes, "fld_loss_and_grad")
-    observed, column = np.unique(labels, return_inverse=True)
-    onehot = (labels[:, None] == observed[None, :]).astype(np.float64)
-    n = x.shape[0]
-
     logits, pullback = models.mlp_vjp(MlpParams(phi.layers + source_head.layers), x)
     p = softmax(logits)
-    joint = p.T @ onehot / n
-    rows = joint.sum(axis=1)
+    joint = _soft_joint(p, labels, n_target_classes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_joint, log_rows = np.log(joint), np.log(rows)
-        loss = float((rows * log_rows).sum() - (joint * log_joint).sum())
-        g_p = (log_rows[None, :] - log_joint[:, column].T) / n
+        g_p = (np.log(joint.sum(axis=1))[None, :] - np.log(joint[:, labels]).T) / x.shape[0]
         g_logits = p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
     grads = pullback(g_logits)  # raises FloatingPointError if a count is zero
-    return loss, grads[: len(phi.layers)]
+    return fld_surrogate(joint), grads[: len(phi.layers)]

@@ -22,7 +22,7 @@ import numpy as np
 from . import numgrad as ng
 from . import models
 from .models import MlpParams
-from .probs import _shifted_exp, as_conditional, class_ids, fold_last, onehot
+from .probs import _shifted_exp, as_conditional, class_ids, error_rate, fold_last, onehot
 
 __all__ = [
     "LipschitzConfig",
@@ -239,15 +239,14 @@ def sweep_omega(
     order = rng.permutation(x.shape[0])
     n_hold = max(1, int(round(0.25 * x.shape[0])))
     hold, train = order[:n_hold], order[n_hold:]
+    u_hold = models.embed(theta, x[hold])
     rows = []
     for omega in candidates:
         result = recalibrate_head(head, theta, x[train], y[train], replace(cfg, omega=omega))
-        u_hold = models.embed(theta, x[hold])
-        pred = np.argmax(models.predict_source(result.head, u_hold), axis=1)
         rows.append(
             {
                 "omega": omega,
-                "proxy_error": float(np.mean(pred != y[hold])),
+                "proxy_error": error_rate(models.predict_source(result.head, u_hold), y[hold]),
                 "penalty_residual": result.final_penalty,
             }
         )

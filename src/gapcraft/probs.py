@@ -22,6 +22,7 @@ __all__ = [
     "softmax",
     "onehot",
     "class_ids",
+    "error_rate",
     "LOG_FLOOR",
 ]
 
@@ -124,6 +125,14 @@ def class_ids(labels, k: int, name: str) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"{name} must lie in [0, {k})")
     return labels
+
+
+def error_rate(p: np.ndarray, labels: np.ndarray) -> float:
+    """The 0-1 error of predicting each row's most probable class (ties go
+    to the first, as with ``np.argmax``) against the checked ``labels``."""
+    if labels.shape != (p.shape[0],):
+        raise ValueError(f"error_rate: {p.shape[0]} predictions for labels of shape {labels.shape}")
+    return float(np.mean(np.argmax(p, axis=1) != labels))
 
 
 def onehot(labels, k: int, name: str) -> np.ndarray:

@@ -112,14 +112,8 @@ def sinkhorn(cost, mu, nu, cfg: SinkhornConfig = SinkhornConfig()) -> SinkhornRe
     iterating.  The returned plan, cost, potentials and violation all come
     from the one rebuild at the stopping iterate.
     """
-    cost = ng.as_matrix(cost, "cost")
-    mu = as_distribution(mu, "row marginal")
-    nu = as_distribution(nu, "col marginal")
+    cost, mu, nu = _problem("sinkhorn", cost, mu, nu)
     n, m = cost.shape
-    if mu.shape[0] != n or nu.shape[0] != m:
-        raise ng.DimensionError(
-            f"sinkhorn: cost is {cost.shape}, marginals have {mu.shape[0]}/{nu.shape[0]} atoms"
-        )
     eps = cfg.epsilon
     # Zero-mass atoms would put -inf in the potentials; drop and reinsert.
     ri, ci = _support(mu, nu)
@@ -155,6 +149,18 @@ def sinkhorn(cost, mu, nu, cfg: SinkhornConfig = SinkhornConfig()) -> SinkhornRe
     ff[ri] = f
     gg[ci] = g
     return SinkhornResult(full, w1, violation <= cfg.tol, it, violation, ff, gg)
+
+
+def _problem(solver: str, cost, mu, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked cost and marginals of a problem; a DimensionError names ``solver``."""
+    cost = ng.as_matrix(cost, "cost")
+    mu = as_distribution(mu, "row marginal")
+    nu = as_distribution(nu, "col marginal")
+    if mu.shape[0] != cost.shape[0] or nu.shape[0] != cost.shape[1]:
+        raise ng.DimensionError(
+            f"{solver}: cost is {cost.shape}, marginals have {mu.shape[0]}/{nu.shape[0]} atoms"
+        )
+    return cost, mu, nu
 
 
 def _plan_and_violation(
@@ -197,16 +203,12 @@ def exact_w1(cost, mu, nu) -> tuple[np.ndarray, float]:
     the marginals, must be nonnegative and meet them up to the marginals'
     own imbalance.  A failed certificate raises SolverError.
     """
-    cost = ng.as_matrix(cost, "cost")
-    mu = as_distribution(mu, "row marginal")
-    nu = as_distribution(nu, "col marginal")
+    cost, mu, nu = _problem("exact_w1", cost, mu, nu)
     n, m = cost.shape
     if n > EXACT_MAX_SIDE or m > EXACT_MAX_SIDE:
         raise CapabilityError(
             f"exact_w1 rated for at most {EXACT_MAX_SIDE}x{EXACT_MAX_SIDE}, got {n}x{m}"
         )
-    if mu.shape[0] != n or nu.shape[0] != m:
-        raise ng.DimensionError("exact_w1: marginal sizes do not match cost")
     ri, ci = _support(mu, nu)
     pi = _reinsert(_transport_simplex(cost[ri[:, None], ci], mu[ri], nu[ci]), ri, ci, (n, m))
     violation = _marginal_violation(pi, mu, nu)
@@ -387,9 +389,11 @@ def dual_lower_bound(cost, mu, nu, g) -> float:
     For any g, f_i = min_j (cost_ij - g_j) makes (f, g) dual feasible, so the
     returned value never exceeds the exact optimum.
     """
-    cost = ng.as_matrix(cost, "cost")
-    mu = as_distribution(mu, "row marginal")
-    nu = as_distribution(nu, "col marginal")
+    cost, mu, nu = _problem("dual_lower_bound", cost, mu, nu)
+    if np.shape(g) != nu.shape:
+        raise ng.DimensionError(
+            f"dual_lower_bound: g has shape {np.shape(g)}, cost has {nu.size} columns"
+        )
     g = np.where(np.isfinite(g), g, 0.0)
     f = (cost - g[None, :]).min(axis=1)
     return float(f @ mu + g @ nu)

@@ -56,6 +56,15 @@ def test_instance_rejects_atoms_closer_than_1e_9():
     assert replace(inst, points=points).n_points == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_instance_rejects_non_finite_points_by_name(bad):
+    inst = _self_transfer_instance()
+    points = inst.points.copy()
+    points[1, 0] = bad
+    with pytest.raises(ValueError, match="^feature points contains non-finite entries$"):
+        replace(inst, points=points)
+
+
 def test_atom_separation_is_the_least_pairwise_distance():
     assert bound._atom_separation(np.zeros((1, 3))) == np.inf
     assert bound._atom_separation(np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])) == 1.0

@@ -468,19 +468,22 @@ def test_fld_loss_single_point_is_zero():
 
 
 def test_fld_grad_matches_fd():
+    """The loss is the surrogate of pseudo_label_stats' joint, bit for bit,
+    on a batch with every target class and on one missing class 1."""
     rng = np.random.default_rng(14)
     phi = models.init_mlp([3, 5, 3], rng)
     head = models.init_mlp([3, 3], rng)
     x = rng.normal(size=(12, 3))
-    y = rng.integers(0, 3, size=12)
-    loss, grads = distortion.fld_loss_and_grad(phi, head, x, y, 3)
+    y_all = rng.integers(0, 3, size=12)
+    for y in (y_all, np.where(y_all == 1, 2, y_all)):
+        loss, grads = distortion.fld_loss_and_grad(phi, head, x, y, 3)
 
-    def f(vec):
-        p = params_with_vector(phi, vec)
-        return fld_surrogate(distortion.pseudo_label_stats(p, head, x, y, 3))
+        def f(vec):
+            p = params_with_vector(phi, vec)
+            return fld_surrogate(distortion.pseudo_label_stats(p, head, x, y, 3))
 
-    x0 = params_vector(phi)
-    assert loss == pytest.approx(f(x0), abs=1e-12)
-    fd = finite_difference(f, x0)
-    analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
-    assert relative_gradient_error(analytic, fd) < 1e-4
+        x0 = params_vector(phi)
+        assert loss == f(x0)
+        fd = finite_difference(f, x0)
+        analytic = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
+        assert relative_gradient_error(analytic, fd) < 1e-4

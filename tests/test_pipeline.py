@@ -357,20 +357,26 @@ def test_stage2_rejects_target_labels_out_of_range(rotated_bundle, bad):
         pipeline.stage2(phi, head, kernel, target, cfg, rotated_bundle.target_test, GAP)
 
 
-def test_stage2_rejects_kernel_of_other_source_classes(rotated_bundle):
+def test_stage2_rejects_kernel_of_other_source_classes(rotated_bundle, monkeypatch):
+    """Stage 2 scores its initial kernel before the first step, so a kernel
+    that does not fit the head or phi fails in predict_target, untrained."""
     cfg = replace(SMALL, seed=12)
     theta, head = _pretrained(rotated_bundle, cfg)
     phi = pipeline.init_target_embedder(rotated_bundle, theta, cfg.seed)
-    kernel = models.init_transport_head(theta.output_dim, head.output_dim + 1, 3)
-    with pytest.raises(DimensionError, match="^stage2: head emits 3 classes, kernel consumes 4$"):
-        pipeline.stage2(
-            phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
-        )
-    kernel = models.init_transport_head(theta.output_dim + 1, head.output_dim, 3)
-    with pytest.raises(DimensionError, match="^stage2: phi emits 8 features, kernel expects 9$"):
-        pipeline.stage2(
-            phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
-        )
+    steps = []
+    step = pipeline._stage2_loss_and_grad
+    monkeypatch.setattr(pipeline, "_stage2_loss_and_grad", lambda *a: steps.append(1) or step(*a))
+    cases = [
+        ((theta.output_dim, head.output_dim + 1), "head emits 3 classes, kernel consumes 4"),
+        ((theta.output_dim + 1, head.output_dim), "features have 8 columns, kernel expects 9"),
+    ]
+    for (feature_dim, source_classes), message in cases:
+        kernel = models.init_transport_head(feature_dim, source_classes, 3)
+        with pytest.raises(DimensionError, match=f"^predict_target: {message}$"):
+            pipeline.stage2(
+                phi, head, kernel, rotated_bundle.target, cfg, rotated_bundle.target_test, GAP
+            )
+    assert steps == []
 
 
 def test_run_pipeline_on_an_empty_target_split_raises_value_error():

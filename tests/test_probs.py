@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from gapcraft.probs import as_conditional, as_distribution, fold_last, softmax
+from gapcraft.probs import as_conditional, as_distribution, error_rate, fold_last, softmax
 
 from oracles import reduce_softmax
 
@@ -136,6 +136,24 @@ def test_fold_last_add_of_negative_zeros_is_positive_zero():
     out = fold_last(np.add, np.array([[-0.0, -0.0], [-0.0, 0.0]]))
     assert _same_bits(out, np.zeros((2, 1)))
     assert np.signbit(fold_last(np.maximum, np.array([[-0.0]])))[0, 0]
+
+
+# ---------------------------------------------------------------------------
+# error_rate: the one 0-1 error
+# ---------------------------------------------------------------------------
+
+
+def test_error_rate_counts_argmax_mismatches_ties_to_the_first_class():
+    p = np.array([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.1, 0.3, 0.3], [1.0, 0.0, 0.0]])
+    # the predictions are 1, 0 (tie), 1 (tie) and 0
+    assert error_rate(p, np.array([1, 0, 1, 0])) == 0.0
+    assert error_rate(p, np.array([1, 1, 2, 0])) == 0.5
+    assert error_rate(p, np.array([0, 2, 0, 1])) == 1.0
+
+
+def test_error_rate_rejects_labels_of_another_length():
+    with pytest.raises(ValueError, match=r"^error_rate: 2 predictions for labels of shape \(1,\)$"):
+        error_rate(np.eye(2), np.array([0]))
 
 
 @pytest.mark.parametrize("shape", [(240, 3), (400, 3, 3), (9, 5), (4, 2, 7), (3, 8), (2, 12)])

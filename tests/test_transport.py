@@ -424,6 +424,29 @@ def test_dual_lower_bound_never_exceeds_exact():
         assert lb <= w1 + 1e-9
 
 
+@pytest.mark.parametrize(
+    "solver, mu, g, message",
+    [
+        ("sinkhorn", [0.5, 0.5], None, r"sinkhorn: cost is \(3, 4\), marginals have 2/4 atoms"),
+        ("exact_w1", [0.5, 0.5], None, r"exact_w1: cost is \(3, 4\), marginals have 2/4 atoms"),
+        (
+            "dual_lower_bound", [0.5, 0.5], np.zeros(4),
+            r"dual_lower_bound: cost is \(3, 4\), marginals have 2/4 atoms",
+        ),
+        (
+            "dual_lower_bound", np.full(3, 1 / 3), np.zeros(3),
+            r"dual_lower_bound: g has shape \(3,\), cost has 4 columns",
+        ),
+    ],
+)
+def test_transport_entries_reject_mismatched_sizes(solver, mu, g, message):
+    """Every transport entry checks its cost, marginals (and potential) the
+    same way, and the typed error names the entry."""
+    args = (np.ones((3, 4)), mu, np.full(4, 0.25)) + (() if g is None else (g,))
+    with pytest.raises(ng.DimensionError, match=f"^{message}$"):
+        getattr(transport, solver)(*args)
+
+
 # ---------------------------------------------------------------------------
 # fa_loss_and_grad
 # ---------------------------------------------------------------------------
